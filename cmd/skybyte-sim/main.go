@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"skybyte"
+	"skybyte/internal/arrival"
 	"skybyte/internal/fleet"
 	"skybyte/internal/osched"
 	"skybyte/internal/runner"
@@ -57,7 +58,7 @@ func main() {
 		mixFile   = flag.String("mix-file", "", "load a multi-tenant mix from a JSON file (see WORKLOADS.md) and run it")
 		arrName   = flag.String("arrival", "", "run an open-loop arrival spec instead of -workload: client cohorts offer requests at sampled instants (any of skybyte.ArrivalNames()); prints per-SLO-class percentiles")
 		arrFile   = flag.String("arrival-file", "", "load an arrival spec from a JSON file (see WORKLOADS.md) and run it")
-		arrScale  = flag.Float64("arrival-scale", 1, "with -arrival: multiply every cohort rate by this offered-intensity scale")
+		arrScale  = flag.Float64("arrival-scale", 1, "with -arrival: multiply every cohort rate by this offered-intensity scale (finite and >= 0; 0 means 1)")
 		variant   = flag.String("variant", "SkyByte-Full", "design variant (Base-CSSD, SkyByte-{C,P,W,CP,WP,Full,CT,WCT}, AstriFlash-CXL, DRAM-Only)")
 		variants  = flag.String("variants", "", "comma-separated variants to compare; they run in parallel and print one table")
 		parallel  = flag.Int("parallel", 0, "with -variants: simulations in flight at once (0 = GOMAXPROCS)")
@@ -141,6 +142,9 @@ func main() {
 		// nothing, before any simulation starts.
 		if err := arr.Resolve(); err != nil {
 			fail(err)
+		}
+		if err := arrival.ValidateScale(*arrScale); err != nil {
+			fail(fmt.Errorf("-arrival-scale: %w", err))
 		}
 		if *mixName != "" {
 			fail(fmt.Errorf("-arrival paces its own cohorts; it cannot be combined with -mix"))
@@ -244,66 +248,97 @@ func main() {
 		return r
 	}
 
-	// Devices/Placement are spec identity, not knob-tag material: the
-	// runner folds them into the store key (DESIGN.md §9), so they ride
-	// on every Spec below rather than in knobTag.
-	flt := fleetFlags{devices: *devices, placement: *placement}
+	// Every run goes through the runner as one runner.Spec; without
+	// -cache-dir the runner simply has no store. Devices/Placement are
+	// spec identity, not knob-tag material: the runner folds them into
+	// the store key (DESIGN.md §9).
+	spec := runner.Spec{
+		Variant:   skybyte.Variant(*variant),
+		Devices:   *devices,
+		Placement: *placement,
+		Tag:       knobTag,
+		Mutate:    knobs,
+	}
 
 	if *variants != "" {
-		compareVariants(newRunner(*parallel), base, w, variantList, *threads, *instr, knobTag, knobs, flt, shardI, shardN, *shardSpec != "")
+		spec.Workload = w.Name
+		compareVariants(newRunner(*parallel), base, spec, variantList, *threads, *instr, shardI, shardN, *shardSpec != "")
 		return
 	}
 
-	if *mixName != "" {
-		runMix(newRunner(1), base, mix, skybyte.Variant(*variant), *instr, *seed, *cacheDir != "", knobTag, knobs, flt, *timeline)
-		return
-	}
-
-	if *arrName != "" {
-		runArrival(newRunner(1), base, arr, skybyte.Variant(*variant), *instr, *seed, *arrScale, *cacheDir != "", knobTag, knobs, flt, *timeline)
-		return
-	}
-
-	cfg := base.WithVariant(skybyte.Variant(*variant))
+	cfg := base.WithVariant(spec.Variant)
 	knobs(&cfg)
-	flt.apply(&cfg)
-	n := *threads
-	if n == 0 {
-		// Same paper default as the comparison path, so both modes
-		// measure — and, with -cache-dir, share — the same design point.
-		n = runner.ThreadsFor(cfg)
-	}
-
-	start := time.Now()
-	var res *skybyte.Result
-	if *cacheDir == "" {
-		res = skybyte.Run(cfg, w, n, *instr, *seed)
-	} else {
-		// Route through the runner so the store is consulted and fed.
-		r := newRunner(1)
-		res, err = r.Run(context.Background(), runner.Spec{
-			Workload:   w.Name,
-			Variant:    skybyte.Variant(*variant),
-			TotalInstr: *instr * uint64(n),
-			Threads:    n,
-			Devices:    flt.devices,
-			Placement:  flt.placement,
-			Tag:        knobTag,
-			Mutate:     knobs,
-		})
+	var head string
+	switch {
+	case *arrName != "":
+		n, err := arr.TotalThreads()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		spec.Arrival, spec.ArrivalScale, spec.TotalInstr = arr.Name, *arrScale, *instr*uint64(n)
+		head = fmt.Sprintf("arrival         %s x%g (%d cohorts, %d threads on %d cores)\nvariant         %s",
+			arr.Name, *arrScale, len(arr.Cohorts), n, cfg.Cores, cfg.Name)
+	case *mixName != "":
+		n := mix.TotalThreads()
+		spec.Mix, spec.Threads, spec.TotalInstr = mix.Name, n, *instr*uint64(n)
+		head = fmt.Sprintf("mix             %s (%d tenants, %d threads on %d cores)\nvariant         %s",
+			mix.Name, len(mix.Tenants), n, cfg.Cores, cfg.Name)
+	default:
+		// Same paper default as the comparison path, so both modes
+		// measure — and, with -cache-dir, share — the same design point.
+		n := *threads
+		if n == 0 {
+			n = runner.ThreadsFor(cfg)
+		}
+		spec.Workload, spec.Threads, spec.TotalInstr = w.Name, n, *instr*uint64(n)
+		head = fmt.Sprintf("workload        %s (%s footprint, paper MPKI %.1f)\nvariant         %s, %d threads on %d cores",
+			w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI, cfg.Name, n, cfg.Cores)
 	}
-	wall := time.Since(start)
 
-	fmt.Printf("workload        %s (%s footprint, paper MPKI %.1f)\n", w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI)
-	fmt.Printf("variant         %s, %d threads on %d cores\n", res.Variant, n, cfg.Cores)
-	fmt.Printf("exec time       %v   (%.1fM instr, %.0f MIPS simulated; wall %v)\n",
-		res.ExecTime, float64(res.Instructions)/1e6, res.IPS()/1e6, wall.Round(time.Millisecond))
+	start := time.Now()
+	res, err := newRunner(1).Run(context.Background(), spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	report(res, head, time.Since(start), *timeline)
+}
+
+// report prints one run under its header (the design point and its
+// variant). A Result carrying per-tenant
+// accounting (a mix or an arrival spec) reports its totals, then its
+// per-SLO-class rows if it is open-loop, else its per-tenant rows; any
+// other Result gets the full single-workload breakdown. The fleet and
+// telemetry sections follow whenever the Result carries them.
+func report(res *skybyte.Result, head string, wall time.Duration, timelinePath string) {
+	wall = wall.Round(time.Millisecond)
+	fmt.Println(head)
+	if len(res.Tenants) > 0 {
+		fmt.Printf("exec time       %v   (%.1fM instr total; wall %v)\n",
+			res.ExecTime, float64(res.Instructions)/1e6, wall)
+	} else {
+		fmt.Printf("exec time       %v   (%.1fM instr, %.0f MIPS simulated; wall %v)\n",
+			res.ExecTime, float64(res.Instructions)/1e6, res.IPS()/1e6, wall)
+	}
 	fmt.Printf("boundedness     compute %.1f%%  memory %.1f%%  ctx-switch %.1f%%\n",
 		100*res.Bound.ComputeFrac(), 100*res.Bound.MemFrac(), 100*res.Bound.CtxFrac())
+	switch {
+	case res.OpenLoop != nil:
+		emitClasses(res)
+	case len(res.Tenants) > 0:
+		emitTenants(res)
+	default:
+		emitDetail(res)
+	}
+	emitFleet(res)
+	emitTelemetry(res, timelinePath)
+}
+
+// emitDetail prints the single-workload breakdown: AMAT components,
+// read latency, request classes, flash traffic, and the mechanisms
+// that fired.
+func emitDetail(res *skybyte.Result) {
 	fmt.Printf("AMAT            %v (host %v | protocol %v | index %v | ssdDRAM %v | flash %v)\n",
 		res.AMAT.Mean(),
 		res.AMAT.MeanOf(stats.AMATHostDRAM), res.AMAT.MeanOf(stats.AMATCXLProtocol),
@@ -329,22 +364,42 @@ func main() {
 	}
 	fmt.Printf("SSD bandwidth   %.2f GB/s over CXL; flash die utilization %.1f%%\n",
 		res.SSDBandwidthBps/1e9, 100*res.FlashUtilization)
-	emitFleet(res)
-	emitTelemetry(res, *timeline)
 }
 
-// fleetFlags carries the -devices/-placement pair to each run path:
-// apply sets them on a config for the direct (storeless) paths; the
-// runner paths put them on the Spec instead, where they fold into the
-// store key.
-type fleetFlags struct {
-	devices   int
-	placement string
+// emitTenants prints the per-tenant accounting of a mixed run: who got
+// what share of the machine, who paid for context switches, and who
+// filled the write log.
+func emitTenants(res *skybyte.Result) {
+	fmt.Printf("\n%-10s %-12s %7s %10s %12s %8s %8s %10s %8s %10s %8s\n",
+		"tenant", "workload", "threads", "instr", "exec", "mem%", "ctx", "p99 read", "MPKI", "log lines", "stalls")
+	ips := make([]float64, 0, len(res.Tenants))
+	for _, tr := range res.Tenants {
+		fmt.Printf("%-10s %-12s %7d %10d %12v %7.1f%% %8d %10v %8.1f %10d %8d\n",
+			tr.Name, tr.Workload, tr.Threads, tr.Instructions, tr.ExecTime,
+			100*tr.Bound.MemFrac(), tr.CtxSwitches, tr.ReadLat.Percentile(99), tr.MPKI,
+			tr.Log.LinesAbsorbed, tr.Log.StalledWrites)
+		ips = append(ips, tr.IPS())
+	}
+	fmt.Printf("\nfairness        Jain index %.3f over per-tenant progress rates (max/min %.2f)\n",
+		stats.JainIndex(ips), stats.MaxMinRatio(ips))
 }
 
-func (f fleetFlags) apply(c *skybyte.Config) {
-	c.Devices = f.devices
-	c.Placement = f.placement
+// emitClasses prints the per-SLO-class accounting of an open-loop run:
+// offered vs delivered request rate, the sojourn-latency percentiles,
+// and the queueing share of the sojourn.
+func emitClasses(res *skybyte.Result) {
+	fmt.Printf("\n%-10s %12s %12s %10s %10s %10s %10s %10s %12s\n",
+		"class", "offered rps", "goodput rps", "p50", "p95", "p99", "p99.9", "max", "mean qdelay")
+	for _, cl := range res.OpenLoop.Classes {
+		fmt.Printf("%-10s %12.0f %12.0f %10v %10v %10v %10v %10v %12v\n",
+			cl.Name, cl.OfferedRPS, cl.Stats.GoodputRPS(),
+			cl.Stats.Latency.Percentile(50), cl.Stats.Latency.Percentile(95),
+			cl.Stats.Latency.Percentile(99), cl.Stats.Latency.Percentile(99.9),
+			cl.Stats.Latency.Max(), cl.Stats.QueueDelay.Mean())
+	}
+	tot := &res.OpenLoop.Total
+	fmt.Printf("\ntotal           %d admitted, %d completed (%.0f rps goodput)\n",
+		tot.Admitted, tot.Completed, tot.GoodputRPS())
 }
 
 // emitFleet prints the per-device split of a fleet run: one fleet-dev
@@ -408,133 +463,6 @@ func emitTelemetry(res *skybyte.Result, timelinePath string) {
 	}
 }
 
-// runMix executes one multi-tenant design point and prints the
-// per-tenant accounting: who got what share of the machine, who paid
-// for context switches, and who filled the write log. instrPerThread
-// matches the solo path's -instr semantics (an intensity-1 tenant's
-// threads each replay that many instructions). With -cache-dir the run
-// routes through the runner so identical mixed runs recall from the
-// store.
-func runMix(r *runner.Runner, base skybyte.Config, m skybyte.Mix, v skybyte.Variant, instrPerThread, seed uint64, useStore bool, knobTag string, knobs func(*skybyte.Config), flt fleetFlags, timelinePath string) {
-	cfg := base.WithVariant(v)
-	knobs(&cfg)
-	flt.apply(&cfg)
-	total := instrPerThread * uint64(m.TotalThreads())
-
-	start := time.Now()
-	var res *skybyte.Result
-	var err error
-	if useStore {
-		res, err = r.Run(context.Background(), runner.Spec{
-			Mix:        m.Name,
-			Variant:    v,
-			TotalInstr: total,
-			Threads:    m.TotalThreads(),
-			Devices:    flt.devices,
-			Placement:  flt.placement,
-			Tag:        knobTag,
-			Mutate:     knobs,
-		})
-	} else {
-		res, err = skybyte.RunMix(cfg, m, total, seed)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	wall := time.Since(start)
-
-	fmt.Printf("mix             %s (%d tenants, %d threads on %d cores)\n",
-		m.Name, len(m.Tenants), m.TotalThreads(), cfg.Cores)
-	fmt.Printf("variant         %s\n", res.Variant)
-	fmt.Printf("exec time       %v   (%.1fM instr total; wall %v)\n",
-		res.ExecTime, float64(res.Instructions)/1e6, wall.Round(time.Millisecond))
-	fmt.Printf("boundedness     compute %.1f%%  memory %.1f%%  ctx-switch %.1f%%\n\n",
-		100*res.Bound.ComputeFrac(), 100*res.Bound.MemFrac(), 100*res.Bound.CtxFrac())
-
-	fmt.Printf("%-10s %-12s %7s %10s %12s %8s %8s %10s %8s %10s %8s\n",
-		"tenant", "workload", "threads", "instr", "exec", "mem%", "ctx", "p99 read", "MPKI", "log lines", "stalls")
-	ips := make([]float64, 0, len(res.Tenants))
-	for _, tr := range res.Tenants {
-		fmt.Printf("%-10s %-12s %7d %10d %12v %7.1f%% %8d %10v %8.1f %10d %8d\n",
-			tr.Name, tr.Workload, tr.Threads, tr.Instructions, tr.ExecTime,
-			100*tr.Bound.MemFrac(), tr.CtxSwitches, tr.ReadLat.Percentile(99), tr.MPKI,
-			tr.Log.LinesAbsorbed, tr.Log.StalledWrites)
-		ips = append(ips, tr.IPS())
-	}
-	fmt.Printf("\nfairness        Jain index %.3f over per-tenant progress rates (max/min %.2f)\n",
-		stats.JainIndex(ips), stats.MaxMinRatio(ips))
-	emitFleet(res)
-	emitTelemetry(res, timelinePath)
-}
-
-// runArrival executes one open-loop design point and prints the
-// per-SLO-class accounting: offered vs delivered request rate, the
-// sojourn-latency percentiles, and the queueing share of the sojourn.
-// instrPerThread matches the solo path's -instr semantics. With
-// -cache-dir the run routes through the runner so identical open-loop
-// runs recall from the store.
-func runArrival(r *runner.Runner, base skybyte.Config, a skybyte.Arrival, v skybyte.Variant, instrPerThread, seed uint64, scale float64, useStore bool, knobTag string, knobs func(*skybyte.Config), flt fleetFlags, timelinePath string) {
-	cfg := base.WithVariant(v)
-	knobs(&cfg)
-	flt.apply(&cfg)
-	nThreads, err := a.TotalThreads()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	total := instrPerThread * uint64(nThreads)
-
-	start := time.Now()
-	var res *skybyte.Result
-	if useStore {
-		res, err = r.Run(context.Background(), runner.Spec{
-			Arrival:      a.Name,
-			ArrivalScale: scale,
-			Variant:      v,
-			TotalInstr:   total,
-			Devices:      flt.devices,
-			Placement:    flt.placement,
-			Tag:          knobTag,
-			Mutate:       knobs,
-		})
-	} else {
-		res, err = skybyte.RunArrival(cfg, a, total, seed, scale)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	wall := time.Since(start)
-
-	fmt.Printf("arrival         %s x%g (%d cohorts, %d threads on %d cores)\n",
-		a.Name, scale, len(a.Cohorts), nThreads, cfg.Cores)
-	fmt.Printf("variant         %s\n", res.Variant)
-	fmt.Printf("exec time       %v   (%.1fM instr total; wall %v)\n",
-		res.ExecTime, float64(res.Instructions)/1e6, wall.Round(time.Millisecond))
-	fmt.Printf("boundedness     compute %.1f%%  memory %.1f%%  ctx-switch %.1f%%\n\n",
-		100*res.Bound.ComputeFrac(), 100*res.Bound.MemFrac(), 100*res.Bound.CtxFrac())
-
-	if res.OpenLoop == nil {
-		fmt.Println("no open-loop accounting recorded")
-		return
-	}
-	fmt.Printf("%-10s %12s %12s %10s %10s %10s %10s %10s %12s\n",
-		"class", "offered rps", "goodput rps", "p50", "p95", "p99", "p99.9", "max", "mean qdelay")
-	for _, cl := range res.OpenLoop.Classes {
-		fmt.Printf("%-10s %12.0f %12.0f %10v %10v %10v %10v %10v %12v\n",
-			cl.Name, cl.OfferedRPS, cl.Stats.GoodputRPS(),
-			cl.Stats.Latency.Percentile(50), cl.Stats.Latency.Percentile(95),
-			cl.Stats.Latency.Percentile(99), cl.Stats.Latency.Percentile(99.9),
-			cl.Stats.Latency.Max(), cl.Stats.QueueDelay.Mean())
-	}
-	tot := &res.OpenLoop.Total
-	fmt.Printf("\ntotal           %d admitted, %d completed (%.0f rps goodput)\n",
-		tot.Admitted, tot.Completed, tot.GoodputRPS())
-	emitFleet(res)
-	emitTelemetry(res, timelinePath)
-}
-
 // compareVariants runs one workload across several design points on the
 // shared worker pool and prints them side by side (execution time
 // normalized to the first variant listed). Every thread receives the
@@ -542,26 +470,19 @@ func runArrival(r *runner.Runner, base skybyte.Config, a skybyte.Arrival, v skyb
 // thread defaults still execute comparable program sections per thread.
 // With sharding, only the i-th of n slices executes (populating the
 // store) and no table prints; -from-cache later renders the full
-// comparison without simulating.
-func compareVariants(r *runner.Runner, base skybyte.Config, w skybyte.Workload, vs []system.Variant, threads int, instrPerThread uint64, knobTag string, knobs func(*skybyte.Config), flt fleetFlags, shardI, shardN int, sharded bool) {
+// comparison without simulating. template carries the workload and the
+// settings every design point shares.
+func compareVariants(r *runner.Runner, base skybyte.Config, template runner.Spec, vs []system.Variant, threads int, instrPerThread uint64, shardI, shardN int, sharded bool) {
 	specs := make([]runner.Spec, len(vs))
 	for i, v := range vs {
 		n := threads
 		if n == 0 {
 			vcfg := base.WithVariant(v)
-			knobs(&vcfg)
+			template.Mutate(&vcfg)
 			n = runner.ThreadsFor(vcfg)
 		}
-		specs[i] = runner.Spec{
-			Workload:   w.Name,
-			Variant:    v,
-			TotalInstr: instrPerThread * uint64(n),
-			Threads:    n,
-			Devices:    flt.devices,
-			Placement:  flt.placement,
-			Tag:        knobTag,
-			Mutate:     knobs,
-		}
+		specs[i] = template
+		specs[i].Variant, specs[i].TotalInstr, specs[i].Threads = v, instrPerThread*uint64(n), n
 	}
 	run := specs
 	if sharded {
@@ -583,11 +504,11 @@ func compareVariants(r *runner.Runner, base skybyte.Config, w skybyte.Workload, 
 
 	if sharded {
 		fmt.Printf("shard %d/%d: %d of %d %s design points in the store (%d simulated, %d recalled; wall %v)\n",
-			shardI, shardN, len(run), len(specs), w.Name, sims.Load(), int64(len(run))-sims.Load(), wall.Round(time.Millisecond))
+			shardI, shardN, len(run), len(specs), template.Workload, sims.Load(), int64(len(run))-sims.Load(), wall.Round(time.Millisecond))
 		return
 	}
 	fmt.Printf("workload %s, %d instr/thread, %d workers (wall %v)\n\n",
-		w.Name, instrPerThread, r.Parallelism(), wall.Round(time.Millisecond))
+		template.Workload, instrPerThread, r.Parallelism(), wall.Round(time.Millisecond))
 	fmt.Printf("%-16s %8s %14s %8s %12s %10s %8s\n",
 		"variant", "threads", "exec", "norm", "AMAT", "p99 read", "MPKI")
 	ref := float64(results[0].ExecTime)

@@ -6,15 +6,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
 	"sync"
 
-	"skybyte/internal/mem"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
-	"skybyte/internal/trace"
 	"skybyte/internal/workloads"
 )
 
@@ -296,91 +295,91 @@ func gateSeed(seed uint64, thread int) uint64 {
 	return seed*0xC2B2AE3D + uint64(thread)*0x165667B1 + 5
 }
 
+// ValidateScale checks an offered-intensity scale: it must be finite
+// and not negative (0 means 1).
+func ValidateScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
+		return fmt.Errorf("arrival: intensity scale %v not accepted; want a finite scale >= 0 (0 means 1)", scale)
+	}
+	return nil
+}
+
 // Apply resolves the spec against the workload and mix registries and
-// populates sys as an open-loop run: each cohort's threads become
-// tenant groups over disjoint arenas (mix cohorts expand to one group
-// per mix tenant, exactly as Mix.Apply lays them out), SLO classes are
-// declared with their analytic offered rates, and every thread gets an
-// arrival gate with its own deterministic sampler stream. rateScale
-// multiplies every cohort's rate — the campaign's intensity axis; 0
-// means 1. The instruction budget splits evenly across all threads;
-// pacing comes from the arrival processes, not the budget.
+// populates sys as an open-loop run: the cohorts become tenant groups
+// laid out by tenant.Layout (a mix cohort expands to one group per mix
+// tenant, named cohort/tenant), SLO classes are declared with their
+// analytic offered rates, and every thread gets an arrival gate with
+// its own deterministic sampler stream. rateScale multiplies every
+// cohort's rate — the campaign's intensity axis; 0 means 1. The
+// instruction budget splits evenly across all threads, mix cohorts
+// included (a mix tenant's intensity does not apply here); pacing
+// comes from the arrival processes, not the budget.
 func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale float64) error {
 	if err := sp.Validate(); err != nil {
 		return err
 	}
+	if err := ValidateScale(rateScale); err != nil {
+		return err
+	}
 	n := sp.normalized()
 
-	// Flatten cohorts into tenant groups.
-	type group struct {
-		name    string
-		w       workloads.Spec
-		threads int
-		cohort  int // index into n.Cohorts
-	}
-	var groups []group
+	// Flatten cohorts into tenant groups; a cohort's threads are
+	// contiguous in the layout, cohortThreads[i] of them for cohort i.
+	var groups []tenant.Group
+	cohortThreads := make([]int, len(n.Cohorts))
 	for i, c := range n.Cohorts {
-		if c.Mix != "" {
-			m, err := tenant.ByName(c.Mix)
+		if c.Mix == "" {
+			w, err := workloads.ByName(c.Workload)
 			if err != nil {
 				return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
 			}
-			for _, t := range m.Tenants {
-				w, err := workloads.ByName(t.Workload)
-				if err != nil {
-					return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
-				}
-				tn := t.Name
-				if tn == "" {
-					tn = t.Workload
-				}
-				groups = append(groups, group{name: c.Name + "/" + tn, w: w, threads: t.Threads, cohort: i})
-			}
+			groups = append(groups, tenant.Group{Name: c.Name, Workload: w, Threads: c.Threads})
+			cohortThreads[i] = c.Threads
 			continue
 		}
-		w, err := workloads.ByName(c.Workload)
+		m, err := tenant.ByName(c.Mix)
 		if err != nil {
 			return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
 		}
-		groups = append(groups, group{name: c.Name, w: w, threads: c.Threads, cohort: i})
+		mixGroups, err := m.Groups(0)
+		if err != nil {
+			return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
+		}
+		for _, g := range mixGroups {
+			g.Name = c.Name + "/" + g.Name
+			groups = append(groups, g)
+			cohortThreads[i] += g.Threads
+		}
 	}
-
-	var totalPages uint64
-	totalThreads := 0
-	infos := make([]system.TenantInfo, len(groups))
-	for i, g := range groups {
-		infos[i] = system.TenantInfo{Name: g.name, Workload: g.w.Name, Threads: g.threads}
-		totalPages += g.w.FootprintPages
-		totalThreads += g.threads
+	total := 0
+	for _, t := range cohortThreads {
+		total += t
 	}
-	if logical := sys.FTL().LogicalPages(); totalPages > logical {
-		return fmt.Errorf("arrival: %q: combined footprint %d pages exceeds the device's %d logical pages (shrink the spec or grow the machine)",
-			n.Name, totalPages, logical)
+	per := totalInstr / uint64(total)
+	for i := range groups {
+		groups[i].Per = per
 	}
 	classes, err := n.Classes(rateScale)
 	if err != nil {
 		return err
 	}
+	threads, err := tenant.Layout(sys, groups, seed)
+	if err != nil {
+		return fmt.Errorf("arrival: %q: %w (shrink the spec or grow the machine)", n.Name, err)
+	}
+
+	sys.DeclareSLOClasses(classes)
 	classIdx := map[string]int{}
 	for i, cl := range classes {
 		classIdx[cl.Name] = i
 	}
-
-	sys.DeclareTenants(infos)
-	sys.DeclareSLOClasses(classes)
-	per := totalInstr / uint64(totalThreads)
-	var base uint64 // cumulative arena offset, in pages
-	thread := 0
-	for gi, g := range groups {
-		c := n.Cohorts[g.cohort]
-		delta := mem.Addr(base) * mem.PageBytes
-		for k := 0; k < g.threads; k++ {
-			t := sys.AddThreadFor(gi, &trace.Offset{Src: g.w.Stream(k, seed), Delta: delta}, per)
-			gen := NewGen(c.Process, c.Windows, rateScale, gateSeed(seed, thread))
-			sys.AttachGate(t, classIdx[c.Class], gen, c.ReqInstr)
-			thread++
+	t := 0
+	for i, c := range n.Cohorts {
+		for k := 0; k < cohortThreads[i]; k++ {
+			gen := NewGen(c.Process, c.Windows, rateScale, gateSeed(seed, t))
+			sys.AttachGate(threads[t], classIdx[c.Class], gen, c.ReqInstr)
+			t++
 		}
-		base += g.w.FootprintPages
 	}
 	return nil
 }

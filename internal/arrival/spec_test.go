@@ -481,6 +481,46 @@ func TestApplyMixCohort(t *testing.T) {
 	}
 }
 
+// TestMixCohortIgnoresIntensity pins the budget rule of a mix cohort:
+// the run's budget splits evenly across every thread of the spec, so a
+// mix tenant's intensity — which scales its budget under Mix.Apply —
+// does not apply inside an arrival spec.
+func TestMixCohortIgnoresIntensity(t *testing.T) {
+	mx := tenant.Mix{
+		Format: tenant.MixFormatVersion,
+		Name:   "arr-intensity-mix",
+		Tenants: []tenant.TenantDef{
+			{Name: "full", Workload: "bc", Threads: 2},
+			{Name: "half", Workload: "srad", Threads: 2, Intensity: 0.5},
+		},
+	}
+	if err := tenant.Register(mx); err != nil {
+		t.Fatal(err)
+	}
+	sp := Spec{
+		Format: SpecFormatVersion,
+		Name:   "intensity-arr",
+		Cohorts: []Cohort{
+			{Name: "pool", Mix: "arr-intensity-mix", Process: Process{Dist: DistPoisson, Rate: 3000}},
+		},
+	}
+	const total = 16_000
+	sys := system.New(system.ScaledConfig().WithVariant(system.BaseCSSD))
+	if err := sp.Apply(sys, total, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run()
+	if len(res.Tenants) != 2 {
+		t.Fatalf("tenant groups = %d, want 2", len(res.Tenants))
+	}
+	per := uint64(total / mx.TotalThreads())
+	for _, tr := range res.Tenants {
+		if want := per * uint64(tr.Threads); tr.Instructions != want {
+			t.Errorf("tenant %s retired %d instructions, want the even split %d", tr.Name, tr.Instructions, want)
+		}
+	}
+}
+
 // TestApplyRejectsOversizedSpecs: cohort footprints must fit the
 // device's logical space, exactly like tenant mixes.
 func TestApplyRejectsOversizedSpecs(t *testing.T) {

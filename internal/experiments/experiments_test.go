@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"skybyte/internal/runner"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
 	"skybyte/internal/workloads"
@@ -504,40 +505,41 @@ func TestFigExtShapes(t *testing.T) {
 	}
 }
 
-// TestRunMixRejectsUnregisteredOrEditedMixes: specs carry only the mix
-// name and the runner re-resolves it, so planning a Mix value that is
-// not (or no longer) the registered definition must fail at
-// declaration rather than silently simulate the registered one.
-func TestRunMixRejectsUnregisteredOrEditedMixes(t *testing.T) {
+// TestPlanAddResolvesNamesAtExecute: a plan declares design points by
+// name and the runner resolves every name when the batch executes, so
+// a name nothing registered fails Execute with the valid set and
+// simulates nothing — there is no planned value that could disagree
+// with its registered definition.
+func TestPlanAddResolvesNamesAtExecute(t *testing.T) {
 	h := NewHarness(tinyOptions())
-	mustPanic := func(name string, m tenant.Mix) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RunMix did not panic", name)
-			}
-		}()
-		h.NewPlan().RunMix(m, system.BaseCSSD, 1000, "")
+	sims := 0
+	h.Verbose = func(string, *system.Result) { sims++ }
+	for _, s := range []runner.Spec{
+		{Mix: "never-registered", Variant: system.BaseCSSD, TotalInstr: 1000},
+		{Arrival: "never-registered", Variant: system.BaseCSSD, TotalInstr: 1000},
+	} {
+		p := h.NewPlan()
+		p.Add(s)
+		err := p.Execute(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "valid:") {
+			t.Errorf("%s: Execute error %v, want an unknown-name error listing the valid set", s.Key(), err)
+		}
 	}
-	unregistered := tenant.Mix{
-		Format:  tenant.MixFormatVersion,
-		Name:    "never-registered",
-		Tenants: []tenant.TenantDef{{Workload: "bc", Threads: 2}},
+	if sims != 0 {
+		t.Fatalf("unresolvable names simulated %d runs", sims)
 	}
-	mustPanic("unregistered", unregistered)
-
-	edited, err := tenant.ByName("graph-vs-log")
+	// Registered names plan and execute.
+	p := h.NewPlan()
+	m, err := tenant.ByName("graph-vs-log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited.Tenants = append([]tenant.TenantDef(nil), edited.Tenants...)
-	edited.Tenants[0].Intensity = 2 // same name, different semantics
-	mustPanic("edited copy of a registered mix", edited)
-
-	// The registered definition itself plans fine.
-	reg, _ := tenant.ByName("graph-vs-log")
-	if pe := h.NewPlan().RunMix(reg, system.BaseCSSD, 1000, ""); pe == nil {
-		t.Fatal("registered mix rejected")
+	pe := p.Add(mixSpec(m, system.BaseCSSD, 16_000))
+	if err := p.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(pe.Result().Tenants) != len(m.Tenants) {
+		t.Fatalf("mix run carries %d tenant results, want %d", len(pe.Result().Tenants), len(m.Tenants))
 	}
 }
 

@@ -64,7 +64,7 @@ func (h *Harness) figFleet(p *Plan) func() Table {
 		for _, v := range figFleetVariants {
 			for _, k := range h.Opt.FleetDevices {
 				if k == 1 {
-					pend := p.add(runner.Spec{
+					pend := p.Add(runner.Spec{
 						Workload: w, Variant: v, TotalInstr: h.Opt.SweepInstr,
 						Devices: 1,
 					})
@@ -76,7 +76,7 @@ func (h *Harness) figFleet(p *Plan) func() Table {
 					if placement == string(fleet.HotCold) && k < 2 {
 						continue
 					}
-					pend := p.add(runner.Spec{
+					pend := p.Add(runner.Spec{
 						Workload: w, Variant: v, TotalInstr: h.Opt.SweepInstr,
 						Devices: k, Placement: placement,
 					})

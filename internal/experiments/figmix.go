@@ -6,7 +6,6 @@ import (
 	"skybyte/internal/stats"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
-	"skybyte/internal/workloads"
 )
 
 // figmixVariants is the figmix comparison set: the baseline, each
@@ -39,18 +38,14 @@ func (h *Harness) figMix(p *Plan) func() Table {
 		}
 		for _, v := range figmixVariants {
 			c := cell{mix: m, v: v}
-			c.mixed = p.RunMix(m, v, h.Opt.SweepInstr, "")
+			c.mixed = p.Add(mixSpec(m, v, h.Opt.SweepInstr))
 			for i, td := range m.Tenants {
-				w, err := workloads.ByName(td.Workload)
-				if err != nil {
-					panic(err)
-				}
 				// The solo baseline replays exactly the tenant's share of
 				// the mixed run: same streams (tenant-local thread ids
 				// 0..Threads-1), same per-thread budget, alone on the
 				// machine.
 				per := m.PerThreadInstr(i, h.Opt.SweepInstr)
-				c.solos = append(c.solos, p.Run(w, v, per*uint64(td.Threads), td.Threads, ""))
+				c.solos = append(c.solos, p.Add(solo(td.Workload, v, per*uint64(td.Threads), td.Threads, "")))
 			}
 			cells = append(cells, c)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"skybyte/internal/arrival"
+	"skybyte/internal/runner"
 	"skybyte/internal/sim"
 	"skybyte/internal/system"
 	"skybyte/internal/telemetry"
@@ -71,7 +72,7 @@ func (h *Harness) figOpen(p *Plan) func() Table {
 			for _, v := range figopenVariants {
 				cells = append(cells, openCell{
 					spec: a, scale: scale, v: v,
-					run: p.RunArrival(a, v, budget, scale, tag, muts...),
+					run: p.Add(runner.Spec{Arrival: a.Name, ArrivalScale: scale, Variant: v, TotalInstr: budget, Tag: tag}, muts...),
 				})
 			}
 		}

@@ -129,43 +129,3 @@ func TestFigOpenWarmCacheStability(t *testing.T) {
 		t.Errorf("figopen differs between cold and warm runs:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
 	}
 }
-
-// TestRunArrivalRejectsUnregisteredOrEditedSpecs: specs carry only the
-// arrival name and the runner re-resolves it, so planning a Spec value
-// that is not (or no longer) the registered definition must fail at
-// declaration rather than silently simulate the registered one.
-func TestRunArrivalRejectsUnregisteredOrEditedSpecs(t *testing.T) {
-	h := NewHarness(tinyOptions())
-	mustPanic := func(name string, a arrival.Spec) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RunArrival did not panic", name)
-			}
-		}()
-		h.NewPlan().RunArrival(a, system.BaseCSSD, 1000, 1, "")
-	}
-	unregistered := arrival.Spec{
-		Format: arrival.SpecFormatVersion,
-		Name:   "never-registered",
-		Cohorts: []arrival.Cohort{
-			{Workload: "bc", Threads: 1,
-				Process: arrival.Process{Dist: arrival.DistPoisson, Rate: 100}},
-		},
-	}
-	mustPanic("unregistered", unregistered)
-
-	edited, err := arrival.ByName("open-steady")
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited.Cohorts = append([]arrival.Cohort(nil), edited.Cohorts...)
-	edited.Cohorts[0].Process.Rate *= 2 // same name, different semantics
-	mustPanic("edited copy of a registered spec", edited)
-
-	// The registered definition itself plans fine.
-	reg, _ := arrival.ByName("open-steady")
-	if pe := h.NewPlan().RunArrival(reg, system.BaseCSSD, 1000, 1, ""); pe == nil {
-		t.Fatal("registered spec rejected")
-	}
-}

@@ -41,7 +41,7 @@ func (h *Harness) planMixPoints(p *Plan, variants []system.Variant) []mixPoint {
 		}
 		pt := mixPoint{mix: m}
 		for _, v := range variants {
-			pt.runs = append(pt.runs, p.RunMix(m, v, h.Opt.SweepInstr, ""))
+			pt.runs = append(pt.runs, p.Add(mixSpec(m, v, h.Opt.SweepInstr)))
 		}
 		pts = append(pts, pt)
 	}

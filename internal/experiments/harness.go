@@ -218,6 +218,23 @@ func (h *Harness) specs() []workloads.Spec {
 // mutate lets callers adjust a variant config before a run.
 type mutate = func(*system.Config)
 
+// solo is the runner spec of one single-workload design point in the
+// vocabulary of §VI-A: workload, variant, total instruction budget,
+// thread count (0 = paper default), and a tag naming any config
+// mutations.
+func solo(workload string, v system.Variant, totalInstr uint64, threads int, tag string) runner.Spec {
+	return runner.Spec{Workload: workload, Variant: v, TotalInstr: totalInstr, Threads: threads, Tag: tag}
+}
+
+// mixSpec is the runner spec of one multi-tenant design point: mix m's
+// tenant groups co-located under variant v, totalInstr split per the
+// mix's thread counts and intensities. Threads carries the mix's
+// declared total, which keeps figmix and the per-tenant figure rows on
+// one key.
+func mixSpec(m tenant.Mix, v system.Variant, totalInstr uint64) runner.Spec {
+	return runner.Spec{Mix: m.Name, Variant: v, TotalInstr: totalInstr, Threads: m.TotalThreads()}
+}
+
 // Plan accumulates the de-duplicated design points one or more figures
 // need, then executes them as a single parallel batch.
 type Plan struct {
@@ -248,21 +265,14 @@ func (pe *Pending) Result() *system.Result {
 	return pe.p.res[pe.i]
 }
 
-// Run declares one design point on one workload, de-duplicating against
-// earlier declarations, and returns its handle. The signature mirrors
-// the design-point vocabulary of §VI-A: workload, variant, total
-// instruction budget, thread count (0 = paper default), and a tag
-// naming any config mutations.
-func (p *Plan) Run(spec workloads.Spec, v system.Variant, totalInstr uint64, threads int, tag string, muts ...mutate) *Pending {
+// Add declares one design point — a solo workload, a mix, or an
+// arrival spec, each named in s and resolved by the runner at
+// execution — de-duplicating against earlier declarations by
+// Spec.Key, and returns its handle. muts, when given, become s.Mutate
+// (applied in order); s.Tag must name them.
+func (p *Plan) Add(s runner.Spec, muts ...mutate) *Pending {
 	if p.done {
-		panic("experiments: Plan.Run after Plan.MustExecute")
-	}
-	s := runner.Spec{
-		Workload:   spec.Name,
-		Variant:    v,
-		TotalInstr: totalInstr,
-		Threads:    threads,
-		Tag:        tag,
+		panic("experiments: Plan.Add after Plan.MustExecute")
 	}
 	if len(muts) > 0 {
 		s.Mutate = func(c *system.Config) {
@@ -271,92 +281,6 @@ func (p *Plan) Run(spec workloads.Spec, v system.Variant, totalInstr uint64, thr
 			}
 		}
 	}
-	return p.add(s)
-}
-
-// RunMix declares one multi-tenant design point: the mix's tenant
-// groups co-located on one machine under variant v with totalInstr
-// total instructions split per the mix's thread counts and
-// intensities. De-duplicates like Run; the executed Result carries the
-// per-tenant accounting slice.
-//
-// The mix must be registered (tenant.Register / MixFromFile) and match
-// its registered definition: specs carry only the mix *name*, and the
-// runner re-resolves it at execution time, so planning an unregistered
-// or locally edited Mix value would silently simulate something other
-// than what the caller passed. Mismatches panic here, at declaration,
-// rather than mis-attribute results later.
-func (p *Plan) RunMix(m tenant.Mix, v system.Variant, totalInstr uint64, tag string, muts ...mutate) *Pending {
-	if p.done {
-		panic("experiments: Plan.RunMix after Plan.MustExecute")
-	}
-	reg, err := tenant.ByName(m.Name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: Plan.RunMix: mix %q is not registered (tenant.Register or skybyte.MixFromFile it before planning): %v", m.Name, err))
-	}
-	if reg.SourceID() != m.SourceID() {
-		panic(fmt.Sprintf("experiments: Plan.RunMix: mix %q differs from its registered definition; re-register the edited mix before planning", m.Name))
-	}
-	s := runner.Spec{
-		Mix:        m.Name,
-		Variant:    v,
-		TotalInstr: totalInstr,
-		Threads:    m.TotalThreads(),
-		Tag:        tag,
-	}
-	if len(muts) > 0 {
-		s.Mutate = func(c *system.Config) {
-			for _, mu := range muts {
-				mu(c)
-			}
-		}
-	}
-	return p.add(s)
-}
-
-// RunArrival declares one open-loop design point: the arrival spec's
-// client cohorts paced by their sampled arrival processes under variant
-// v, with every cohort rate multiplied by scale (the offered-intensity
-// axis; 0 means 1, and the scale is part of the design point's
-// identity). De-duplicates like Run; the executed Result carries the
-// per-SLO-class OpenLoop accounting.
-//
-// Like RunMix, the spec must be registered (arrival.Register /
-// arrival.FromFile) and match its registered definition: runner specs
-// carry only the arrival *name*, re-resolved at execution time, so
-// planning an unregistered or locally edited Spec value would silently
-// simulate something other than what the caller passed.
-func (p *Plan) RunArrival(a arrival.Spec, v system.Variant, totalInstr uint64, scale float64, tag string, muts ...mutate) *Pending {
-	if p.done {
-		panic("experiments: Plan.RunArrival after Plan.MustExecute")
-	}
-	reg, err := arrival.ByName(a.Name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: Plan.RunArrival: arrival spec %q is not registered (arrival.Register or skybyte.ArrivalFromFile it before planning): %v", a.Name, err))
-	}
-	if reg.SourceID() != a.SourceID() {
-		panic(fmt.Sprintf("experiments: Plan.RunArrival: arrival spec %q differs from its registered definition; re-register the edited spec before planning", a.Name))
-	}
-	s := runner.Spec{
-		Arrival:      a.Name,
-		ArrivalScale: scale,
-		Variant:      v,
-		TotalInstr:   totalInstr,
-		Tag:          tag,
-	}
-	if len(muts) > 0 {
-		s.Mutate = func(c *system.Config) {
-			for _, mu := range muts {
-				mu(c)
-			}
-		}
-	}
-	return p.add(s)
-}
-
-// add de-duplicates s against earlier declarations and returns its
-// handle.
-func (p *Plan) add(s runner.Spec) *Pending {
 	key := s.Key()
 	if i, ok := p.index[key]; ok {
 		return &Pending{p: p, i: i}

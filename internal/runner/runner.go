@@ -281,101 +281,96 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]*system.Result, er
 	return results, nil
 }
 
-// execute performs one simulation: wire a fresh System from the mutated
-// variant config and drive every thread stream to retirement. Mix specs
-// resolve their tenant groups and attribute results per tenant.
+// execute performs one simulation: resolve the mutated variant config
+// and the spec's thread population, wire a fresh System, populate it,
+// and drive every thread stream to retirement.
 func (r *Runner) execute(spec Spec, key string) (*system.Result, error) {
-	if spec.Arrival != "" {
-		return r.executeArrival(spec, key)
-	}
-	if spec.Mix != "" {
-		return r.executeMix(spec, key)
-	}
-	w, err := workloads.ByName(spec.Workload)
-	if err != nil {
-		return nil, err
-	}
 	cfg := r.base.WithVariant(spec.Variant)
 	if spec.Mutate != nil {
 		spec.Mutate(&cfg)
 	}
 	if err := applyFleet(&cfg, spec); err != nil {
+		return nil, err
+	}
+	populate, err := r.population(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys := system.New(cfg)
+	if err := populate(sys); err != nil {
+		return nil, err
+	}
+	res := sys.Run()
+	res.CacheKey = key
+	return res, nil
+}
+
+// population is the one switch from a Spec to its threads. It resolves
+// every name and checks the spec before any System is built, and
+// returns the call that adds the threads. A solo workload is one group
+// of plain threads — no tenant declaration, no arena offset — so its
+// Result and replay path are those of a bare AddThread loop. A mix or
+// an arrival spec declares its own thread layout through the shared
+// tenant layout; Spec.Threads, if set, must agree with it (a layout's
+// thread counts are part of its definition, not a per-run knob).
+func (r *Runner) population(spec Spec, cfg system.Config) (func(*system.System) error, error) {
+	switch {
+	case spec.Mix != "" && spec.Arrival != "":
+		return nil, fmt.Errorf("runner: spec sets both mix %q and arrival spec %q; they are mutually exclusive", spec.Mix, spec.Arrival)
+	case spec.Arrival != "":
+		if err := arrival.ValidateScale(spec.ArrivalScale); err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
+		}
+		a, err := arrival.ByName(spec.Arrival)
+		if err != nil {
+			return nil, err
+		}
+		if err := a.Resolve(); err != nil {
+			return nil, err
+		}
+		total, err := a.TotalThreads()
+		if err != nil {
+			return nil, err
+		}
+		if err := checkThreads(spec, "arrival spec", spec.Arrival, total); err != nil {
+			return nil, err
+		}
+		return func(sys *system.System) error {
+			return a.Apply(sys, spec.TotalInstr, r.seed, spec.arrivalScale())
+		}, nil
+	case spec.Mix != "":
+		m, err := tenant.ByName(spec.Mix)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkThreads(spec, "mix", spec.Mix, m.TotalThreads()); err != nil {
+			return nil, err
+		}
+		return func(sys *system.System) error { return m.Apply(sys, spec.TotalInstr, r.seed) }, nil
+	}
+	w, err := workloads.ByName(spec.Workload)
+	if err != nil {
 		return nil, err
 	}
 	threads := spec.Threads
 	if threads == 0 {
 		threads = ThreadsFor(cfg)
 	}
-	sys := system.New(cfg)
 	per := spec.TotalInstr / uint64(threads)
-	for i := 0; i < threads; i++ {
-		sys.AddThread(w.Stream(i, r.seed), per)
-	}
-	res := sys.Run()
-	res.CacheKey = key
-	return res, nil
+	return func(sys *system.System) error {
+		for i := 0; i < threads; i++ {
+			sys.AddThread(w.Stream(i, r.seed), per)
+		}
+		return nil
+	}, nil
 }
 
-// executeMix runs one multi-tenant design point: the mix declares the
-// thread layout (Spec.Threads, if set, must agree with it — a mix's
-// thread counts are part of its definition, not a per-run knob).
-func (r *Runner) executeMix(spec Spec, key string) (*system.Result, error) {
-	m, err := tenant.ByName(spec.Mix)
-	if err != nil {
-		return nil, err
+// checkThreads rejects a Spec.Threads that disagrees with the thread
+// count a mix or arrival spec declares.
+func checkThreads(spec Spec, kind, name string, declared int) error {
+	if spec.Threads != 0 && spec.Threads != declared {
+		return fmt.Errorf("runner: %s %q declares %d threads; spec asks for %d (leave Threads 0 or match the %s)",
+			kind, name, declared, spec.Threads, kind)
 	}
-	if spec.Threads != 0 && spec.Threads != m.TotalThreads() {
-		return nil, fmt.Errorf("runner: mix %q declares %d threads; spec asks for %d (leave Threads 0 or match the mix)",
-			spec.Mix, m.TotalThreads(), spec.Threads)
-	}
-	cfg := r.base.WithVariant(spec.Variant)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	if err := applyFleet(&cfg, spec); err != nil {
-		return nil, err
-	}
-	sys := system.New(cfg)
-	if err := m.Apply(sys, spec.TotalInstr, r.seed); err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	res.CacheKey = key
-	return res, nil
-}
-
-// executeArrival runs one open-loop design point: the arrival spec
-// declares the cohort thread layout (Spec.Threads, if set, must agree
-// with it — a spec's thread counts are part of its definition, not a
-// per-run knob).
-func (r *Runner) executeArrival(spec Spec, key string) (*system.Result, error) {
-	a, err := arrival.ByName(spec.Arrival)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Resolve(); err != nil {
-		return nil, err
-	}
-	total, err := a.TotalThreads()
-	if err != nil {
-		return nil, err
-	}
-	if spec.Threads != 0 && spec.Threads != total {
-		return nil, fmt.Errorf("runner: arrival spec %q declares %d threads; spec asks for %d (leave Threads 0 or match the spec)",
-			spec.Arrival, total, spec.Threads)
-	}
-	cfg := r.base.WithVariant(spec.Variant)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	if err := applyFleet(&cfg, spec); err != nil {
-		return nil, err
-	}
-	sys := system.New(cfg)
-	if err := a.Apply(sys, spec.TotalInstr, r.seed, spec.arrivalScale()); err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	res.CacheKey = key
-	return res, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -473,6 +474,42 @@ func TestMixParallelByteIdentity(t *testing.T) {
 		if len(seq[i].Tenants) == 0 {
 			t.Errorf("spec %d: no per-tenant results", i)
 		}
+	}
+}
+
+// TestInvalidArrivalScalesAreRejected: an arrival scale that is NaN,
+// infinite or negative is an execution error naming the accepted
+// range, raised before any System is built; 0 keys as the scale 1 it
+// means.
+func TestInvalidArrivalScalesAreRejected(t *testing.T) {
+	r := testRunner(1)
+	execs := 0
+	r.OnEvent = func(Event) { execs++ }
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		s := Spec{Arrival: "open-burst", ArrivalScale: scale, Variant: system.BaseCSSD, TotalInstr: 16_000}
+		_, err := r.Run(context.Background(), s)
+		if err == nil || !strings.Contains(err.Error(), "want a finite scale >= 0") {
+			t.Errorf("scale %v: err = %v, want a rejection naming the accepted range", scale, err)
+		}
+	}
+	if execs != 0 {
+		t.Fatalf("invalid scales executed %d simulations", execs)
+	}
+	zero := Spec{Arrival: "open-burst", Variant: system.BaseCSSD, TotalInstr: 16_000}
+	one := zero
+	one.ArrivalScale = 1
+	if zero.Key() != one.Key() {
+		t.Fatalf("scale 0 keyed %q, scale 1 keyed %q; 0 means 1", zero.Key(), one.Key())
+	}
+}
+
+// TestMixAndArrivalAreExclusive: a spec naming both a mix and an
+// arrival spec is an error, not a silent arrival run.
+func TestMixAndArrivalAreExclusive(t *testing.T) {
+	s := Spec{Mix: "graph-vs-log", Arrival: "open-steady", Variant: system.BaseCSSD, TotalInstr: 16_000}
+	_, err := testRunner(1).Run(context.Background(), s)
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("err = %v, want mix and arrival rejected as mutually exclusive", err)
 	}
 }
 

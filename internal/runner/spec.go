@@ -45,10 +45,11 @@ type Spec struct {
 	// Arrival, when set, names an open-loop arrival spec (resolved via
 	// arrival.ByName): the run paces each cohort's threads with sampled
 	// arrival instants and the Result carries per-SLO-class accounting.
-	// Mutually exclusive with Workload/Mix.
+	// Workload is ignored; setting Mix as well is an execution error.
 	Arrival string
 	// ArrivalScale multiplies every cohort rate of an Arrival run — the
-	// campaign's offered-intensity axis (0 means 1). Part of the key.
+	// campaign's offered-intensity axis (0 means 1; NaN, infinities and
+	// negative scales are execution errors). Part of the key.
 	ArrivalScale float64
 	// Variant is the design point applied to the base config.
 	Variant system.Variant
@@ -57,8 +58,8 @@ type Spec struct {
 	// point executes the same program section.
 	TotalInstr uint64
 	// Threads is the software thread count; 0 means the paper default
-	// (ThreadsFor) resolved after Mutate has run — or, for a mix, the
-	// mix's declared total.
+	// (ThreadsFor) resolved after Mutate has run — or, for a mix or an
+	// arrival spec, its declared total.
 	Threads int
 	// Tag distinguishes config mutations that share the same
 	// workload/variant/budget, e.g. "thr10" for a threshold sweep cell.

@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"skybyte/internal/mem"
+	"skybyte/internal/osched"
 	"skybyte/internal/system"
 	"skybyte/internal/trace"
 	"skybyte/internal/workloads"
@@ -196,49 +197,81 @@ func (m Mix) SourceID() string {
 	return "mix:" + hex.EncodeToString(sum[:])
 }
 
-// Apply resolves the mix against the workload registry and populates
-// sys: tenants are declared in order, and each tenant's threads replay
-// its workload's streams 0..Threads-1 (tenant-local indices, matching
-// a solo run) at the tenant's PerThreadInstr budget.
-//
-// Each tenant occupies a disjoint arena: tenant i's streams shift by
-// the cumulative footprint of the tenants before it, so co-located
-// groups contend for the link, the SSD DRAM, the write log, the flash
-// dies, and the scheduler — the interference under study — but never
-// alias each other's data. The combined footprint must fit the
-// device's logical space.
-func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
+// Group is one thread group of a tenant layout: Threads threads
+// replaying Workload's streams 0..Threads-1 (tenant-local indices,
+// matching a solo run), each with a budget of Per instructions.
+type Group struct {
+	Name     string
+	Workload workloads.Spec
+	Threads  int
+	Per      uint64
+}
+
+// Groups resolves the mix against the workload registry into its
+// layout groups for a run of totalInstr total instructions: one per
+// tenant in declaration order, under the tenant's normalized name, at
+// the tenant's PerThreadInstr budget.
+func (m Mix) Groups(totalInstr uint64) ([]Group, error) {
 	if err := m.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	n := m.normalized()
-	infos := make([]system.TenantInfo, len(n.Tenants))
-	specs := make([]workloads.Spec, len(n.Tenants))
-	var totalPages uint64
+	groups := make([]Group, len(n.Tenants))
 	for i, t := range n.Tenants {
 		w, err := workloads.ByName(t.Workload)
 		if err != nil {
-			return fmt.Errorf("tenant: %q: %w", n.Name, err)
+			return nil, fmt.Errorf("tenant: %q: %w", n.Name, err)
 		}
-		specs[i] = w
-		infos[i] = system.TenantInfo{Name: t.Name, Workload: t.Workload, Threads: t.Threads}
-		totalPages += w.FootprintPages
+		groups[i] = Group{Name: t.Name, Workload: w, Threads: t.Threads, Per: n.PerThreadInstr(i, totalInstr)}
 	}
-	if logical := sys.FTL().LogicalPages(); totalPages > logical {
-		return fmt.Errorf("tenant: %q: combined footprint %d pages exceeds the device's %d logical pages (shrink the mix or grow the machine)",
-			n.Name, totalPages, logical)
+	return groups, nil
+}
+
+// Apply resolves the mix (Groups) and populates sys with it (Layout).
+func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
+	groups, err := m.Groups(totalInstr)
+	if err != nil {
+		return err
 	}
-	sys.DeclareTenants(infos)
-	var base uint64 // cumulative arena offset, in pages
-	for i, t := range n.Tenants {
-		per := n.PerThreadInstr(i, totalInstr)
-		delta := mem.Addr(base) * mem.PageBytes
-		for k := 0; k < t.Threads; k++ {
-			sys.AddThreadFor(i, &trace.Offset{Src: specs[i].Stream(k, seed), Delta: delta}, per)
-		}
-		base += specs[i].FootprintPages
+	if _, err := Layout(sys, groups, seed); err != nil {
+		return fmt.Errorf("tenant: %q: %w (shrink the mix or grow the machine)", m.Name, err)
 	}
 	return nil
+}
+
+// Layout is the one multi-tenant wiring of a System, shared by mixes
+// and arrival specs: it declares groups as tenants in order and adds
+// each group's threads, returning them in the order added.
+//
+// Each group occupies a disjoint arena: group i's streams shift by the
+// cumulative footprint of the groups before it, so co-located groups
+// contend for the link, the SSD DRAM, the write log, the flash dies,
+// and the scheduler — the interference under study — but never alias
+// each other's data. The combined footprint must fit the device's
+// logical space; otherwise Layout errors and leaves sys untouched.
+func Layout(sys *system.System, groups []Group, seed uint64) ([]*osched.Thread, error) {
+	infos := make([]system.TenantInfo, len(groups))
+	var pages uint64
+	total := 0
+	for i, g := range groups {
+		infos[i] = system.TenantInfo{Name: g.Name, Workload: g.Workload.Name, Threads: g.Threads}
+		pages += g.Workload.FootprintPages
+		total += g.Threads
+	}
+	if logical := sys.FTL().LogicalPages(); pages > logical {
+		return nil, fmt.Errorf("combined footprint %d pages exceeds the device's %d logical pages", pages, logical)
+	}
+	sys.DeclareTenants(infos)
+	threads := make([]*osched.Thread, 0, total)
+	var base uint64 // cumulative arena offset, in pages
+	for i, g := range groups {
+		delta := mem.Addr(base) * mem.PageBytes
+		for k := 0; k < g.Threads; k++ {
+			threads = append(threads, sys.AddThreadFor(i, &trace.Offset{Src: g.Workload.Stream(k, seed), Delta: delta}, g.Per))
+		}
+		base += g.Workload.FootprintPages
+	}
+	return threads, nil
 }
 
 // --- registry ---

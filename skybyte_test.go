@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"skybyte"
+	"skybyte/internal/runner"
 	"skybyte/internal/system"
 	"skybyte/internal/trace"
 	"skybyte/internal/traceimport"
@@ -302,6 +303,69 @@ func TestRunMixPublicAPI(t *testing.T) {
 	}
 	if _, err := skybyte.MixByName("api-file-mix"); err != nil {
 		t.Fatal("file mix not resolvable by name after MixFromFile")
+	}
+}
+
+// TestRunnerMatchesDirectCalls: a design point executed through the
+// runner and the same point run through the public Run, RunMix or
+// RunArrival call encode to the same Result bytes (CacheKey aside, the
+// one field only the runner sets).
+func TestRunnerMatchesDirectCalls(t *testing.T) {
+	const seed = 3
+	base := skybyte.ScaledConfig()
+	cfg := base.WithVariant(skybyte.SkyByteFull)
+	ycsb, err := skybyte.WorkloadByName("ycsb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := skybyte.MixByName("graph-vs-log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := skybyte.ArrivalByName("open-burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := cfg
+	fleet.Devices = 2
+	arrival := func(scale float64) func() (*skybyte.Result, error) {
+		return func() (*skybyte.Result, error) { return skybyte.RunArrival(cfg, arr, 48_000, seed, scale) }
+	}
+	for _, c := range []struct {
+		name   string
+		spec   runner.Spec
+		direct func() (*skybyte.Result, error)
+	}{
+		{"solo", runner.Spec{Workload: "ycsb", Variant: skybyte.SkyByteFull, TotalInstr: 16_000, Threads: 8},
+			func() (*skybyte.Result, error) { return skybyte.Run(cfg, ycsb, 8, 2_000, seed), nil }},
+		{"mix", runner.Spec{Mix: "graph-vs-log", Variant: skybyte.SkyByteFull, TotalInstr: 16_000},
+			func() (*skybyte.Result, error) { return skybyte.RunMix(cfg, mix, 16_000, seed) }},
+		{"arrival x1", runner.Spec{Arrival: "open-burst", Variant: skybyte.SkyByteFull, TotalInstr: 48_000}, arrival(1)},
+		{"arrival x4", runner.Spec{Arrival: "open-burst", ArrivalScale: 4, Variant: skybyte.SkyByteFull, TotalInstr: 48_000}, arrival(4)},
+		{"fleet K=2", runner.Spec{Workload: "ycsb", Variant: skybyte.SkyByteFull, TotalInstr: 16_000, Threads: 8, Devices: 2},
+			func() (*skybyte.Result, error) { return skybyte.Run(fleet, ycsb, 8, 2_000, seed), nil }},
+	} {
+		viaRunner, err := runner.New(base, seed, 1).Run(context.Background(), c.spec)
+		if err != nil {
+			t.Fatalf("%s: runner: %v", c.name, err)
+		}
+		direct, err := c.direct()
+		if err != nil {
+			t.Fatalf("%s: direct: %v", c.name, err)
+		}
+		stripped := *viaRunner
+		stripped.CacheKey = ""
+		a, err := system.EncodeResult(&stripped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := system.EncodeResult(direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s: runner and direct call encode different Results", c.name)
+		}
 	}
 }
 
