@@ -505,41 +505,44 @@ func TestFigExtShapes(t *testing.T) {
 	}
 }
 
-// TestPlanAddResolvesNamesAtExecute: a plan declares design points by
-// name and the runner resolves every name when the batch executes, so
-// a name nothing registered fails Execute with the valid set and
-// simulates nothing — there is no planned value that could disagree
-// with its registered definition.
-func TestPlanAddResolvesNamesAtExecute(t *testing.T) {
+// TestRunMixRejectsUnregisteredOrEditedMixes: a plan declares a mix
+// run by name and the runner resolves the name when the batch
+// executes, so no planned value can disagree with its registered
+// definition. A name nothing registered fails Execute with the valid
+// set and simulates nothing, and an edited copy of a built-in mix
+// cannot be registered over it.
+func TestRunMixRejectsUnregisteredOrEditedMixes(t *testing.T) {
 	h := NewHarness(tinyOptions())
 	sims := 0
 	h.Verbose = func(string, *system.Result) { sims++ }
-	for _, s := range []runner.Spec{
-		{Mix: "never-registered", Variant: system.BaseCSSD, TotalInstr: 1000},
-		{Arrival: "never-registered", Variant: system.BaseCSSD, TotalInstr: 1000},
-	} {
-		p := h.NewPlan()
-		p.Add(s)
-		err := p.Execute(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "valid:") {
-			t.Errorf("%s: Execute error %v, want an unknown-name error listing the valid set", s.Key(), err)
-		}
+	p := h.NewPlan()
+	p.Add(runner.Spec{Mix: "never-registered", Variant: system.BaseCSSD, TotalInstr: 1000})
+	if err := p.Execute(context.Background()); err == nil || !strings.Contains(err.Error(), "valid:") {
+		t.Errorf("unregistered: Execute error %v, want an unknown-name error listing the valid set", err)
 	}
 	if sims != 0 {
-		t.Fatalf("unresolvable names simulated %d runs", sims)
+		t.Fatalf("an unregistered mix simulated %d runs", sims)
 	}
-	// Registered names plan and execute.
-	p := h.NewPlan()
-	m, err := tenant.ByName("graph-vs-log")
+
+	reg, err := tenant.ByName("graph-vs-log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := p.Add(mixSpec(m, system.BaseCSSD, 16_000))
+	edited := reg
+	edited.Tenants = append([]tenant.TenantDef(nil), reg.Tenants...)
+	edited.Tenants[0].Intensity = 2 // same name, different semantics
+	if err := tenant.Register(edited); err == nil || !strings.Contains(err.Error(), "built-in") {
+		t.Errorf("edited copy of a registered mix: Register error %v, want a built-in rejection", err)
+	}
+
+	// The registered definition itself plans and executes.
+	p = h.NewPlan()
+	pe := p.Add(mixSpec(reg, system.BaseCSSD, 16_000))
 	if err := p.Execute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(pe.Result().Tenants) != len(m.Tenants) {
-		t.Fatalf("mix run carries %d tenant results, want %d", len(pe.Result().Tenants), len(m.Tenants))
+	if len(pe.Result().Tenants) != len(reg.Tenants) {
+		t.Fatalf("mix run carries %d tenant results, want %d", len(pe.Result().Tenants), len(reg.Tenants))
 	}
 }
 
