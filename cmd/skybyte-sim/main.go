@@ -208,15 +208,11 @@ func main() {
 	if *paper {
 		base = skybyte.PaperConfig()
 	}
-	// Workload and mix definitions reach the store identity through the
-	// runner's source-folded spec keys (DESIGN.md §2.1): an edited file
-	// or re-recorded trace re-keys exactly the runs that use it.
-	// knobs applies the CLI overrides on top of a variant config; the
-	// runner paths reuse it as the spec's config mutation. knobTag
-	// folds the knob values into the spec identity, so runs with
-	// different CLI settings never collide in a persistent store
-	// (mutations are excluded from Spec.Key by design; the tag carries
-	// them).
+	// The runner keys every run by its workload source and the machine
+	// it builds (DESIGN.md §2.1): an edited file re-keys exactly the runs
+	// that use it, and default knobs share skybyte-bench's store entries.
+	// knobs applies the CLI overrides on top of a variant config; it is
+	// the spec's config mutation.
 	knobs := func(c *skybyte.Config) {
 		c.HintThreshold = sim.Time(threshold.Nanoseconds()) * sim.Nanosecond
 		c.Policy = osched.PolicyKind(*policy)
@@ -231,9 +227,6 @@ func main() {
 			c.TelemetryTimeline = *timeline != ""
 		}
 	}
-	knobTag := fmt.Sprintf("cli|thr=%v|pol=%s|dram=%dMB|log=%dKB|tel=%v|tl=%t",
-		*threshold, *policy, *cacheMB, *logKB, *telDur, *timeline != "")
-
 	newRunner := func(parallelism int) *runner.Runner {
 		r := runner.New(base, *seed, parallelism)
 		if *cacheDir != "" {
@@ -249,14 +242,11 @@ func main() {
 	}
 
 	// Every run goes through the runner as one runner.Spec; without
-	// -cache-dir the runner simply has no store. Devices/Placement are
-	// spec identity, not knob-tag material: the runner folds them into
-	// the store key (DESIGN.md §9).
+	// -cache-dir the runner simply has no store.
 	spec := runner.Spec{
 		Variant:   skybyte.Variant(*variant),
 		Devices:   *devices,
 		Placement: *placement,
-		Tag:       knobTag,
 		Mutate:    knobs,
 	}
 
@@ -285,8 +275,7 @@ func main() {
 		head = fmt.Sprintf("mix             %s (%d tenants, %d threads on %d cores)\nvariant         %s",
 			mix.Name, len(mix.Tenants), n, cfg.Cores, cfg.Name)
 	default:
-		// Same paper default as the comparison path, so both modes
-		// measure — and, with -cache-dir, share — the same design point.
+		// The paper default, as in the comparison path.
 		n := *threads
 		if n == 0 {
 			n = runner.ThreadsFor(cfg)

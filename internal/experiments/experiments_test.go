@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"skybyte/internal/mem"
 	"skybyte/internal/runner"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
@@ -268,10 +269,11 @@ func TestShardsPartitionThePlan(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < n; i++ {
 		for _, s := range p.Shard(i, n) {
-			if seen[s.Key()] {
-				t.Fatalf("spec %s appears in two shards", s.Key())
+			key := h.run.Key(s)
+			if seen[key] {
+				t.Fatalf("spec %s appears in two shards", key)
 			}
-			seen[s.Key()] = true
+			seen[key] = true
 			covered++
 		}
 	}
@@ -280,6 +282,23 @@ func TestShardsPartitionThePlan(t *testing.T) {
 	}
 	if p.Shard(0, 1); len(p.Shard(0, 1)) != p.Size() {
 		t.Fatal("1-shard slice is not the whole plan")
+	}
+}
+
+// TestDefaultSweepCellSharesTheReferenceRun: a sensitivity-sweep cell
+// at the default value builds the reference machine, so the plan keeps
+// one design point for both; a cell at any other value is its own.
+func TestDefaultSweepCellSharesTheReferenceRun(t *testing.T) {
+	h := NewHarness(tinyOptions())
+	p := h.NewPlan()
+	ref := p.Add(solo("bc", system.SkyByteFull, h.Opt.SweepInstr, 0))
+	def := p.Add(solo("bc", system.SkyByteFull, h.Opt.SweepInstr, 0), sizeMutation(8*mem.MiB))
+	if *def != *ref || p.Size() != 1 {
+		t.Fatalf("default-size cell planned apart from the reference run (plan size %d)", p.Size())
+	}
+	other := p.Add(solo("bc", system.SkyByteFull, h.Opt.SweepInstr, 0), sizeMutation(16*mem.MiB))
+	if *other == *ref || p.Size() != 2 {
+		t.Fatalf("16MB cell shared the reference run (plan size %d)", p.Size())
 	}
 }
 

@@ -26,7 +26,7 @@ func (h *Harness) figExt(p *Plan) func() Table {
 	for _, spec := range specs {
 		r := row{spec: spec}
 		for _, v := range variants {
-			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0, "")))
+			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0)))
 		}
 		rows = append(rows, r)
 	}

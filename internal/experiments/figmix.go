@@ -45,7 +45,7 @@ func (h *Harness) figMix(p *Plan) func() Table {
 				// 0..Threads-1), same per-thread budget, alone on the
 				// machine.
 				per := m.PerThreadInstr(i, h.Opt.SweepInstr)
-				c.solos = append(c.solos, p.Add(solo(td.Workload, v, per*uint64(td.Threads), td.Threads, "")))
+				c.solos = append(c.solos, p.Add(solo(td.Workload, v, per*uint64(td.Threads), td.Threads)))
 			}
 			cells = append(cells, c)
 		}

@@ -53,13 +53,10 @@ func (h *Harness) figOpen(p *Plan) func() Table {
 	// instructions; give each cell twice the campaign budget so a class
 	// collects hundreds of completions.
 	budget := 2 * h.Opt.TotalInstr
-	tag := ""
 	var muts []mutate
 	if h.Opt.Telemetry {
-		// The cadence is part of spec identity: telemetry rows come from
-		// different design points than the plain table (the tag keeps
-		// them from colliding in a persistent store).
-		tag = "tel"
+		// The cadence is part of the config, so telemetry rows come from
+		// different design points than the plain table.
 		muts = append(muts, func(c *system.Config) { c.TelemetryCadence = figopenCadence })
 	}
 	var cells []openCell
@@ -72,7 +69,7 @@ func (h *Harness) figOpen(p *Plan) func() Table {
 			for _, v := range figopenVariants {
 				cells = append(cells, openCell{
 					spec: a, scale: scale, v: v,
-					run: p.Add(runner.Spec{Arrival: a.Name, ArrivalScale: scale, Variant: v, TotalInstr: budget, Tag: tag}, muts...),
+					run: p.Add(runner.Spec{Arrival: a.Name, ArrivalScale: scale, Variant: v, TotalInstr: budget}, muts...),
 				})
 			}
 		}

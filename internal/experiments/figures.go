@@ -23,8 +23,8 @@ func fourCore(c *system.Config) { c.Cores = 4 }
 
 // motivationPair plans the DRAM and Base-CSSD runs of §II-C.
 func (p *Plan) motivationPair(spec workloads.Spec) (dramR, baseR *Pending) {
-	dramR = p.Add(solo(spec.Name, system.DRAMOnly, p.h.Opt.TotalInstr, 4, "4c"), fourCore)
-	baseR = p.Add(solo(spec.Name, system.BaseCSSD, p.h.Opt.TotalInstr, 4, "4c"), fourCore)
+	dramR = p.Add(solo(spec.Name, system.DRAMOnly, p.h.Opt.TotalInstr, 4), fourCore)
+	baseR = p.Add(solo(spec.Name, system.BaseCSSD, p.h.Opt.TotalInstr, 4), fourCore)
 	return
 }
 
@@ -167,7 +167,7 @@ func (h *Harness) locality(p *Plan, id string, read bool) func() Table {
 		for _, n := range localityRatios {
 			n := n
 			footprint := int(spec.FootprintBytes())
-			run := p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.SweepInstr, 0, fmt.Sprintf("loc%d", n)), func(c *system.Config) {
+			run := p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.SweepInstr, 0), func(c *system.Config) {
 				c.TrackLocality = true
 				c.SSDDRAMBytes = footprint / n
 				c.WriteLogBytes = c.SSDDRAMBytes / 8
@@ -235,7 +235,7 @@ func (h *Harness) fig09(p *Plan) func() Table {
 		r := row{name: spec.Name}
 		for _, us := range fig9Thresholds {
 			us := us
-			r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0, fmt.Sprintf("thr%d", us)), func(c *system.Config) {
+			r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0), func(c *system.Config) {
 				c.HintThreshold = sim.Time(us) * sim.Microsecond
 			}))
 		}
@@ -279,8 +279,7 @@ func (h *Harness) fig10(p *Plan) func() Table {
 		r := row{name: spec.Name}
 		for _, pol := range fig10Policies {
 			pol := pol
-			r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0,
-				"pol"+string(pol)), func(c *system.Config) { c.Policy = pol }))
+			r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0), func(c *system.Config) { c.Policy = pol }))
 		}
 		rows = append(rows, r)
 	}
@@ -317,9 +316,9 @@ func (h *Harness) fig14(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		r := row{name: spec.Name, base: p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.TotalInstr, 0, ""))}
+		r := row{name: spec.Name, base: p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.TotalInstr, 0))}
 		for _, v := range system.AllVariants {
-			r.variants = append(r.variants, p.Add(solo(spec.Name, v, h.Opt.TotalInstr, 0, "")))
+			r.variants = append(r.variants, p.Add(solo(spec.Name, v, h.Opt.TotalInstr, 0)))
 		}
 		rows = append(rows, r)
 	}
@@ -389,9 +388,9 @@ func (h *Harness) fig15(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		r := row{name: spec.Name, wp: p.Add(solo(spec.Name, system.SkyByteWP, h.Opt.SweepInstr, 8, "f15"))}
+		r := row{name: spec.Name, wp: p.Add(solo(spec.Name, system.SkyByteWP, h.Opt.SweepInstr, 8))}
 		for _, n := range fig15Threads {
-			r.full = append(r.full, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, n, fmt.Sprintf("f15t%d", n))))
+			r.full = append(r.full, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, n)))
 		}
 		rows = append(rows, r)
 	}
@@ -425,7 +424,7 @@ func (h *Harness) fig16(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.TotalInstr, 0, ""))})
+		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.TotalInstr, 0))})
 	}
 	mixes := h.planMixPoints(p, []system.Variant{system.SkyByteFull})
 	return func() Table {
@@ -474,7 +473,7 @@ func (h *Harness) fig17(p *Plan) func() Table {
 	for _, spec := range h.specs() {
 		r := row{name: spec.Name}
 		for _, v := range fig17Variants {
-			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.TotalInstr, 0, "")))
+			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.TotalInstr, 0)))
 		}
 		rows = append(rows, r)
 	}
@@ -531,9 +530,9 @@ func (h *Harness) fig18(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		r := row{name: spec.Name, base: p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.TotalInstr, 0, ""))}
+		r := row{name: spec.Name, base: p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.TotalInstr, 0))}
 		for _, v := range fig18Variants {
-			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.TotalInstr, 0, "")))
+			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.TotalInstr, 0)))
 		}
 		rows = append(rows, r)
 	}
@@ -592,8 +591,7 @@ func (h *Harness) logSweep(p *Plan, id string, perf bool) func() Table {
 		r := row{name: spec.Name}
 		for _, sz := range fig19Sizes {
 			sz := sz
-			r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0,
-				"log"+bytesLabel(sz)), func(c *system.Config) { c.WriteLogBytes = sz }))
+			r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0), func(c *system.Config) { c.WriteLogBytes = sz }))
 		}
 		rows = append(rows, r)
 	}
@@ -654,13 +652,13 @@ func (h *Harness) fig21(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		r := row{name: spec.Name, ref: p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0, "dram8MB"), sizeMutation(8*mem.MiB))}
+		r := row{name: spec.Name, ref: p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, 0), sizeMutation(8*mem.MiB))}
 		for range fig21Variants {
 			r.runs = append(r.runs, nil)
 		}
 		for i, v := range fig21Variants {
 			for _, sz := range fig21Sizes {
-				r.runs[i] = append(r.runs[i], p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0, "dram"+bytesLabel(sz)), sizeMutation(sz)))
+				r.runs[i] = append(r.runs[i], p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0), sizeMutation(sz)))
 			}
 		}
 		rows = append(rows, r)
@@ -721,10 +719,10 @@ func (h *Harness) fig22(p *Plan) func() Table {
 			mut := timingMutation(nand)
 			r := row{name: spec.Name, nand: nand}
 			for _, v := range fig22Variants {
-				r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0, "nand"+nand), mut))
+				r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0), mut))
 			}
 			for _, n := range fig22FullThreads {
-				r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, n, fmt.Sprintf("nand%st%d", nand, n)), mut))
+				r.runs = append(r.runs, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.SweepInstr, n), mut))
 			}
 			rows = append(rows, r)
 		}
@@ -776,9 +774,9 @@ func (h *Harness) fig23(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		r := row{name: spec.Name, base: p.Add(solo(spec.Name, system.SkyByteC, h.Opt.SweepInstr, 0, "f23"))}
+		r := row{name: spec.Name, base: p.Add(solo(spec.Name, system.SkyByteC, h.Opt.SweepInstr, 0))}
 		for _, v := range fig23Variants {
-			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0, "f23")))
+			r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0)))
 		}
 		rows = append(rows, r)
 	}

@@ -219,11 +219,10 @@ func (h *Harness) specs() []workloads.Spec {
 type mutate = func(*system.Config)
 
 // solo is the runner spec of one single-workload design point in the
-// vocabulary of §VI-A: workload, variant, total instruction budget,
-// thread count (0 = paper default), and a tag naming any config
-// mutations.
-func solo(workload string, v system.Variant, totalInstr uint64, threads int, tag string) runner.Spec {
-	return runner.Spec{Workload: workload, Variant: v, TotalInstr: totalInstr, Threads: threads, Tag: tag}
+// vocabulary of §VI-A: workload, variant, total instruction budget and
+// thread count (0 = paper default).
+func solo(workload string, v system.Variant, totalInstr uint64, threads int) runner.Spec {
+	return runner.Spec{Workload: workload, Variant: v, TotalInstr: totalInstr, Threads: threads}
 }
 
 // mixSpec is the runner spec of one multi-tenant design point: mix m's
@@ -267,9 +266,9 @@ func (pe *Pending) Result() *system.Result {
 
 // Add declares one design point — a solo workload, a mix, or an
 // arrival spec, each named in s and resolved by the runner at
-// execution — de-duplicating against earlier declarations by
-// Spec.Key, and returns its handle. muts, when given, become s.Mutate
-// (applied in order); s.Tag must name them.
+// execution — de-duplicating against earlier declarations by the
+// runner's key (the machine s resolves to), and returns its handle.
+// muts, when given, become s.Mutate (applied in order).
 func (p *Plan) Add(s runner.Spec, muts ...mutate) *Pending {
 	if p.done {
 		panic("experiments: Plan.Add after Plan.MustExecute")
@@ -281,7 +280,7 @@ func (p *Plan) Add(s runner.Spec, muts ...mutate) *Pending {
 			}
 		}
 	}
-	key := s.Key()
+	key := p.h.run.Key(s)
 	if i, ok := p.index[key]; ok {
 		return &Pending{p: p, i: i}
 	}

@@ -21,7 +21,7 @@ func (h *Harness) table1(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.DRAMOnly, h.Opt.TotalInstr, 0, ""))})
+		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.DRAMOnly, h.Opt.TotalInstr, 0))})
 	}
 	return func() Table {
 		t := Table{
@@ -72,7 +72,7 @@ func (h *Harness) table3(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.SkyByteWP, h.Opt.TotalInstr, 0, ""))})
+		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.SkyByteWP, h.Opt.TotalInstr, 0))})
 	}
 	return func() Table {
 		t := Table{
@@ -109,8 +109,8 @@ func (h *Harness) costEffectiveness(p *Plan) func() Table {
 	for _, spec := range h.specs() {
 		rows = append(rows, row{
 			spec.Name,
-			p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.TotalInstr, 0, "")),
-			p.Add(solo(spec.Name, system.DRAMOnly, h.Opt.TotalInstr, 0, "")),
+			p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.TotalInstr, 0)),
+			p.Add(solo(spec.Name, system.DRAMOnly, h.Opt.TotalInstr, 0)),
 		})
 	}
 	return func() Table {
@@ -145,7 +145,7 @@ func (h *Harness) writeLogStats(p *Plan) func() Table {
 	}
 	var rows []row
 	for _, spec := range h.specs() {
-		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.TotalInstr, 0, ""))})
+		rows = append(rows, row{spec.Name, p.Add(solo(spec.Name, system.SkyByteFull, h.Opt.TotalInstr, 0))})
 	}
 	return func() Table {
 		t := Table{

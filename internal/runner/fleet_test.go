@@ -19,7 +19,7 @@ func fleetSpec(workload string, v system.Variant, devices int, placement string)
 // striped (the resolved default — the same machine must not get two
 // cache identities), and changing only the placement policy re-keys.
 func TestKeyFleetSegment(t *testing.T) {
-	legacy := spec("bc", system.BaseCSSD, "x")
+	legacy := spec("bc", system.BaseCSSD)
 	if strings.Contains(legacy.Key(), "fleet=") {
 		t.Fatalf("Devices=0 key grew a fleet segment: %q", legacy.Key())
 	}
@@ -27,7 +27,8 @@ func TestKeyFleetSegment(t *testing.T) {
 	if !strings.Contains(k2.Key(), "|fleet=2:striped|") {
 		t.Fatalf("fleet key = %q, want a |fleet=2:striped| segment", k2.Key())
 	}
-	if fleetSpec("bc", system.BaseCSSD, 2, "").Key() != k2.Key() {
+	r := testRunner(1)
+	if fleetSpec("bc", system.BaseCSSD, 2, "").Key() != k2.Key() || r.Key(fleetSpec("bc", system.BaseCSSD, 2, "")) != r.Key(k2) {
 		t.Fatal("unset placement and explicit striped keyed differently for the same machine")
 	}
 	// Surgical re-keying: only the placement (or device count) dimension

@@ -16,7 +16,7 @@ import (
 
 // Event reports one completed simulation to OnEvent.
 type Event struct {
-	// Key is the executed spec's cache identity.
+	// Key is the executed spec's cache identity (Runner.Key).
 	Key string
 	// Result is the completed measurement set.
 	Result *system.Result
@@ -38,7 +38,7 @@ type Event struct {
 }
 
 // Runner executes Specs against one base machine configuration. It
-// memoizes by Spec.Key with singleflight semantics — concurrent callers
+// memoizes by Runner.Key with singleflight semantics — concurrent callers
 // of an identical spec share one execution — and bounds concurrent
 // simulations with a worker pool of Parallelism slots.
 //
@@ -120,7 +120,10 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*system.Result, error) {
 // run is Run plus batch-progress plumbing: when counter is non-nil it is
 // incremented under evMu and reported as Event.Done out of total.
 func (r *Runner) run(ctx context.Context, spec Spec, total int, counter *int) (*system.Result, bool, error) {
-	key := spec.Key()
+	spec, cfg, key, err := r.resolve(spec)
+	if err != nil {
+		return nil, false, err
+	}
 	if res, ok := r.mem.Get(key); ok {
 		if counter != nil {
 			r.emit(Event{Key: key, Result: res, Total: total, Cached: true}, counter)
@@ -191,7 +194,7 @@ func (r *Runner) run(ctx context.Context, spec Spec, total int, counter *int) (*
 		return nil, false, c.err
 	}
 	start := time.Now()
-	c.res, c.err = r.execute(spec, key)
+	c.res, c.err = r.execute(spec, cfg, key)
 	wall := time.Since(start)
 	<-r.sem
 	if c.err == nil {
@@ -211,15 +214,38 @@ func (r *Runner) run(ctx context.Context, spec Spec, total int, counter *int) (*
 	return c.res, false, c.err
 }
 
-// applyFleet validates a spec's fleet axis and threads it into the run
-// config (after Mutate, so spec-level Devices/Placement — which are part
-// of the key — always win over mutation side effects). Specs without a
-// fleet axis leave the config untouched.
+// Key returns the design point's identity: Spec.Key with a solo thread
+// count resolved, then |cfg= and 16 hex chars of the fingerprint of the
+// config the run executes on. Specs that build the same machine share a
+// key however they were written; an invalid fleet axis keys cfg=invalid.
+func (r *Runner) Key(spec Spec) string {
+	_, _, key, _ := r.resolve(spec)
+	return key
+}
+
+// resolve builds the config spec runs on (variant, then Mutate, then the
+// fleet axis), resolves a solo spec's Threads against it, and keys it.
+func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
+	cfg := r.base.WithVariant(spec.Variant)
+	if spec.Mutate != nil {
+		spec.Mutate(&cfg)
+	}
+	if err := applyFleet(&cfg, spec); err != nil {
+		return spec, cfg, spec.Key() + "|cfg=invalid", err
+	}
+	if spec.Mix == "" && spec.Arrival == "" && spec.Threads == 0 {
+		spec.Threads = ThreadsFor(cfg)
+	}
+	return spec, cfg, spec.Key() + "|cfg=" + cfg.Fingerprint()[:16], nil
+}
+
+// applyFleet validates a spec's fleet axis and threads it, placement
+// resolved, into the run config (after Mutate, so spec-level
+// Devices/Placement always win over mutation side effects). Specs
+// without a fleet axis leave the config untouched.
 func applyFleet(cfg *system.Config, spec Spec) error {
 	if spec.Devices == 0 {
-		// A placement with no device count would not fold into the key
-		// (the fleet segment only renders for Devices > 0), so allowing
-		// it would let two different machines share one cache identity.
+		// A placement without a fleet would be ignored by the machine.
 		if spec.Placement != "" {
 			return fmt.Errorf("runner: spec placement %q requires Devices >= 1", spec.Placement)
 		}
@@ -228,8 +254,9 @@ func applyFleet(cfg *system.Config, spec Spec) error {
 	if err := fleet.Validate(spec.Devices, spec.Placement); err != nil {
 		return fmt.Errorf("runner: %w", err)
 	}
+	placement, _ := fleet.ParsePolicy(spec.Placement)
 	cfg.Devices = spec.Devices
-	cfg.Placement = spec.Placement
+	cfg.Placement = string(placement)
 	return nil
 }
 
@@ -281,18 +308,11 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]*system.Result, er
 	return results, nil
 }
 
-// execute performs one simulation: resolve the mutated variant config
-// and the spec's thread population, wire a fresh System, populate it,
-// and drive every thread stream to retirement.
-func (r *Runner) execute(spec Spec, key string) (*system.Result, error) {
-	cfg := r.base.WithVariant(spec.Variant)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	if err := applyFleet(&cfg, spec); err != nil {
-		return nil, err
-	}
-	populate, err := r.population(spec, cfg)
+// execute performs one simulation of a resolved spec on its resolved
+// config: resolve the thread population, wire a fresh System, populate
+// it, and drive every thread stream to retirement.
+func (r *Runner) execute(spec Spec, cfg system.Config, key string) (*system.Result, error) {
+	populate, err := r.population(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +333,7 @@ func (r *Runner) execute(spec Spec, key string) (*system.Result, error) {
 // an arrival spec declares its own thread layout through the shared
 // tenant layout; Spec.Threads, if set, must agree with it (a layout's
 // thread counts are part of its definition, not a per-run knob).
-func (r *Runner) population(spec Spec, cfg system.Config) (func(*system.System) error, error) {
+func (r *Runner) population(spec Spec) (func(*system.System) error, error) {
 	switch {
 	case spec.Mix != "" && spec.Arrival != "":
 		return nil, fmt.Errorf("runner: spec sets both mix %q and arrival spec %q; they are mutually exclusive", spec.Mix, spec.Arrival)
@@ -352,13 +372,9 @@ func (r *Runner) population(spec Spec, cfg system.Config) (func(*system.System) 
 	if err != nil {
 		return nil, err
 	}
-	threads := spec.Threads
-	if threads == 0 {
-		threads = ThreadsFor(cfg)
-	}
-	per := spec.TotalInstr / uint64(threads)
+	per := spec.TotalInstr / uint64(spec.Threads)
 	return func(sys *system.System) error {
-		for i := 0; i < threads; i++ {
+		for i := 0; i < spec.Threads; i++ {
 			sys.AddThread(w.Stream(i, r.seed), per)
 		}
 		return nil

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"skybyte/internal/sim"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
 	"skybyte/internal/workloads"
@@ -16,26 +17,41 @@ func testRunner(parallelism int) *Runner {
 	return New(system.ScaledConfig(), 7, parallelism)
 }
 
-func spec(workload string, v system.Variant, tag string) Spec {
-	return Spec{Workload: workload, Variant: v, TotalInstr: 24_000, Threads: 8, Tag: tag}
+func spec(workload string, v system.Variant) Spec {
+	return Spec{Workload: workload, Variant: v, TotalInstr: 24_000, Threads: 8}
 }
 
 func TestKeyStable(t *testing.T) {
-	s := spec("bc", system.BaseCSSD, "x")
-	wantPrefix := "bc|Base-CSSD|24000|8|x|src="
+	r := testRunner(1)
+	s := spec("bc", system.BaseCSSD)
+	wantPrefix := "bc|Base-CSSD|24000|8|src="
 	if !strings.HasPrefix(s.Key(), wantPrefix) {
 		t.Fatalf("Key() = %q, want prefix %q", s.Key(), wantPrefix)
 	}
-	if s.Key() != spec("bc", system.BaseCSSD, "x").Key() {
+	if !strings.HasPrefix(r.Key(s), s.Key()+"|cfg=") {
+		t.Fatalf("runner key %q does not extend spec key %q with the machine", r.Key(s), s.Key())
+	}
+	if r.Key(s) != r.Key(spec("bc", system.BaseCSSD)) {
 		t.Fatal("identical specs must yield identical keys")
 	}
-	if spec("bc", system.BaseCSSD, "y").Key() == s.Key() {
-		t.Fatal("distinct tags must yield distinct keys")
+	// A mutation is identified by the machine it builds: two different
+	// mutations key apart, and one that writes the default value keys
+	// as no mutation at all.
+	withThreshold := func(us sim.Time) Spec {
+		m := spec("bc", system.BaseCSSD)
+		m.Mutate = func(c *system.Config) { c.HintThreshold = us * sim.Microsecond }
+		return m
 	}
-	if strings.HasSuffix(spec("bc", system.BaseCSSD, "x").Key(), "unresolved") {
+	if r.Key(withThreshold(10)) == r.Key(withThreshold(20)) {
+		t.Fatal("distinct mutations must yield distinct keys")
+	}
+	if def := system.ScaledConfig().HintThreshold / sim.Microsecond; r.Key(withThreshold(def)) != r.Key(s) {
+		t.Fatal("a mutation writing the default value must key as no mutation")
+	}
+	if strings.HasSuffix(spec("bc", system.BaseCSSD).Key(), "unresolved") {
 		t.Fatal("built-in workload keyed as unresolved")
 	}
-	if !strings.HasSuffix(spec("no-such", system.BaseCSSD, "").Key(), "src=unresolved") {
+	if !strings.HasSuffix(spec("no-such", system.BaseCSSD).Key(), "src=unresolved") {
 		t.Fatal("unknown workload should key as unresolved")
 	}
 }
@@ -60,18 +76,18 @@ func TestKeyFoldsWorkloadSource(t *testing.T) {
 	if err := workloads.Register(defOf(0.8).MustSpec()); err != nil {
 		t.Fatal(err)
 	}
-	bcBefore := spec("bc", system.BaseCSSD, "").Key()
-	regBefore := spec("keyfold-w", system.BaseCSSD, "").Key()
+	bcBefore := spec("bc", system.BaseCSSD).Key()
+	regBefore := spec("keyfold-w", system.BaseCSSD).Key()
 
 	// Edit the registered definition (the file-editing loop): its own
 	// key must change, every other key must not.
 	if err := workloads.Register(defOf(0.7).MustSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if got := spec("keyfold-w", system.BaseCSSD, "").Key(); got == regBefore {
+	if got := spec("keyfold-w", system.BaseCSSD).Key(); got == regBefore {
 		t.Fatal("edited definition kept its old spec key (stale store entries would serve)")
 	}
-	if got := spec("bc", system.BaseCSSD, "").Key(); got != bcBefore {
+	if got := spec("bc", system.BaseCSSD).Key(); got != bcBefore {
 		t.Fatalf("editing one workload re-keyed an unrelated spec: %q vs %q", got, bcBefore)
 	}
 
@@ -89,7 +105,7 @@ func TestKeyFoldsWorkloadSource(t *testing.T) {
 	}
 	mixSpec := Spec{Mix: "keyfold-mix", Variant: system.BaseCSSD, TotalInstr: 24_000, Threads: 4}
 	mixBefore := mixSpec.Key()
-	if !strings.HasPrefix(mixBefore, "mix:keyfold-mix|Base-CSSD|24000|4||src=") {
+	if !strings.HasPrefix(mixBefore, "mix:keyfold-mix|Base-CSSD|24000|4|src=") {
 		t.Fatalf("mix key format unexpected: %q", mixBefore)
 	}
 	if err := workloads.Register(defOf(0.9).MustSpec()); err != nil {
@@ -117,11 +133,11 @@ func TestRunMemoizes(t *testing.T) {
 	r := testRunner(2)
 	execs := 0
 	r.OnEvent = func(Event) { execs++ }
-	a, err := r.Run(context.Background(), spec("bc", system.BaseCSSD, ""))
+	a, err := r.Run(context.Background(), spec("bc", system.BaseCSSD))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(context.Background(), spec("bc", system.BaseCSSD, ""))
+	b, err := r.Run(context.Background(), spec("bc", system.BaseCSSD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +147,7 @@ func TestRunMemoizes(t *testing.T) {
 	if execs != 1 {
 		t.Fatalf("executed %d times, want 1", execs)
 	}
-	if a.CacheKey != spec("bc", system.BaseCSSD, "").Key() {
+	if a.CacheKey != r.Key(spec("bc", system.BaseCSSD)) {
 		t.Fatalf("CacheKey = %q", a.CacheKey)
 	}
 }
@@ -156,10 +172,10 @@ func TestRunAllDedupAndOrdering(t *testing.T) {
 		mu.Unlock()
 	}
 	specs := []Spec{
-		spec("bc", system.BaseCSSD, ""),
-		spec("srad", system.BaseCSSD, ""),
-		spec("bc", system.BaseCSSD, ""), // duplicate of [0]
-		spec("bc", system.DRAMOnly, ""),
+		spec("bc", system.BaseCSSD),
+		spec("srad", system.BaseCSSD),
+		spec("bc", system.BaseCSSD), // duplicate of [0]
+		spec("bc", system.DRAMOnly),
 	}
 	res, err := r.RunAll(context.Background(), specs)
 	if err != nil {
@@ -169,7 +185,7 @@ func TestRunAllDedupAndOrdering(t *testing.T) {
 		t.Fatalf("got %d results", len(res))
 	}
 	for i, s := range specs {
-		if res[i] == nil || res[i].CacheKey != s.Key() {
+		if res[i] == nil || res[i].CacheKey != r.Key(s) {
 			t.Fatalf("results[%d] does not match specs[%d]", i, i)
 		}
 	}
@@ -189,10 +205,10 @@ func TestRunAllDedupAndOrdering(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	specs := []Spec{
-		spec("bc", system.BaseCSSD, ""),
-		spec("bc", system.SkyByteFull, ""),
-		spec("srad", system.BaseCSSD, ""),
-		spec("srad", system.SkyByteFull, ""),
+		spec("bc", system.BaseCSSD),
+		spec("bc", system.SkyByteFull),
+		spec("srad", system.BaseCSSD),
+		spec("srad", system.SkyByteFull),
 	}
 	seq, err := testRunner(1).RunAll(context.Background(), specs)
 	if err != nil {
@@ -212,15 +228,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestUnknownWorkloadErrorsWithoutPoisoning(t *testing.T) {
 	r := testRunner(1)
-	if _, err := r.Run(context.Background(), spec("nope", system.BaseCSSD, "")); err == nil {
+	if _, err := r.Run(context.Background(), spec("nope", system.BaseCSSD)); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	// The failed key must not be cached: a good spec sharing the runner
 	// still works, and retrying the bad one re-reports the error.
-	if _, err := r.Run(context.Background(), spec("bc", system.BaseCSSD, "")); err != nil {
+	if _, err := r.Run(context.Background(), spec("bc", system.BaseCSSD)); err != nil {
 		t.Fatalf("good spec failed after bad one: %v", err)
 	}
-	if _, err := r.Run(context.Background(), spec("nope", system.BaseCSSD, "")); err == nil {
+	if _, err := r.Run(context.Background(), spec("nope", system.BaseCSSD)); err == nil {
 		t.Fatal("error was cached instead of re-evaluated")
 	}
 }
@@ -229,11 +245,11 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := testRunner(1)
-	if _, err := r.Run(ctx, spec("bc", system.BaseCSSD, "")); err == nil {
+	if _, err := r.Run(ctx, spec("bc", system.BaseCSSD)); err == nil {
 		t.Fatal("cancelled context did not stop the run")
 	}
 	// A fresh context retries cleanly.
-	if _, err := r.Run(context.Background(), spec("bc", system.BaseCSSD, "")); err != nil {
+	if _, err := r.Run(context.Background(), spec("bc", system.BaseCSSD)); err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 }
@@ -271,8 +287,8 @@ func (s *countingStore) Put(key string, res *system.Result) {
 func TestStoreWarmRunSkipsSimulation(t *testing.T) {
 	shared := &countingStore{MemStore: NewMemStore()}
 	specs := []Spec{
-		spec("bc", system.BaseCSSD, ""),
-		spec("srad", system.SkyByteFull, ""),
+		spec("bc", system.BaseCSSD),
+		spec("srad", system.SkyByteFull),
 	}
 
 	cold := testRunner(2)
@@ -334,7 +350,7 @@ func TestCacheOnlyMissErrors(t *testing.T) {
 	r := testRunner(1)
 	r.Store = shared
 	r.CacheOnly = true
-	s := spec("bc", system.BaseCSSD, "")
+	s := spec("bc", system.BaseCSSD)
 	if _, err := r.Run(context.Background(), s); err == nil {
 		t.Fatal("cache-only miss did not error")
 	}
@@ -373,8 +389,8 @@ func TestRunAllConcurrentCallers(t *testing.T) {
 	// singleflight layer must hand both the same memoized results.
 	r := testRunner(4)
 	specs := []Spec{
-		spec("bc", system.BaseCSSD, ""),
-		spec("srad", system.SkyByteFull, ""),
+		spec("bc", system.BaseCSSD),
+		spec("srad", system.SkyByteFull),
 	}
 	var wg sync.WaitGroup
 	out := make([][]*system.Result, 2)

@@ -1,7 +1,7 @@
 // Package runner executes simulation design points across a bounded
 // worker pool. It is the execute half of the experiments layer's
 // plan/execute split: figures declare the Specs they need, the runner
-// de-duplicates them (singleflight memoization keyed by Spec.Key),
+// de-duplicates them (singleflight memoization keyed by Runner.Key),
 // saturates up to Parallelism cores, and hands results back in the
 // caller's declaration order so every table renders byte-identically
 // regardless of how many workers raced to produce it.
@@ -31,9 +31,9 @@ import (
 
 // Spec names one design point: a workload (or multi-tenant mix), a
 // variant, a work budget, a thread count, and an optional config
-// mutation. Two Specs with equal Key() are interchangeable; Mutate is
-// deliberately excluded from the identity, so callers must give every
-// distinct mutation a distinct Tag.
+// mutation. Its identity is the machine it resolves to: Runner.Key
+// folds the fingerprint of the config the spec runs on, so Specs that
+// build the same machine are interchangeable.
 type Spec struct {
 	// Workload is a Table I benchmark name (resolved via workloads.ByName).
 	// Ignored when Mix is set.
@@ -61,36 +61,34 @@ type Spec struct {
 	// (ThreadsFor) resolved after Mutate has run — or, for a mix or an
 	// arrival spec, its declared total.
 	Threads int
-	// Tag distinguishes config mutations that share the same
-	// workload/variant/budget, e.g. "thr10" for a threshold sweep cell.
-	Tag string
 	// Devices, when > 0, engages the fleet layer with that many SSD
 	// backends (system.Config.Devices); Placement names the fleet
 	// placement policy ("" = striped). Both fold into the key, so a
-	// placement change re-keys exactly the fleet design points; 0 keeps
-	// the legacy single-device key byte-identical.
+	// placement change re-keys exactly the fleet design points; 0 adds
+	// no fleet segment.
 	Devices   int
 	Placement string
 	// Mutate adjusts the variant config before the run (nil for none).
-	// It must be deterministic and is identified solely by Tag.
+	// It must be deterministic; it is identified by the config it
+	// produces, not by the function.
 	Mutate func(*system.Config)
 }
 
-// Key returns the spec's stable cache identity:
+// Key returns the spec's identity as written, without the machine
+// (Runner.Key appends that; it is the key caches and stores use):
 //
-//	workload|variant|budget|threads|tag|src=<digest>
+//	workload|variant|budget|threads|src=<digest>
 //
 // (the first segment is "mix:<name>" for mix specs and
-// "arr:<name>@<scale>" for arrival specs, folding the offered-intensity
-// scale into the identity). The trailing src
-// digest is the resolved generator's source identity — the workload's
-// SourceID, or for a mix its fingerprint plus every member workload's
-// SourceID — truncated to 16 hex chars. Folding the source into the
-// key is what makes persistent-store invalidation *surgical*: editing
-// one workload file re-keys exactly the design points that resolve it
-// (and any mixes referencing it), while every other cached entry
-// stays warm. An unresolvable name keys as src=unresolved; execution
-// fails before simulating, and nothing is cached under that key.
+// "arr:<name>@<scale>" for arrival specs). The src digest is the
+// resolved generator's source identity — the workload's SourceID, or
+// for a mix its fingerprint plus every member workload's SourceID —
+// truncated to 16 hex chars. Folding the source into the key is what
+// makes persistent-store invalidation *surgical*: editing one workload
+// file re-keys exactly the design points that resolve it (and any
+// mixes referencing it), while every other cached entry stays warm. An
+// unresolvable name keys as src=unresolved; execution fails before
+// simulating, and nothing is cached under that key.
 func (s Spec) Key() string {
 	name := s.Workload
 	switch {
@@ -100,8 +98,7 @@ func (s Spec) Key() string {
 		name = "mix:" + s.Mix
 	}
 	// Fleet specs insert a |fleet=K:policy segment before the source
-	// digest; the segment is omitted entirely for Devices == 0, keeping
-	// every pre-fleet key byte-identical so warm stores stay warm. The
+	// digest; the segment is omitted entirely for Devices == 0. The
 	// empty placement renders as its resolved default ("striped"), so ""
 	// and "striped" share one cache entry — they run the same machine.
 	fleetSeg := ""
@@ -112,7 +109,7 @@ func (s Spec) Key() string {
 		}
 		fleetSeg = fmt.Sprintf("|fleet=%d:%s", s.Devices, placement)
 	}
-	return fmt.Sprintf("%s|%s|%d|%d|%s%s|src=%s", name, s.Variant, s.TotalInstr, s.Threads, s.Tag, fleetSeg, s.sourceDigest())
+	return fmt.Sprintf("%s|%s|%d|%d%s|src=%s", name, s.Variant, s.TotalInstr, s.Threads, fleetSeg, s.sourceDigest())
 }
 
 // arrivalScale is the effective intensity scale (0 → 1).

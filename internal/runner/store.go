@@ -6,7 +6,7 @@ import (
 	"skybyte/internal/system"
 )
 
-// Store is a pluggable result cache keyed by Spec.Key. The runner keeps
+// Store is a pluggable result cache keyed by Runner.Key. The runner keeps
 // its lifetime memo in one (a MemStore) and, when Runner.Store is set,
 // consults a second, typically persistent, level around every
 // execution: a hit skips the simulation entirely, a completed execution

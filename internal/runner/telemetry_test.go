@@ -20,7 +20,6 @@ func telemetrySpec() Spec {
 		ArrivalScale: 1,
 		Variant:      system.SkyByteFull,
 		TotalInstr:   36_000,
-		Tag:          "tel",
 		Mutate: func(c *system.Config) {
 			c.TelemetryCadence = 2 * sim.Microsecond
 			c.TelemetryTimeline = true

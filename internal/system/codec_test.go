@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -136,6 +137,67 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 	if PaperConfig().Fingerprint() == base.Fingerprint() {
 		t.Error("PaperConfig and ScaledConfig share a fingerprint")
+	}
+}
+
+// TestFingerprintCoversEveryField: Config.Fingerprint is the machine
+// half of the runner's design-point key, so every field of Config and
+// of the configs it nests must reach it. A field the encoding cannot see
+// (unexported, or tagged json:"-") would let two different machines
+// share one key; so would a nested type whose encoding drops a field,
+// which the per-leaf perturbation catches.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	cfg := ScaledConfig().WithVariant(SkyByteFull)
+	fp := cfg.Fingerprint()
+	leaves := 0
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			name := path + "." + f.Name
+			if !f.IsExported() {
+				t.Errorf("%s is unexported: the fingerprint cannot see it", name)
+				continue
+			}
+			if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag == "-" {
+				t.Errorf("%s is tagged json:\"-\": the fingerprint cannot see it", name)
+				continue
+			}
+			fv := v.Field(i)
+			if fv.Kind() == reflect.Struct {
+				walk(fv, name)
+				continue
+			}
+			saved := reflect.New(fv.Type()).Elem()
+			saved.Set(fv)
+			switch fv.Kind() {
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				fv.SetInt(fv.Int() + 1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				fv.SetUint(fv.Uint() + 1)
+			case reflect.Float32, reflect.Float64:
+				fv.SetFloat(fv.Float() + 0.5)
+			case reflect.Bool:
+				fv.SetBool(!fv.Bool())
+			case reflect.String:
+				fv.SetString(fv.String() + "x")
+			default:
+				t.Errorf("%s has kind %s: not a plain value the fingerprint can compare", name, fv.Kind())
+				continue
+			}
+			leaves++
+			if cfg.Fingerprint() == fp {
+				t.Errorf("perturbing %s left the fingerprint unchanged", name)
+			}
+			fv.Set(saved)
+		}
+	}
+	walk(reflect.ValueOf(&cfg).Elem(), "Config")
+	if cfg.Fingerprint() != fp {
+		t.Fatal("walk did not restore the config")
+	}
+	if leaves < 50 {
+		t.Fatalf("walked only %d leaf fields", leaves)
 	}
 }
 

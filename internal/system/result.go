@@ -17,7 +17,8 @@ type Result struct {
 	Variant string
 
 	// CacheKey is the stable identity of the design point that produced
-	// this result (workload|variant|budget|threads|tag). The runner sets
+	// this result (workload|variant|budget|threads|src=…|cfg=…, the
+	// last segment the resolved config's fingerprint). The runner sets
 	// it when it executes a spec; a given key always maps to the same
 	// measurements because simulations are deterministic, which is what
 	// makes memoizing and de-duplicating runs by key sound.
