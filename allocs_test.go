@@ -3,12 +3,15 @@
 // through typed handlers, so a steady-state design point performs O(1)
 // allocations per off-chip request, not O(events). This test pins that
 // property: the pre-pooling engine spent ~274k allocations (~21 per
-// request) on this exact run; the budgets below sit ~3x above today's
-// measurement (~10.7k, 0.82/request) and ~8x below the old cost, so a
-// regression that reintroduces per-event garbage fails loudly while
-// normal drift does not. Allocation counts are hardware-independent,
-// which makes this the portable half of the perf gate (BENCH_7.json and
-// cmd/benchgate carry the wall-clock half).
+// request) on this exact run, and the pooled engine before the write log
+// and trace generators stopped allocating per write and per refill
+// spent ~10.7k (0.82/request). The budgets below sit ~3x above today's
+// measurement (~3.05k, 0.23/request) and ~30x below the pre-pooling
+// cost, so a regression that reintroduces per-event or per-write
+// garbage fails loudly while normal drift does not. Allocation counts
+// are hardware-independent, which makes this the portable half of the
+// perf gate (cmd/benchgate and the newest BENCH_<n>.json snapshot carry
+// the wall-clock half).
 package skybyte_test
 
 import (
@@ -37,12 +40,12 @@ func TestColdRunAllocsBudget(t *testing.T) {
 	if reqs == 0 {
 		t.Fatal("run classified no requests")
 	}
-	const runBudget = 32_000
+	const runBudget = 9_000
 	if allocs > runBudget {
 		t.Errorf("cold design point performed %.0f allocations; budget is %d (pre-pooling engine: ~274k)", allocs, runBudget)
 	}
 	perReq := allocs / float64(reqs)
-	const perReqBudget = 2.5
+	const perReqBudget = 0.7
 	if perReq > perReqBudget {
 		t.Errorf("%.2f allocations per off-chip request (%.0f allocs / %d requests); budget is %.1f (pre-pooling engine: ~21)",
 			perReq, allocs, reqs, perReqBudget)

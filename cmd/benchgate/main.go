@@ -2,8 +2,9 @@
 // gated throughput benchmarks (BenchmarkSimulatorThroughput and
 // BenchmarkCampaignThroughput/store=cold) -count times via `go test`,
 // aggregates each (min ns/op — shared-host noise only adds time — and
-// median allocs/op), and compares against the pinned snapshot
-// (BENCH_7.json by default):
+// median allocs/op), and compares against the pinned snapshot (by
+// default the highest-numbered BENCH_<n>.json in the working directory:
+// the snapshots form an appended trajectory and the newest one gates):
 //
 //   - allocs/op gates strictly: allocation counts are deterministic
 //     and hardware-independent, so anything beyond a small growth
@@ -17,12 +18,12 @@
 //     injected >=20% slowdown fails on comparable hardware.
 //
 // Run from the module root (the subprocess `go test` resolves the
-// package in the working directory). Refresh the snapshot after an
-// intentional perf change with:
+// package in the working directory). After an intentional perf change,
+// record a new snapshot beside the old ones with:
 //
-//	go run ./cmd/benchgate -update
+//	go run ./cmd/benchgate -update -baseline BENCH_<n>.json
 //
-// and commit the rewritten baseline alongside the change.
+// (n above every existing snapshot) and commit it with the change.
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -79,13 +81,16 @@ type Bench struct {
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "BENCH_7.json", "pinned benchmark snapshot to gate against (or rewrite with -update)")
+		baselinePath = flag.String("baseline", latestBaseline("."), "pinned benchmark snapshot to gate against (or write with -update); default: the highest-numbered BENCH_<n>.json")
 		update       = flag.Bool("update", false, "re-measure and rewrite -baseline instead of gating")
 		count        = flag.Int("count", 0, "benchmark repetitions to aggregate over (0 = the snapshot's count, 5 for a fresh snapshot)")
 		benchtime    = flag.String("benchtime", "", "per-repetition -benchtime (empty = the snapshot's, 3x for a fresh snapshot)")
 		tolerance    = flag.Float64("tolerance", 0, "override the snapshot's ns/op tolerance band (0 = use the snapshot's)")
 	)
 	flag.Parse()
+	if *baselinePath == "" {
+		fatalf("no BENCH_<n>.json snapshot in the working directory; name one with -baseline")
+	}
 
 	prior, priorErr := readBaseline(*baselinePath)
 	if !*update && priorErr != nil {
@@ -174,7 +179,7 @@ func main() {
 			got.AllocsPerOp, base.AllocsPerOp, 100*(allocRatio-1), 100*(prior.AllocTolerance-1))
 	}
 	if failed {
-		fmt.Printf("\nbenchgate: FAIL — if the regression is intentional, refresh with `go run ./cmd/benchgate -update` and commit %s\n", *baselinePath)
+		fmt.Printf("\nbenchgate: FAIL against %s — if the regression is intentional, record a new snapshot with `go run ./cmd/benchgate -update -baseline BENCH_<n>.json` and commit it\n", *baselinePath)
 		os.Exit(1)
 	}
 	fmt.Println("\nbenchgate: PASS")
@@ -290,6 +295,21 @@ func calibrate() float64 {
 		calSink += acc
 		if el := float64(time.Since(start).Nanoseconds()); el < best {
 			best = el
+		}
+	}
+	return best
+}
+
+// latestBaseline returns the BENCH_<n>.json in dir with the largest n
+// (compared as numbers, so BENCH_15 follows BENCH_7), or "" if there is
+// none.
+func latestBaseline(dir string) string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	best, bestN := "", -1
+	for _, p := range paths {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
+		if n, err := strconv.Atoi(num); err == nil && n > bestN {
+			best, bestN = p, n
 		}
 	}
 	return best

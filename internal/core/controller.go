@@ -150,6 +150,17 @@ type fetchState struct {
 	onData       func(data []byte)
 }
 
+// compactOp is one pooled compaction read-merge-write (Fig. 13 L3–L5):
+// its read callback binds once at first allocation and survives reuse,
+// and the line buffer keeps its capacity. An op recycles as soon as its
+// read completes and the write-back is issued.
+type compactOp struct {
+	next   *compactOp
+	lpa    uint64
+	lines  []writelog.LineEntry // merged at read completion (TrackData only)
+	onRead func(pageData []byte)
+}
+
 // respEvt carries a deferred ReadMeta response; pooled per controller and
 // dispatched through hRespond, replacing a per-response closure.
 type respEvt struct {
@@ -201,12 +212,18 @@ type Controller struct {
 	fetchFree *fetchState
 	respFree  *respEvt
 
-	compacting    bool
-	compactStart  sim.Time
-	compactPages  []uint64
-	compactCursor int
-	compactBusy   int
-	pendingWrites []pendingWrite
+	compacting     bool
+	compactStart   sim.Time
+	compactPages   []uint64
+	compactCursor  int
+	compactBusy    int
+	compactFree    *compactOp
+	onCompactWrite func() // compactOpDone, bound once: every write-back's callback
+	pendingWrites  []pendingWrite
+	// lineBuf is the reused destination of write-log page traversals
+	// (compaction and merges); its contents are consumed before the
+	// next traversal.
+	lineBuf []writelog.LineEntry
 
 	// Traffic is the flash-level cause-split accounting behind Figs. 18/20.
 	Traffic stats.FlashTraffic
@@ -233,6 +250,7 @@ func New(eng *sim.Engine, cfg Config, arr *flash.Array, fl *ftl.FTL, d *dram.DRA
 		heat:    make(map[uint64]heatEntry),
 		pinned:  make(map[uint64]bool),
 	}
+	c.onCompactWrite = c.compactOpDone
 	c.cache = NewPageCache(cfg.CacheBytes, cfg.CacheWays, cfg.TrackData)
 	c.cache.TrackLocality = cfg.TrackLocality
 	if cfg.WriteLogEnabled {
@@ -481,20 +499,22 @@ func (c *Controller) fetchDone(fs *fetchState, flashData []byte) {
 // mergeLogInto applies logged lines of the frame's page (older half first,
 // active half last so newest data wins).
 func (c *Controller) mergeLogInto(f *PageFrame) {
-	if !c.cfg.WriteLogEnabled {
+	if !c.cfg.WriteLogEnabled || f.Data == nil {
 		return
 	}
-	apply := func(l *writelog.Log) {
-		for _, le := range l.PageLines(f.LPA) {
-			if f.Data != nil && le.Data != nil {
-				copy(f.Data[int(le.Offset)*mem.LineBytes:], le.Data)
-			}
+	if c.compacting {
+		c.applyLog(c.otherLog(), f)
+	}
+	c.applyLog(c.activeLog(), f)
+}
+
+func (c *Controller) applyLog(l *writelog.Log, f *PageFrame) {
+	c.lineBuf = l.AppendPageLines(c.lineBuf[:0], f.LPA)
+	for _, le := range c.lineBuf {
+		if le.Data != nil {
+			copy(f.Data[int(le.Offset)*mem.LineBytes:], le.Data)
 		}
 	}
-	if c.compacting {
-		apply(c.otherLog())
-	}
-	apply(c.activeLog())
 }
 
 func (c *Controller) frameLine(f *PageFrame, lineIdx uint) []byte {
@@ -642,7 +662,8 @@ func (c *Controller) compactWave() {
 	for c.compactCursor < len(c.compactPages) && c.compactBusy < budget {
 		lpa := c.compactPages[c.compactCursor]
 		c.compactCursor++
-		lines := old.PageLines(lpa) // L4 source
+		c.lineBuf = old.AppendPageLines(c.lineBuf[:0], lpa) // L4 source
+		lines := c.lineBuf
 		if len(lines) == 0 {
 			continue // invalidated (e.g. migrated away)
 		}
@@ -653,21 +674,48 @@ func (c *Controller) compactWave() {
 		if f := c.cache.Peek(lpa); f != nil {
 			// L2: the cached copy is current (W2 kept it in sync) — flush it.
 			c.Traffic.CompactWrites++
-			c.fl.Write(lpa, f.Data, func() { c.compactOpDone() })
+			c.fl.Write(lpa, f.Data, c.onCompactWrite)
 			continue
 		}
 		// L3: load into the coalescing buffer, L4 merge, L5 write back.
 		c.Traffic.CompactReads++
-		target, merged := lpa, lines
-		c.fl.Read(target, func(pageData []byte) {
-			page := c.mergeLines(pageData, merged)
-			c.Traffic.CompactWrites++
-			c.fl.Write(target, page, func() { c.compactOpDone() })
-		})
+		op := c.getCompactOp(lpa)
+		if c.cfg.TrackData {
+			op.lines = append(op.lines, lines...)
+		}
+		c.fl.Read(lpa, op.onRead)
 	}
 	if c.compactBusy == 0 {
 		c.finishCompaction()
 	}
+}
+
+// getCompactOp pops a pooled compaction op, binding its read callback on
+// first allocation.
+func (c *Controller) getCompactOp(lpa uint64) *compactOp {
+	op := c.compactFree
+	if op == nil {
+		op = &compactOp{}
+		op.onRead = func(pageData []byte) { c.compactReadDone(op, pageData) }
+	} else {
+		c.compactFree = op.next
+		op.next = nil
+	}
+	op.lpa = lpa
+	return op
+}
+
+// compactReadDone merges the op's logged lines into the page just read
+// and writes it back; the op recycles before the write is issued.
+func (c *Controller) compactReadDone(op *compactOp, pageData []byte) {
+	lpa := op.lpa
+	page := c.mergeLines(pageData, op.lines)
+	clear(op.lines)
+	op.lines = op.lines[:0]
+	op.next = c.compactFree
+	c.compactFree = op
+	c.Traffic.CompactWrites++
+	c.fl.Write(lpa, page, c.onCompactWrite)
 }
 
 func (c *Controller) mergeLines(pageData []byte, lines []writelog.LineEntry) []byte {

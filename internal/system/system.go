@@ -109,6 +109,7 @@ type System struct {
 	readFree  *readTxn
 	writeFree *writeTxn
 	hostFree  *hostTxn
+	hopFree   *linkHop
 
 	// Telemetry state (Config.TelemetryCadence). All nil/empty when
 	// telemetry is off: the request paths then skip instrumentation
@@ -615,15 +616,15 @@ func (s *System) ctrlFor(lpa uint64) *core.Controller {
 // sendToDevice moves size bytes host→device toward lpa's owner: across
 // the shared host link and then, in fleet mode, through the owning
 // device's downstream port. The single-device path is the bare link
-// call — it allocates nothing, preserving the zero-alloc hot-path
-// contract; the fleet path allocates one continuation per hop.
+// call; the fleet path chains its two legs through a pooled linkHop,
+// so neither allocates in steady state.
 func (s *System) sendToDevice(lpa uint64, size int, done func()) {
 	if s.placer == nil {
 		s.link.ToDevice(size, done)
 		return
 	}
 	port := s.devs[s.placer.Device(lpa)].port
-	s.link.ToDevice(size, func() { port.ToDevice(size, done) })
+	s.link.ToDevice(size, s.getHop(port, false, size, done).fire)
 }
 
 // sendToHost moves size bytes device→host from lpa's owner: through the
@@ -634,7 +635,44 @@ func (s *System) sendToHost(lpa uint64, size int, done func()) {
 		return
 	}
 	port := s.devs[s.placer.Device(lpa)].port
-	port.ToHost(size, func() { s.link.ToHost(size, done) })
+	port.ToHost(size, s.getHop(s.link, true, size, done).fire)
+}
+
+// linkHop is a fleet transfer's second leg, waiting for its first leg
+// to land. Hops are pooled per System: fire binds once at first
+// allocation, and a hop recycles before its second leg is issued.
+type linkHop struct {
+	next   *linkHop
+	link   *cxl.Link // carries the second leg
+	toHost bool
+	size   int
+	done   func()
+	fire   func() // first leg's completion: issues the second leg
+}
+
+func (s *System) getHop(link *cxl.Link, toHost bool, size int, done func()) *linkHop {
+	h := s.hopFree
+	if h == nil {
+		h = &linkHop{}
+		h.fire = func() { s.hopLanded(h) }
+	} else {
+		s.hopFree = h.next
+		h.next = nil
+	}
+	h.link, h.toHost, h.size, h.done = link, toHost, size, done
+	return h
+}
+
+func (s *System) hopLanded(h *linkHop) {
+	link, toHost, size, done := h.link, h.toHost, h.size, h.done
+	h.link, h.done = nil, nil
+	h.next = s.hopFree
+	s.hopFree = h
+	if toHost {
+		link.ToHost(size, done)
+	} else {
+		link.ToDevice(size, done)
+	}
 }
 
 // noteFleetAccess books one demand access with the placement layer and,

@@ -122,6 +122,28 @@ func TestBufGen(t *testing.T) {
 	}
 }
 
+// Once its buffer has grown to a refill's size, BufGen.Next allocates
+// nothing: the emit callback is bound once, not per refill.
+func TestBufGenSteadyStateAllocatesNothing(t *testing.T) {
+	g := &BufGen{Refill: func(emit func(Record)) bool {
+		emit(Record{Kind: Load, Addr: 64})
+		emit(Record{Kind: Compute, N: 5})
+		emit(Record{Kind: Store, Addr: 128})
+		return true
+	}}
+	// One run consumes one refill's three records, so a per-refill
+	// allocation shows as a whole allocation per run.
+	refill := func() {
+		for i := 0; i < 3; i++ {
+			g.Next()
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
+		t.Fatalf("steady-state refill made %.0f allocations, want 0", allocs)
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {

@@ -14,16 +14,30 @@
 // ("the old updates will be dropped during the compaction"). The log is
 // used double-buffered by the controller: one instance fills while the
 // other drains.
+//
+// The modelled index footprint (IndexBytes) is maintained incrementally:
+// every site that adds, resizes or voids a table adjusts a running byte
+// count, so Append costs O(1) amortised. The Go memory behind the index
+// is recycled: second-level tables are carved from one slab per log with
+// per-size free lists, and first-level arrays are kept per size across
+// Reset, so a log that has run one fill-and-compact cycle appends
+// without allocating.
 package writelog
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"skybyte/internal/mem"
 )
 
 const (
 	secondInit       = 4    // initial second-level table slots (16 B)
+	secondClasses    = 6    // second-level sizes 4..128 slots (64 lines at load ≤ 3/4)
+	firstInit        = 16   // initial first-level table slots
+	firstSlotBytes   = 16   // 8 B LPA + 8 B second-level pointer (Fig. 12)
+	secondSlotBytes  = 4    // 6-bit offset + 26-bit log offset (Fig. 12)
 	loadNum, loadDen = 3, 4 // resize when used/slots > 3/4
 	emptyEntry       = ^uint32(0)
 	offsetShift      = 26
@@ -31,19 +45,17 @@ const (
 )
 
 // firstEntry is one slot of the first-level table: the 8 B LPA plus the
-// 8 B pointer to the page's second-level table (Fig. 12).
+// page's second-level table, which the modelled hardware reaches through
+// an 8 B pointer (Fig. 12) and the simulator as a slab offset and size.
 type firstEntry struct {
-	lpa    uint64
-	second *secondTable
-	state  uint8 // 0 empty, 1 used, 2 tombstone
+	lpa   uint64
+	base  uint32 // second-level table: slab[base : base+secondInit<<class]
+	class uint8
+	used  uint8 // occupied second-level slots
+	state uint8 // 0 empty, 1 used, 2 tombstone
 }
 
-type secondTable struct {
-	slots []uint32
-	used  int
-}
-
-// LineEntry is one logged cacheline of a page, reported by PageLines.
+// LineEntry is one logged cacheline of a page, reported by AppendPageLines.
 type LineEntry struct {
 	Offset    uint // cacheline index within the page (0..63)
 	LogOffset uint32
@@ -69,8 +81,18 @@ type Log struct {
 	first    []firstEntry
 	firstLen int // used (non-tombstone) entries
 	tombs    int
+	index    int // modelled index footprint in bytes (IndexBytes)
 	stats    Stats
 	track    bool
+
+	// slab backs every second-level table; freeTables lists the slab
+	// offsets of voided tables by size class, for reuse before the slab
+	// grows. Reset empties both.
+	slab       []uint32
+	freeTables [secondClasses][]uint32
+	// freeFirst keeps one first-level array per size class
+	// (firstInit<<k slots) for reuse by growFirst and Reset.
+	freeFirst [][]firstEntry
 }
 
 // New builds a log holding capacityLines cachelines. trackData enables the
@@ -85,7 +107,8 @@ func New(capacityLines int, trackData bool) *Log {
 	l := &Log{
 		capacity: capacityLines,
 		lines:    make([]uint64, capacityLines),
-		first:    make([]firstEntry, 16),
+		first:    make([]firstEntry, firstInit),
+		index:    firstInit * firstSlotBytes,
 		track:    trackData,
 	}
 	if trackData {
@@ -126,7 +149,7 @@ func (l *Log) LiveLines() int {
 	n := 0
 	for i := range l.first {
 		if l.first[i].state == 1 {
-			n += l.first[i].second.used
+			n += int(l.first[i].used)
 		}
 	}
 	return n
@@ -136,16 +159,10 @@ func (l *Log) LiveLines() int {
 func (l *Log) PageCount() int { return l.firstLen }
 
 // IndexBytes returns the current index memory footprint: 16 B per
-// first-level slot plus 4 B per second-level slot (Fig. 12 sizes).
-func (l *Log) IndexBytes() int {
-	b := len(l.first) * 16
-	for i := range l.first {
-		if l.first[i].state == 1 {
-			b += len(l.first[i].second.slots) * 4
-		}
-	}
-	return b
-}
+// first-level slot plus 4 B per slot of every live second-level table
+// (Fig. 12 sizes). The count is maintained incrementally as tables are
+// added, resized and voided, so the call is O(1).
+func (l *Log) IndexBytes() int { return l.index }
 
 func hash64(x uint64) uint64 {
 	x ^= x >> 33
@@ -185,16 +202,65 @@ func (l *Log) findFirst(lpa uint64) (idx int, found bool) {
 
 func (l *Log) growFirst() {
 	old := l.first
-	l.first = make([]firstEntry, len(old)*2)
+	l.first = l.takeFirst(len(old) * 2)
+	l.index += len(old) * firstSlotBytes
 	l.firstLen = 0
 	l.tombs = 0
 	for i := range old {
 		if old[i].state == 1 {
 			idx, _ := l.findFirst(old[i].lpa)
-			l.first[idx] = firstEntry{lpa: old[i].lpa, second: old[i].second, state: 1}
+			l.first[idx] = old[i]
 			l.firstLen++
 		}
 	}
+	l.putFirst(old)
+}
+
+// takeFirst returns a zeroed first-level array of n slots (a power of
+// two from firstInit up), recycled when one is free.
+func (l *Log) takeFirst(n int) []firstEntry {
+	k := bits.TrailingZeros(uint(n / firstInit))
+	if k < len(l.freeFirst) && l.freeFirst[k] != nil {
+		f := l.freeFirst[k]
+		l.freeFirst[k] = nil
+		clear(f)
+		return f
+	}
+	return make([]firstEntry, n)
+}
+
+// putFirst keeps a first-level array for reuse. One array per size is
+// enough: the index holds one first-level table at a time.
+func (l *Log) putFirst(f []firstEntry) {
+	k := bits.TrailingZeros(uint(len(f) / firstInit))
+	for len(l.freeFirst) <= k {
+		l.freeFirst = append(l.freeFirst, nil)
+	}
+	l.freeFirst[k] = f
+}
+
+// table returns e's second-level table.
+func (l *Log) table(e *firstEntry) []uint32 {
+	return l.slab[e.base : e.base+secondInit<<e.class]
+}
+
+// takeTable returns the slab offset of an all-empty second-level table
+// of secondInit<<class slots, reusing a voided one when available.
+func (l *Log) takeTable(class uint8) uint32 {
+	n := uint32(secondInit) << class
+	var base uint32
+	if free := l.freeTables[class]; len(free) > 0 {
+		base = free[len(free)-1]
+		l.freeTables[class] = free[:len(free)-1]
+	} else {
+		base = uint32(len(l.slab))
+		l.slab = slices.Grow(l.slab, int(n))[:base+n]
+	}
+	t := l.slab[base : base+n]
+	for i := range t {
+		t[i] = emptyEntry
+	}
+	return base
 }
 
 // Append logs one cacheline write. line is the global cacheline number
@@ -223,78 +289,75 @@ func (l *Log) Append(line uint64, data []byte) {
 		if l.first[idx].state == 2 {
 			l.tombs--
 		}
-		l.first[idx] = firstEntry{lpa: lpa, second: &secondTable{slots: newSlots(secondInit)}, state: 1}
+		l.first[idx] = firstEntry{lpa: lpa, base: l.takeTable(0), state: 1}
+		l.index += secondInit * secondSlotBytes
 		l.firstLen++
 	}
-	st := l.first[idx].second
-	if st.insert(offset, slot) {
+	if l.insert(&l.first[idx], offset, slot) {
 		l.stats.Updates++
 	}
-	if ib := l.IndexBytes(); ib > l.stats.PeakIndex {
-		l.stats.PeakIndex = ib
+	if l.index > l.stats.PeakIndex {
+		l.stats.PeakIndex = l.index
 	}
 }
 
-func newSlots(n int) []uint32 {
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = emptyEntry
-	}
-	return s
-}
-
-// insert adds or updates the (offset → logOffset) entry, returning whether
-// an existing entry was superseded.
-func (st *secondTable) insert(offset, logOffset uint32) (updated bool) {
-	mask := uint32(len(st.slots) - 1)
+// insert adds or updates the (offset → logOffset) entry of e's table,
+// returning whether an existing entry was superseded.
+func (l *Log) insert(e *firstEntry, offset, logOffset uint32) (updated bool) {
+	t := l.table(e)
+	mask := uint32(len(t) - 1)
 	i := offset & mask
 	for {
-		e := st.slots[i]
-		if e == emptyEntry {
+		x := t[i]
+		if x == emptyEntry {
 			break
 		}
-		if e>>offsetShift == offset {
-			st.slots[i] = offset<<offsetShift | logOffset
+		if x>>offsetShift == offset {
+			t[i] = offset<<offsetShift | logOffset
 			return true
 		}
 		i = (i + 1) & mask
 	}
-	if (st.used+1)*loadDen > len(st.slots)*loadNum {
-		old := st.slots
-		st.slots = newSlots(len(old) * 2)
-		st.used = 0
-		for _, e := range old {
-			if e != emptyEntry {
-				st.place(e>>offsetShift, e)
+	if (int(e.used)+1)*loadDen > len(t)*loadNum {
+		// Double: a fresh table one class up, then void the old one. A
+		// slab that grows moves, but old still reads its prior contents.
+		old, oldBase, oldClass := t, e.base, e.class
+		e.base, e.class = l.takeTable(oldClass+1), oldClass+1
+		l.index += len(old) * secondSlotBytes
+		t = l.table(e)
+		for _, x := range old {
+			if x != emptyEntry {
+				place(t, x>>offsetShift, x)
 			}
 		}
+		l.freeTables[oldClass] = append(l.freeTables[oldClass], oldBase)
 	}
-	st.place(offset, offset<<offsetShift|logOffset)
+	place(t, offset, offset<<offsetShift|logOffset)
+	e.used++
 	return false
 }
 
 // place inserts an entry known to be absent, without load checks.
-func (st *secondTable) place(offset, entry uint32) {
-	mask := uint32(len(st.slots) - 1)
+func place(t []uint32, offset, entry uint32) {
+	mask := uint32(len(t) - 1)
 	i := offset & mask
-	for st.slots[i] != emptyEntry {
+	for t[i] != emptyEntry {
 		i = (i + 1) & mask
 	}
-	st.slots[i] = entry
-	st.used++
+	t[i] = entry
 }
 
-// lookup returns the log offset of a page offset.
-func (st *secondTable) lookup(offset uint32) (uint32, bool) {
-	mask := uint32(len(st.slots) - 1)
+// lookup returns the log offset of a page offset in table t.
+func lookup(t []uint32, offset uint32) (uint32, bool) {
+	mask := uint32(len(t) - 1)
 	i := offset & mask
 	for {
-		e := st.slots[i]
-		if e == emptyEntry {
+		x := t[i]
+		if x == emptyEntry {
 			return 0, false
 		}
-		if e>>offsetShift == offset {
-			return e & logOffsetMask, true
+		if x>>offsetShift == offset {
+			return x & logOffsetMask, true
 		}
 		i = (i + 1) & mask
 	}
@@ -308,7 +371,7 @@ func (l *Log) Lookup(line uint64) (data []byte, ok bool) {
 	if !found {
 		return nil, false
 	}
-	slot, ok := l.first[idx].second.lookup(uint32(line & mem.LineInPageMsk))
+	slot, ok := lookup(l.table(&l.first[idx]), uint32(line&mem.LineInPageMsk))
 	if !ok {
 		return nil, false
 	}
@@ -326,7 +389,7 @@ func (l *Log) Contains(line uint64) bool {
 	if !found {
 		return false
 	}
-	_, ok := l.first[idx].second.lookup(uint32(line & mem.LineInPageMsk))
+	_, ok := lookup(l.table(&l.first[idx]), uint32(line&mem.LineInPageMsk))
 	return ok
 }
 
@@ -342,27 +405,27 @@ func (l *Log) Pages() []uint64 {
 	return out
 }
 
-// PageLines returns the newest logged line entries of one page — the L4
-// second-level traversal that merges dirty lines during compaction.
-func (l *Log) PageLines(lpa uint64) []LineEntry {
+// AppendPageLines appends the newest logged line entries of one page to
+// dst and returns the extended slice — the L4 second-level traversal that
+// merges dirty lines during compaction. Callers pass a reused buffer
+// (dst[:0]) so the traversal allocates nothing.
+func (l *Log) AppendPageLines(dst []LineEntry, lpa uint64) []LineEntry {
 	idx, found := l.findFirst(lpa)
 	if !found {
-		return nil
+		return dst
 	}
-	st := l.first[idx].second
-	out := make([]LineEntry, 0, st.used)
-	for _, e := range st.slots {
-		if e == emptyEntry {
+	for _, x := range l.table(&l.first[idx]) {
+		if x == emptyEntry {
 			continue
 		}
-		le := LineEntry{Offset: uint(e >> offsetShift), LogOffset: e & logOffsetMask}
+		le := LineEntry{Offset: uint(x >> offsetShift), LogOffset: x & logOffsetMask}
 		if l.track {
 			off := int(le.LogOffset) * mem.LineBytes
 			le.Data = l.data[off : off+mem.LineBytes]
 		}
-		out = append(out, le)
+		dst = append(dst, le)
 	}
-	return out
+	return dst
 }
 
 // InvalidatePage voids the index entries of one page (§III-C: after a page
@@ -374,17 +437,28 @@ func (l *Log) InvalidatePage(lpa uint64) {
 	if !found {
 		return
 	}
-	l.first[idx] = firstEntry{state: 2}
+	e := &l.first[idx]
+	l.index -= secondInit << e.class * secondSlotBytes
+	l.freeTables[e.class] = append(l.freeTables[e.class], e.base)
+	*e = firstEntry{state: 2}
 	l.firstLen--
 	l.tombs++
 }
 
 // Reset clears the log for reuse as the fresh half of the double buffer
 // ("after compaction, we remove the indexing table and reclaim the memory
-// used by the previous log").
+// used by the previous log"). The modelled index shrinks back to its
+// initial 16 first-level slots; the Go memory behind it is kept for the
+// next fill.
 func (l *Log) Reset() {
 	l.len = 0
-	l.first = make([]firstEntry, 16)
+	l.putFirst(l.first)
+	l.first = l.takeFirst(firstInit)
+	l.index = firstInit * firstSlotBytes
+	l.slab = l.slab[:0]
+	for k := range l.freeTables {
+		l.freeTables[k] = l.freeTables[k][:0]
+	}
 	l.firstLen = 0
 	l.tombs = 0
 	l.stats.Resets++

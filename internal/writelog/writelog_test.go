@@ -84,7 +84,7 @@ func TestPagesAndPageLines(t *testing.T) {
 	if !seen[10] || !seen[20] {
 		t.Fatalf("pages = %v", pages)
 	}
-	lines := l.PageLines(10)
+	lines := l.AppendPageLines(nil, 10)
 	if len(lines) != 2 {
 		t.Fatalf("lines of page 10 = %+v", lines)
 	}
@@ -95,8 +95,8 @@ func TestPagesAndPageLines(t *testing.T) {
 	if !offs[0] || !offs[5] {
 		t.Fatalf("offsets = %v", offs)
 	}
-	if l.PageLines(99) != nil {
-		t.Fatal("lines of absent page should be nil")
+	if len(l.AppendPageLines(nil, 99)) != 0 {
+		t.Fatal("lines of absent page should be empty")
 	}
 }
 
@@ -169,7 +169,7 @@ func TestDenseSecondLevelResize(t *testing.T) {
 	for off := uint64(0); off < 64; off++ {
 		l.Append(lineOf(5, off), nil)
 	}
-	lines := l.PageLines(5)
+	lines := l.AppendPageLines(nil, 5)
 	if len(lines) != 64 {
 		t.Fatalf("dense page lines = %d, want 64", len(lines))
 	}
@@ -241,7 +241,7 @@ func TestAgainstModelMap(t *testing.T) {
 	}
 }
 
-// Property: PageLines returns exactly the model's lines for each page.
+// Property: AppendPageLines returns exactly the model's lines for each page.
 func TestPageLinesMatchModel(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := trace.NewRNG(seed)
@@ -257,7 +257,7 @@ func TestPageLinesMatchModel(t *testing.T) {
 			model[page][uint(off)] = true
 		}
 		for page, want := range model {
-			got := l.PageLines(page)
+			got := l.AppendPageLines(nil, page)
 			if len(got) != len(want) {
 				return false
 			}
@@ -274,9 +274,94 @@ func TestPageLinesMatchModel(t *testing.T) {
 	}
 }
 
+// indexBytesByDefinition recomputes the Fig. 12 index footprint from
+// the tables themselves: 16 B per first-level slot plus 4 B per slot of
+// every used second-level table.
+func indexBytesByDefinition(l *Log) int {
+	b := 16 * len(l.first)
+	for i := range l.first {
+		if l.first[i].state == 1 {
+			b += 4 * len(l.table(&l.first[i]))
+		}
+	}
+	return b
+}
+
+// Property: the incrementally maintained IndexBytes equals its
+// definition after every Append, InvalidatePage and Reset, and PeakIndex
+// is the running maximum over appends. The op mix forces first-level
+// growth (hundreds of pages), second-level doubling (dense pages), and
+// tombstones, so dropping any one update site of the counter fails.
+func TestIndexBytesMatchesDefinition(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := trace.NewRNG(seed)
+		l := New(2048, false)
+		peak := 0
+		for op := 0; op < 6000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 3 || l.Full():
+				l.Reset()
+			case r < 8:
+				l.InvalidatePage(rng.Uint64n(300))
+			default:
+				page := rng.Uint64n(300)
+				if r < 40 {
+					page = rng.Uint64n(8) // dense pages grow their second level
+				}
+				l.Append(lineOf(page, rng.Uint64n(64)), nil)
+				peak = max(peak, indexBytesByDefinition(l))
+			}
+			if l.IndexBytes() != indexBytesByDefinition(l) || l.Stats().PeakIndex != peak {
+				t.Logf("seed %d op %d: IndexBytes %d, definition %d; PeakIndex %d, running max %d",
+					seed, op, l.IndexBytes(), indexBytesByDefinition(l), l.Stats().PeakIndex, peak)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// After one fill-and-reset cycle has sized the recycled index memory, a
+// further identical cycle (appends until full, with some pages
+// invalidated as migrations would, then Reset) allocates nothing.
+func TestSteadyCycleAllocatesNothing(t *testing.T) {
+	const capLines = 4096
+	rng := trace.NewRNG(5)
+	lines := make([]uint64, capLines)
+	for i := range lines {
+		page := rng.Uint64n(1024)
+		if i%3 == 0 {
+			page = rng.Uint64n(16)
+		}
+		lines[i] = lineOf(page, rng.Uint64n(64))
+	}
+	l := New(capLines, true)
+	data := make([]byte, mem.LineBytes)
+	cycle := func() {
+		for i, line := range lines {
+			l.Append(line, data)
+			if i%97 == 0 {
+				l.InvalidatePage(line >> 6)
+			}
+		}
+		if !l.Full() {
+			t.Fatal("cycle did not fill the log")
+		}
+		l.Reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Fatalf("steady-state append/reset cycle made %.0f allocations, want 0", allocs)
+	}
+}
+
 func BenchmarkAppend(b *testing.B) {
 	l := New(1<<20, false)
 	rng := trace.NewRNG(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if l.Full() {
