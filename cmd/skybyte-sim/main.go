@@ -65,7 +65,7 @@ func main() {
 		threads   = flag.Int("threads", 0, "software threads (0 = paper default: 24 with context switch, 8 otherwise)")
 		instr     = flag.Uint64("instr", 16000, "instructions per thread")
 		seed      = flag.Uint64("seed", 1, "workload seed")
-		devices   = flag.Int("devices", 0, "wire a fleet of this many CXL-SSDs behind the placement layer (0 = the single-device machine; max 16); prints per-device fleet-dev rows")
+		devices   = flag.Int("devices", 0, "wire a fleet of this many CXL-SSDs behind the placement layer (0 or 1 = the single-device machine; max 16); a fleet of 2+ prints per-device fleet-dev rows")
 		placement = flag.String("placement", "", "with -devices >= 2: fleet placement policy (striped, capacity, hotcold; default striped)")
 		threshold = flag.Duration("cs-threshold", 2*time.Microsecond, "context-switch trigger threshold (artifact knob cs_threshold)")
 		policy    = flag.String("policy", "FAIRNESS", "scheduling policy: RR, RANDOM, FAIRNESS (artifact knob t_policy)")
@@ -173,16 +173,15 @@ func main() {
 		fail(err)
 	}
 	// Fleet flags reject unknown values upfront, listing the valid set
-	// (the same convention as -variant), before anything simulates.
+	// (the same convention as -variant), before anything simulates. A
+	// placement needs a fleet (-devices >= 2) to place across.
+	if *placement != "" && *devices < 2 {
+		fail(fmt.Errorf("-placement %q needs a fleet to place across; use -devices 2..%d", *placement, fleet.MaxDevices))
+	}
 	if *devices != 0 {
 		if err := fleet.Validate(*devices, *placement); err != nil {
 			fail(err)
 		}
-	} else if *placement != "" {
-		fail(fmt.Errorf("-placement %q requires -devices >= 2 (valid policies: %s)", *placement, strings.Join(fleet.PolicyNames(), ", ")))
-	}
-	if *placement != "" && *devices < 2 {
-		fail(fmt.Errorf("-placement %q needs a fleet to place across; use -devices 2..%d", *placement, fleet.MaxDevices))
 	}
 	if *timeline != "" && *telDur <= 0 {
 		fail(fmt.Errorf("-timeline records spans on the telemetry sampler; it requires -telemetry <cadence>"))

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -376,10 +375,10 @@ func runSmall(t *testing.T, variant system.Variant, totalInstr, seed uint64) *sy
 	return sys.Run()
 }
 
-// TestOpenLoopClassesSumToTotal: the per-class OpenStats are exact
-// splits — merging them reproduces the all-classes total bit for bit,
-// and the bookkeeping invariants (admitted >= completed, monotone
-// completion span) hold.
+// TestOpenLoopClassesSumToTotal: the per-class OpenStats carry their
+// bookkeeping invariants (admitted >= completed, monotone completion
+// span, offered rate, sojourn >= queue delay). That the classes merge
+// to the total is TestSplitsReconcile's (package skybyte).
 func TestOpenLoopClassesSumToTotal(t *testing.T) {
 	res := runSmall(t, system.SkyByteFull, 36_000, 11)
 	ol := res.OpenLoop
@@ -391,11 +390,6 @@ func TestOpenLoopClassesSumToTotal(t *testing.T) {
 	}
 	if ol.Total.Completed == 0 {
 		t.Fatal("no completed requests")
-	}
-	var merged = ol.Classes[0].Stats
-	merged.Merge(&ol.Classes[1].Stats)
-	if !reflect.DeepEqual(merged, ol.Total) {
-		t.Fatalf("class splits do not merge to the total:\nmerged %+v\ntotal  %+v", merged, ol.Total)
 	}
 	for _, cl := range ol.Classes {
 		if cl.Stats.Completed > cl.Stats.Admitted {

@@ -210,11 +210,3 @@ func (f *PageFrame) TouchWrite(lineIdx uint, data []byte) {
 		copy(f.Data[int(lineIdx)*mem.LineBytes:], data[:mem.LineBytes])
 	}
 }
-
-// ResetResidencyStats clears the per-residency masks after a flush so the
-// next flush reflects fresh dirtiness (Base-CSSD keeps the page resident
-// after writing it back).
-func (f *PageFrame) ResetDirty() {
-	f.Dirty = false
-	f.DirtyMsk = 0
-}

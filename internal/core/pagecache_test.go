@@ -75,10 +75,6 @@ func TestPageFrameTouchMasksAndData(t *testing.T) {
 	if f.AccCount != 2 {
 		t.Fatalf("AccCount = %d", f.AccCount)
 	}
-	f.ResetDirty()
-	if f.Dirty || f.DirtyMsk != 0 {
-		t.Fatal("ResetDirty incomplete")
-	}
 }
 
 func TestPageCacheDrop(t *testing.T) {

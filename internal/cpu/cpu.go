@@ -16,7 +16,6 @@ import (
 	"skybyte/internal/mem"
 	"skybyte/internal/osched"
 	"skybyte/internal/sim"
-	"skybyte/internal/stats"
 	"skybyte/internal/trace"
 )
 
@@ -91,18 +90,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates per-core measurements.
+// Stats aggregates per-core measurements. Where core time went
+// (boundedness), context switches and LLC misses are booked only on the
+// thread that incurred them (osched.Thread); the system totals are the
+// threads' accounts summed.
 type Stats struct {
-	Bound          stats.Boundedness
 	ExecutedInstrs uint64 // includes re-executed instructions
 	Loads          uint64
 	Stores         uint64
 	L1Hits         uint64
 	L2Hits         uint64
 	LLCHits        uint64
-	LLCMisses      uint64 // demand misses (loads and stores)
-	Switches       uint64 // context switches triggered on this core
-	HintSwitches   uint64 // switches caused by SkyByte-Delay (vs thread exit)
 	Writebacks     uint64
 	FinishedAt     sim.Time
 }
@@ -293,35 +291,26 @@ func (c *Core) Start() {
 
 // --- time accounting ---
 //
-// Every charge is double-booked: into the per-core totals (the system
-// Boundedness) and into the running thread's own accumulator (the
-// per-tenant split). Charges only ever occur while a thread occupies
-// the core — the one exception, the switch paid when a thread retires,
-// is attributed to the departing thread in finishThread — so the
-// thread-level accounts sum exactly to the core-level ones.
+// Every charge is booked once, into the running thread's own account;
+// the system Boundedness is the sum over threads. Charges only ever
+// occur while a thread occupies the core — the one exception, the
+// switch paid when a thread leaves the core, is charged to the
+// departing thread in switchOut — so every picosecond of accounted core
+// time lands on exactly one thread.
 
 func (c *Core) chargeCompute(d sim.Time) {
 	c.time += d
-	c.Stats.Bound.Compute += d
-	if c.thread != nil {
-		c.thread.Bound.Compute += d
-	}
+	c.thread.Bound.Compute += d
 }
 
 func (c *Core) chargeMem(d sim.Time) {
 	c.time += d
-	c.Stats.Bound.MemStall += d
-	if c.thread != nil {
-		c.thread.Bound.MemStall += d
-	}
+	c.thread.Bound.MemStall += d
 }
 
 func (c *Core) chargeCtx(d sim.Time) {
 	c.time += d
-	c.Stats.Bound.CtxSwitch += d
-	if c.thread != nil {
-		c.thread.Bound.CtxSwitch += d
-	}
+	c.thread.Bound.CtxSwitch += d
 }
 
 // advanceTo moves local time forward to t, booking the gap as memory stall.
@@ -373,18 +362,24 @@ func (c *Core) accrueRuntime() {
 }
 
 // parkThread takes the current open-loop thread off the core until its
-// gate's next arrival instant. Like finishThread, swapping a successor
-// in costs a context switch attributed to the departing thread.
+// gate's next arrival instant.
 func (c *Core) parkThread() {
 	t := c.thread
 	c.accrueRuntime()
 	c.thread = nil
 	c.sched.ScheduleRelease(t, t.Gate.NextArrival)
+	c.switchOut(t)
+}
+
+// switchOut pays the context switch that swaps a successor in after t
+// left the core (parked or retired), if one is runnable. t no longer
+// occupies the core, but its departure forced the switch, so the time
+// and the switch are t's.
+func (c *Core) switchOut(t *osched.Thread) {
 	if c.sched.Runnable() > 0 {
-		c.chargeCtx(c.sched.SwitchCost)
+		c.time += c.sched.SwitchCost
 		t.Bound.CtxSwitch += c.sched.SwitchCost
 		t.Switches++
-		c.Stats.Switches++
 	}
 }
 
@@ -402,15 +397,7 @@ func (c *Core) finishThread() {
 		c.OnThreadFinished(t, c.time)
 	}
 	c.thread = nil
-	// Swapping in the next thread costs a context switch, attributed to
-	// the thread whose exit forced it (t no longer occupies the core, so
-	// chargeCtx's thread-attribution must be done by hand).
-	if c.sched.Runnable() > 0 {
-		c.chargeCtx(c.sched.SwitchCost)
-		t.Bound.CtxSwitch += c.sched.SwitchCost
-		t.Switches++
-		c.Stats.Switches++
-	}
+	c.switchOut(t)
 }
 
 // --- the main loop ---
@@ -564,7 +551,6 @@ func (c *Core) load(a mem.Addr, idx uint64) {
 		c.installL1(a, false)
 		return
 	}
-	c.Stats.LLCMisses++
 	c.thread.LLCMisses++
 	// MSHR merge: a younger load to an in-flight line rides along with the
 	// existing entry and does not gate retirement separately.
@@ -599,7 +585,6 @@ func (c *Core) store(a mem.Addr) {
 		c.Stats.LLCHits++
 		return
 	}
-	c.Stats.LLCMisses++
 	c.thread.LLCMisses++
 	c.installL1(a, true)
 }
@@ -740,8 +725,6 @@ func (c *Core) ctxSwitch(oldest *missEntry) {
 	if c.OnCtxSwitch != nil {
 		c.OnCtxSwitch(c.ID, c.time)
 	}
-	c.Stats.Switches++
-	c.Stats.HintSwitches++
 	c.thread.Switches++
 	c.thread.HintSwitches++
 	c.accrueRuntime()

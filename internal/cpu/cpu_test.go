@@ -96,11 +96,11 @@ func TestComputeOnlyTiming(t *testing.T) {
 	c := r.cores[0]
 	// 4000 instructions at 4 IPC, 4 GHz = 1000 cycles = 250 ns.
 	want := sim.Time(4000) * c.perInstr
-	if c.Stats.Bound.Compute != want {
-		t.Fatalf("compute time = %v, want %v", c.Stats.Bound.Compute, want)
+	if th.Bound.Compute != want {
+		t.Fatalf("compute time = %v, want %v", th.Bound.Compute, want)
 	}
-	if c.Stats.Bound.MemStall != 0 {
-		t.Fatalf("unexpected memory stall %v", c.Stats.Bound.MemStall)
+	if th.Bound.MemStall != 0 {
+		t.Fatalf("unexpected memory stall %v", th.Bound.MemStall)
 	}
 	if !th.Finished {
 		t.Fatal("thread not finished")
@@ -125,8 +125,8 @@ func TestLoadMissStallsAndFills(t *testing.T) {
 		t.Fatalf("L1 hits = %d, want 1", c.Stats.L1Hits)
 	}
 	// 300 instructions overlap ~19ns of the 100ns miss; the rest stalls.
-	if c.Stats.Bound.MemStall < 50*sim.Nanosecond {
-		t.Fatalf("mem stall = %v, want >50ns", c.Stats.Bound.MemStall)
+	if th.Bound.MemStall < 50*sim.Nanosecond {
+		t.Fatalf("mem stall = %v, want >50ns", th.Bound.MemStall)
 	}
 }
 
@@ -181,10 +181,10 @@ func TestROBLimitsRunahead(t *testing.T) {
 		{Kind: trace.Compute, N: 200}, // crosses ROB boundary: waits
 		{Kind: trace.Compute, N: 100000},
 	}
-	r.run(thread(0, recs))
-	c := r.cores[0]
-	if c.Stats.Bound.MemStall < 9*sim.Microsecond {
-		t.Fatalf("mem stall %v: ROB failed to gate run-ahead", c.Stats.Bound.MemStall)
+	th := thread(0, recs)
+	r.run(th)
+	if th.Bound.MemStall < 9*sim.Microsecond {
+		t.Fatalf("mem stall %v: ROB failed to gate run-ahead", th.Bound.MemStall)
 	}
 }
 
@@ -195,14 +195,14 @@ func TestStoreDoesNotBlock(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		recs = append(recs, trace.Record{Kind: trace.Store, Addr: mem.Addr(0x100000 + i*64)})
 	}
-	r.run(thread(0, recs))
-	c := r.cores[0]
+	th := thread(0, recs)
+	r.run(th)
 	// Stores allocate without fetching: no backend reads, tiny exec time.
 	if len(r.be.reads) != 0 {
 		t.Fatalf("stores generated %d backend reads; write-validate expected", len(r.be.reads))
 	}
-	if c.Stats.Bound.MemStall > sim.Microsecond {
-		t.Fatalf("stores stalled the core: %v", c.Stats.Bound.MemStall)
+	if th.Bound.MemStall > sim.Microsecond {
+		t.Fatalf("stores stalled the core: %v", th.Bound.MemStall)
 	}
 }
 
@@ -233,10 +233,10 @@ func TestWritebackCreditBackpressure(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		recs = append(recs, trace.Record{Kind: trace.Store, Addr: mem.Addr(0x100000 + i*64)})
 	}
-	r.run(thread(0, recs))
-	c := r.cores[0]
-	if c.Stats.Bound.MemStall < 100*sim.Microsecond {
-		t.Fatalf("slow device writes did not backpressure the core (stall=%v)", c.Stats.Bound.MemStall)
+	th := thread(0, recs)
+	r.run(th)
+	if th.Bound.MemStall < 100*sim.Microsecond {
+		t.Fatalf("slow device writes did not backpressure the core (stall=%v)", th.Bound.MemStall)
 	}
 }
 
@@ -252,8 +252,7 @@ func TestHintTriggersContextSwitch(t *testing.T) {
 	})
 	t1 := thread(1, []trace.Record{{Kind: trace.Compute, N: 100000}})
 	r.run(t0, t1)
-	c := r.cores[0]
-	if c.Stats.HintSwitches == 0 {
+	if t0.HintSwitches+t1.HintSwitches == 0 {
 		t.Fatal("hint did not trigger a context switch")
 	}
 	if !t0.Finished || !t1.Finished {
@@ -262,8 +261,8 @@ func TestHintTriggersContextSwitch(t *testing.T) {
 	if t0.Switches == 0 {
 		t.Fatal("switched thread's counter not incremented")
 	}
-	if c.Stats.Bound.CtxSwitch < 2*sim.Microsecond {
-		t.Fatalf("switch cost not charged: %v", c.Stats.Bound.CtxSwitch)
+	if ctx := t0.Bound.CtxSwitch + t1.Bound.CtxSwitch; ctx < 2*sim.Microsecond {
+		t.Fatalf("switch cost not charged: %v", ctx)
 	}
 	// The faulting load must have been re-issued after resume.
 	n := 0
@@ -409,6 +408,12 @@ func TestVRuntimeAccrues(t *testing.T) {
 	}
 }
 
+// TestBoundednessAccountsAllTime: threads are the only record of where
+// core time went, so every charge must land on one. Summed over the
+// threads, Bound covers the core's whole timeline — for a lone
+// memory-bound thread, and for two threads trading the core on
+// SkyByte-Delay hints, where switch-outs charge a thread that has just
+// left the core.
 func TestBoundednessAccountsAllTime(t *testing.T) {
 	cfg := DefaultConfig()
 	r := newRig(1, cfg, sim.Microsecond)
@@ -420,12 +425,34 @@ func TestBoundednessAccountsAllTime(t *testing.T) {
 	th := thread(0, recs)
 	r.run(th)
 	c := r.cores[0]
-	total := c.Stats.Bound.Total()
-	if total != c.time {
+	if total := th.Bound.Total(); total != c.time {
 		t.Fatalf("boundedness total %v != core time %v", total, c.time)
 	}
-	if c.Stats.Bound.MemFrac() < 0.5 {
-		t.Fatalf("1µs misses every 100 instrs should be memory bound; frac=%v", c.Stats.Bound.MemFrac())
+	if th.Bound.MemFrac() < 0.5 {
+		t.Fatalf("1µs misses every 100 instrs should be memory bound; frac=%v", th.Bound.MemFrac())
+	}
+
+	// Two threads on one core, each hinted on its own slow loads.
+	r = newRig(1, cfg, 300*sim.Nanosecond)
+	r.be.hintOnce = true
+	var recs0, recs1 []trace.Record
+	for j := 0; j < 6; j++ {
+		a0, a1 := mem.Addr(0x200000+j*4096), mem.Addr(0x800000+j*4096)
+		r.be.hintAddrs[a0], r.be.hintAddrs[a1] = true, true
+		recs0 = append(recs0, trace.Record{Kind: trace.Load, Addr: a0}, trace.Record{Kind: trace.Compute, N: 400})
+		recs1 = append(recs1, trace.Record{Kind: trace.Load, Addr: a1}, trace.Record{Kind: trace.Compute, N: 400})
+	}
+	t0, t1 := thread(0, recs0), thread(1, recs1)
+	r.run(t0, t1)
+	c = r.cores[0]
+	if !t0.Finished || !t1.Finished {
+		t.Fatal("threads did not finish")
+	}
+	if t0.HintSwitches == 0 || t1.HintSwitches == 0 {
+		t.Fatalf("hint switches %d/%d: both threads must be switched out on a hint", t0.HintSwitches, t1.HintSwitches)
+	}
+	if total := t0.Bound.Total() + t1.Bound.Total(); total != c.time {
+		t.Fatalf("Σ thread boundedness %v != core time %v", total, c.time)
 	}
 }
 

@@ -55,10 +55,9 @@ func (h *Harness) figFleet(p *Plan) func() Table {
 		pend      *Pending
 	}
 	var cells []cell
-	// The K=1 baseline is planned once per workload x variant — every
-	// placement policy is the identity on a fleet of one (and hotcold
-	// requires a cold tier), so distinct placement rows would re-run the
-	// same machine under different keys.
+	// The K=1 baseline is the single-device machine, planned once per
+	// workload x variant with no placement (a placement needs a fleet to
+	// place across).
 	base := make(map[string]*Pending)
 	for _, w := range h.figFleetWorkloads() {
 		for _, v := range figFleetVariants {
@@ -73,9 +72,6 @@ func (h *Harness) figFleet(p *Plan) func() Table {
 					continue
 				}
 				for _, placement := range h.Opt.FleetPlacements {
-					if placement == string(fleet.HotCold) && k < 2 {
-						continue
-					}
 					pend := p.Add(runner.Spec{
 						Workload: w, Variant: v, TotalInstr: h.Opt.SweepInstr,
 						Devices: k, Placement: placement,

@@ -19,8 +19,8 @@ type ArrivalSource interface {
 // next request only when its arrival instant (drawn from Src) has
 // passed, parking the thread off-core until then. Completed requests
 // record sojourn latency (completion − arrival, so queueing behind the
-// client's own backlog counts) into the SLO-class and system-total
-// accumulators.
+// client's own backlog counts) into the SLO class's accumulator, the
+// only place they are booked (the all-classes total merges the classes).
 //
 // All mutation happens on the owning System's event loop; a Gate needs
 // no locking.
@@ -28,8 +28,7 @@ type Gate struct {
 	Src      ArrivalSource
 	ReqInstr uint64
 	Class    int              // SLO-class index (system.DeclareSLOClasses order)
-	Stats    *stats.OpenStats // per-class accumulator (may be nil)
-	Total    *stats.OpenStats // system-wide accumulator (may be nil)
+	Stats    *stats.OpenStats // the SLO class's accumulator (may be nil)
 
 	// NextArrival is the arrival instant of the next not-yet-admitted
 	// request. AdmittedUntil is the instruction-index boundary of the
@@ -56,7 +55,7 @@ type Gate struct {
 }
 
 // NewGate builds a gate over src and draws the first arrival instant.
-func NewGate(src ArrivalSource, reqInstr uint64, class int, cls, total *stats.OpenStats) *Gate {
+func NewGate(src ArrivalSource, reqInstr uint64, class int, cls *stats.OpenStats) *Gate {
 	if reqInstr == 0 {
 		panic("osched: gate with zero request size")
 	}
@@ -65,7 +64,6 @@ func NewGate(src ArrivalSource, reqInstr uint64, class int, cls, total *stats.Op
 		ReqInstr:    reqInstr,
 		Class:       class,
 		Stats:       cls,
-		Total:       total,
 		NextArrival: src.Next(),
 	}
 }
@@ -93,13 +91,8 @@ func (g *Gate) Admit(now sim.Time, record bool) {
 	if g.Track != nil {
 		g.Track.Inflight++
 	}
-	if record {
-		if g.Stats != nil {
-			g.Stats.Admitted++
-		}
-		if g.Total != nil {
-			g.Total.Admitted++
-		}
+	if record && g.Stats != nil {
+		g.Stats.Admitted++
 	}
 	g.AdmittedUntil += g.ReqInstr
 	g.NextArrival = g.Src.Next()
@@ -145,9 +138,6 @@ func (g *Gate) Complete(now sim.Time) {
 	}
 	if g.Stats != nil {
 		g.Stats.Observe(now, lat, g.curDelay)
-	}
-	if g.Total != nil {
-		g.Total.Observe(now, lat, g.curDelay)
 	}
 }
 

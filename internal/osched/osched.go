@@ -37,9 +37,10 @@ type Thread struct {
 	// VRuntime accumulates received execution time for the CFS policy.
 	VRuntime sim.Time
 	// Bound accumulates where this thread's core time went while it was
-	// scheduled (the per-tenant split of the Figs. 4/10 accounting). The
-	// CPU charges it alongside the per-core totals, so summing Bound
-	// over all threads reproduces the system Boundedness exactly.
+	// scheduled (the Figs. 4/10 accounting). The CPU books core time
+	// only here, so the system Boundedness is Bound summed over all
+	// threads; Switches, HintSwitches and LLCMisses are likewise the
+	// only record of their counts.
 	Bound stats.Boundedness
 	// Switches counts context switches this thread experienced — both
 	// SkyByte-Delay exceptions and the switch paid when the thread
@@ -171,12 +172,6 @@ func (h *cfsHeap) Pop() interface{} {
 	return t
 }
 
-// Stats counts scheduler activity.
-type Stats struct {
-	Switches uint64 // context switches performed (thread replaced on a core)
-	Enqueues uint64
-}
-
 // Scheduler owns the run queue shared by all cores. A core that goes idle
 // registers a waiter and is woken when a thread becomes runnable.
 type Scheduler struct {
@@ -184,16 +179,12 @@ type Scheduler struct {
 	policy     Policy
 	SwitchCost sim.Time // Table II: 2 µs
 	waiters    []func()
-	stats      Stats
 }
 
 // New builds a scheduler with the given policy.
 func New(eng *sim.Engine, policy Policy, switchCost sim.Time) *Scheduler {
 	return &Scheduler{eng: eng, policy: policy, SwitchCost: switchCost}
 }
-
-// Stats returns a copy of the counters.
-func (s *Scheduler) Stats() Stats { return s.stats }
 
 // Policy returns the active policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
@@ -209,7 +200,6 @@ func (s *Scheduler) Waiting() int { return len(s.waiters) }
 // run queue in OS, allowing it to be scheduled again later"). Idle cores
 // are woken.
 func (s *Scheduler) Enqueue(t *Thread) {
-	s.stats.Enqueues++
 	t.Enqueues++
 	s.policy.Enqueue(t)
 	if len(s.waiters) > 0 {
@@ -228,7 +218,6 @@ func (s *Scheduler) Pick() *Thread { return s.policy.Pick() }
 // If the queue is empty the current thread is handed back (a switch to
 // yourself — the cost is still paid, as the exception already fired).
 func (s *Scheduler) Switch(current *Thread) *Thread {
-	s.stats.Switches++
 	if current != nil {
 		s.Enqueue(current)
 	}

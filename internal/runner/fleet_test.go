@@ -15,19 +15,28 @@ func fleetSpec(workload string, v system.Variant, devices int, placement string)
 
 // TestKeyFleetSegment pins the fleet key-derivation scheme (DESIGN.md
 // §9): Devices=0 keys are byte-identical to the pre-fleet format (a
-// warm store stays warm across the upgrade), an unset placement keys as
+// warm store stays warm across the upgrade), Devices=1 is that same
+// single-device machine under the same key, an unset placement keys as
 // striped (the resolved default — the same machine must not get two
 // cache identities), and changing only the placement policy re-keys.
 func TestKeyFleetSegment(t *testing.T) {
+	r := testRunner(1)
 	legacy := spec("bc", system.BaseCSSD)
 	if strings.Contains(legacy.Key(), "fleet=") {
 		t.Fatalf("Devices=0 key grew a fleet segment: %q", legacy.Key())
+	}
+	one := legacy
+	one.Devices = 1
+	if strings.Contains(one.Key(), "fleet=") {
+		t.Fatalf("Devices=1 key grew a fleet segment: %q", one.Key())
+	}
+	if r.Key(one) != r.Key(legacy) {
+		t.Fatalf("Devices=1 keyed %q, Devices=0 %q: one machine, two keys", r.Key(one), r.Key(legacy))
 	}
 	k2 := fleetSpec("bc", system.BaseCSSD, 2, "striped")
 	if !strings.Contains(k2.Key(), "|fleet=2:striped|") {
 		t.Fatalf("fleet key = %q, want a |fleet=2:striped| segment", k2.Key())
 	}
-	r := testRunner(1)
 	if fleetSpec("bc", system.BaseCSSD, 2, "").Key() != k2.Key() || r.Key(fleetSpec("bc", system.BaseCSSD, 2, "")) != r.Key(k2) {
 		t.Fatal("unset placement and explicit striped keyed differently for the same machine")
 	}
@@ -42,13 +51,15 @@ func TestKeyFleetSegment(t *testing.T) {
 }
 
 // TestFleetPlacementRequiresDevices pins the key-soundness guard: a
-// placement without a device count would not fold into the key, so the
-// runner must reject it rather than alias two machines onto one store
-// entry.
+// placement without a fleet (Devices < 2) would not fold into the key,
+// so the runner must reject it rather than alias two machines onto one
+// store entry.
 func TestFleetPlacementRequiresDevices(t *testing.T) {
 	r := testRunner(1)
-	if _, err := r.Run(context.Background(), fleetSpec("bc", system.BaseCSSD, 0, "striped")); err == nil {
-		t.Fatal("placement without devices accepted")
+	for _, devices := range []int{0, 1} {
+		if _, err := r.Run(context.Background(), fleetSpec("bc", system.BaseCSSD, devices, "striped")); err == nil {
+			t.Fatalf("placement on %d devices accepted", devices)
+		}
 	}
 	if _, err := r.Run(context.Background(), fleetSpec("bc", system.BaseCSSD, 99, "")); err == nil {
 		t.Fatal("out-of-range device count accepted")

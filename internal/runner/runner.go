@@ -242,13 +242,15 @@ func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
 // applyFleet validates a spec's fleet axis and threads it, placement
 // resolved, into the run config (after Mutate, so spec-level
 // Devices/Placement always win over mutation side effects). Specs
-// without a fleet axis leave the config untouched.
+// without a fleet axis — Devices 0 or 1, the single-device machine —
+// leave the config untouched.
 func applyFleet(cfg *system.Config, spec Spec) error {
-	if spec.Devices == 0 {
-		// A placement without a fleet would be ignored by the machine.
-		if spec.Placement != "" {
-			return fmt.Errorf("runner: spec placement %q requires Devices >= 1", spec.Placement)
-		}
+	if spec.Placement != "" && spec.Devices < 2 {
+		// One device has nothing to place across: the machine would
+		// ignore the placement.
+		return fmt.Errorf("runner: spec placement %q requires Devices >= 2", spec.Placement)
+	}
+	if spec.Devices == 0 || spec.Devices == 1 {
 		return nil
 	}
 	if err := fleet.Validate(spec.Devices, spec.Placement); err != nil {

@@ -61,11 +61,12 @@ type Spec struct {
 	// (ThreadsFor) resolved after Mutate has run — or, for a mix or an
 	// arrival spec, its declared total.
 	Threads int
-	// Devices, when > 0, engages the fleet layer with that many SSD
+	// Devices, when >= 2, engages the fleet layer with that many SSD
 	// backends (system.Config.Devices); Placement names the fleet
-	// placement policy ("" = striped). Both fold into the key, so a
-	// placement change re-keys exactly the fleet design points; 0 adds
-	// no fleet segment.
+	// placement policy ("" = striped) and needs Devices >= 2. Both fold
+	// into the key, so a placement change re-keys exactly the fleet
+	// design points. 0 and 1 are the single-device machine: one key, no
+	// fleet segment.
 	Devices   int
 	Placement string
 	// Mutate adjusts the variant config before the run (nil for none).
@@ -98,11 +99,11 @@ func (s Spec) Key() string {
 		name = "mix:" + s.Mix
 	}
 	// Fleet specs insert a |fleet=K:policy segment before the source
-	// digest; the segment is omitted entirely for Devices == 0. The
+	// digest; single-device specs (Devices 0 or 1) have none. The
 	// empty placement renders as its resolved default ("striped"), so ""
 	// and "striped" share one cache entry — they run the same machine.
 	fleetSeg := ""
-	if s.Devices > 0 {
+	if s.Devices >= 2 {
 		placement := s.Placement
 		if placement == "" {
 			placement = string(fleet.Striped)

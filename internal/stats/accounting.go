@@ -1,6 +1,10 @@
 package stats
 
-import "skybyte/internal/sim"
+import (
+	"reflect"
+
+	"skybyte/internal/sim"
+)
 
 // Boundedness accumulates where core time goes: executing instructions,
 // stalled on memory, or context switching (Figs. 4 and 10). Times are summed
@@ -39,13 +43,6 @@ func (b Boundedness) CtxFrac() float64 {
 		return 0
 	}
 	return float64(b.CtxSwitch) / float64(t)
-}
-
-// Add merges another accumulator into b.
-func (b *Boundedness) Add(o Boundedness) {
-	b.Compute += o.Compute
-	b.MemStall += o.MemStall
-	b.CtxSwitch += o.CtxSwitch
 }
 
 // RequestClass classifies an off-chip memory request the way Fig. 16 does.
@@ -206,4 +203,33 @@ func (f *FlashTraffic) TotalPrograms() uint64 {
 // TotalReads returns all flash page reads.
 func (f *FlashTraffic) TotalReads() uint64 {
 	return f.HostReads + f.PrefetchReads + f.CompactReads + f.GCReads
+}
+
+// Sum adds every field of *src into the same field of *dst. T must be
+// built only of integer fields (sim.Time included), possibly nested in
+// arrays and structs — the shape of every counter set here and in the
+// device packages; any other field kind panics. It is how a total is
+// derived from its splits: one part at a time, with no per-type
+// field lists to keep in step. Sum does not allocate.
+func Sum[T any](dst, src *T) {
+	sumValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
+}
+
+func sumValue(d, s reflect.Value) {
+	switch d.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		d.SetInt(d.Int() + s.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		d.SetUint(d.Uint() + s.Uint())
+	case reflect.Array:
+		for i := 0; i < d.Len(); i++ {
+			sumValue(d.Index(i), s.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < d.NumField(); i++ {
+			sumValue(d.Field(i), s.Field(i))
+		}
+	default:
+		panic("stats: Sum over a non-integer field of type " + d.Type().String())
+	}
 }

@@ -221,10 +221,46 @@ func TestBoundedness(t *testing.T) {
 	if zero.MemFrac() != 0 {
 		t.Fatal("zero boundedness should have 0 fractions")
 	}
-	b.Add(Boundedness{Compute: 75})
-	if b.Compute != 100 {
-		t.Fatal("Add")
+	Sum(&b, &Boundedness{Compute: 75})
+	if b.Compute != 100 || b.MemStall != 50 {
+		t.Fatal("Sum")
 	}
+}
+
+// TestSum pins the generic split merge: every integer field, nested
+// arrays and structs included, adds; other field kinds panic; and a
+// merge allocates nothing.
+func TestSum(t *testing.T) {
+	type nested struct {
+		N    uint64
+		Arr  [2]sim.Time
+		Bnd  Boundedness
+		Tiny int8
+	}
+	a := &nested{N: 1, Arr: [2]sim.Time{2, 3}, Bnd: Boundedness{Compute: 4}, Tiny: 5}
+	b := &nested{N: 10, Arr: [2]sim.Time{20, 30}, Bnd: Boundedness{MemStall: 40, CtxSwitch: 1}, Tiny: -1}
+	Sum(a, b)
+	want := nested{N: 11, Arr: [2]sim.Time{22, 33}, Bnd: Boundedness{Compute: 4, MemStall: 40, CtxSwitch: 1}, Tiny: 4}
+	if *a != want {
+		t.Fatalf("Sum = %+v, want %+v", *a, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Sum(a, b) }); allocs != 0 {
+		t.Fatalf("Sum allocated %v times per call", allocs)
+	}
+	var ft, one FlashTraffic
+	one.HostReads, one.LinesCoalesced = 1, 2
+	Sum(&ft, &one)
+	Sum(&ft, &one)
+	if ft.HostReads != 2 || ft.LinesCoalesced != 4 {
+		t.Fatalf("FlashTraffic sum = %+v", ft)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Sum over a float field did not panic")
+		}
+	}()
+	type withFloat struct{ F float64 }
+	Sum(&withFloat{}, &withFloat{F: 1})
 }
 
 func TestRequestBreakdown(t *testing.T) {

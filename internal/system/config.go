@@ -149,10 +149,10 @@ type Config struct {
 	// Fleet (DESIGN.md §9). Devices, when >= 2, wires that many
 	// independent controller+FTL+flash+write-log backends behind the
 	// shared CXL link, with Placement naming the fleet.Policy that maps
-	// logical pages to devices ("" = striped). Zero (the default) keeps
-	// the single-device machine bit-identical to pre-fleet builds;
-	// Devices == 1 runs the same single-device timing but reports the
-	// per-device Result section. Placement requires Devices >= 2.
+	// logical pages to devices ("" = striped). Zero (the default) and one
+	// are the same single-device machine, bit-identical to pre-fleet
+	// builds and with no per-device Result section. Placement requires
+	// Devices >= 2.
 	Devices   int
 	Placement string
 

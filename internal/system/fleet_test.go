@@ -3,6 +3,8 @@ package system
 import (
 	"testing"
 
+	"skybyte/internal/core"
+	"skybyte/internal/sim"
 	"skybyte/internal/trace"
 )
 
@@ -27,10 +29,11 @@ func runFleet(t *testing.T, cfg Config, threads int, perThread uint64, stream fu
 	return r
 }
 
-// TestFleetDeviceSplitsSumToTotals is the fleet accounting contract
-// (DESIGN.md §9): every summable counter in the per-device section adds
-// up exactly to the run's fleet totals — reads, programs, erases, the
-// FTL and cache counters, and the owned-page/inbound placement tallies.
+// TestFleetDeviceSplitsSumToTotals pins the fleet section's shape
+// (DESIGN.md §9) under every policy: one row per device, the resolved
+// placement name, and placement that actually spreads pages. That the
+// rows sum to the fleet totals is TestSplitsReconcile's (package
+// skybyte).
 func TestFleetDeviceSplitsSumToTotals(t *testing.T) {
 	mk := func(i int) trace.Stream { return scatterStream(uint64(i)+1, 32768, 0.3, 16) }
 	for _, tc := range []struct {
@@ -48,31 +51,6 @@ func TestFleetDeviceSplitsSumToTotals(t *testing.T) {
 		if res.Placement != wantPolicy {
 			t.Fatalf("k=%d/%s: Placement = %q", tc.devices, tc.placement, res.Placement)
 		}
-		var reads, programs, erases, userProg, gcProg, hits, misses uint64
-		var busy int64
-		for _, d := range res.Devices {
-			reads += d.Traffic.TotalReads()
-			programs += d.Traffic.TotalPrograms()
-			erases += d.FlashStats.Erases
-			userProg += d.FTLStats.UserPrograms
-			gcProg += d.FTLStats.GCPrograms
-			hits += d.CacheStats.Hits
-			misses += d.CacheStats.Misses
-			busy += int64(d.FlashStats.BusyTime)
-		}
-		if reads != res.Traffic.TotalReads() || programs != res.Traffic.TotalPrograms() {
-			t.Errorf("k=%d/%s: device traffic %d/%d != totals %d/%d",
-				tc.devices, tc.placement, reads, programs, res.Traffic.TotalReads(), res.Traffic.TotalPrograms())
-		}
-		if erases != res.FlashStats.Erases || busy != int64(res.FlashStats.BusyTime) {
-			t.Errorf("k=%d/%s: flash splits do not reconcile", tc.devices, tc.placement)
-		}
-		if userProg != res.FTLStats.UserPrograms || gcProg != res.FTLStats.GCPrograms {
-			t.Errorf("k=%d/%s: FTL splits do not reconcile", tc.devices, tc.placement)
-		}
-		if hits != res.CacheStats.Hits || misses != res.CacheStats.Misses {
-			t.Errorf("k=%d/%s: cache splits do not reconcile", tc.devices, tc.placement)
-		}
 		// Placement actually spread work: more than one device owns pages
 		// (hotcold concentrates flash traffic but still stripes cold pages).
 		owners := 0
@@ -87,28 +65,27 @@ func TestFleetDeviceSplitsSumToTotals(t *testing.T) {
 	}
 }
 
-// TestFleetOfOneMatchesLegacy pins the fleet-of-one contract: Devices=1
-// is the same machine as the legacy Devices=0 config — identical timing
-// and traffic — plus a one-row per-device section.
+// TestFleetOfOneMatchesLegacy pins the fleet-of-one identity: Devices=1
+// is the single-device machine of Devices=0 — the same Result, byte for
+// byte, with no per-device section. (The runner keys both alike;
+// TestKeyFleetSegment.)
 func TestFleetOfOneMatchesLegacy(t *testing.T) {
 	mk := func(i int) trace.Stream { return synthStream(uint64(i)+1, 8192, 0.3, 32) }
 	legacy := runFleet(t, fleetConfigOf(SkyByteFull, 0, ""), 4, 10000, mk)
 	one := runFleet(t, fleetConfigOf(SkyByteFull, 1, ""), 4, 10000, mk)
-	if legacy.Devices != nil {
-		t.Fatalf("legacy config grew a Devices section: %+v", legacy.Devices)
+	if one.Devices != nil || one.Placement != "" {
+		t.Fatalf("fleet of one grew a fleet section: %d rows, placement %q", len(one.Devices), one.Placement)
 	}
-	if len(one.Devices) != 1 || one.Placement != "striped" {
-		t.Fatalf("fleet-of-one section = %d rows, placement %q", len(one.Devices), one.Placement)
+	a, err := EncodeResult(legacy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if legacy.ExecTime != one.ExecTime || legacy.Instructions != one.Instructions {
-		t.Fatalf("fleet-of-one diverged from legacy: exec %v vs %v", one.ExecTime, legacy.ExecTime)
+	b, err := EncodeResult(one)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if legacy.Traffic != one.Traffic {
-		t.Fatalf("fleet-of-one flash traffic diverged: %+v vs %+v", one.Traffic, legacy.Traffic)
-	}
-	d := one.Devices[0]
-	if d.Traffic != one.Traffic || d.FlashStats != one.FlashStats {
-		t.Fatal("fleet-of-one device row does not equal the totals")
+	if string(a) != string(b) {
+		t.Fatal("Devices=1 and Devices=0 encode different Results")
 	}
 }
 
@@ -133,19 +110,32 @@ func TestFleetDeterminism(t *testing.T) {
 
 // TestFleetHotColdMigrates drives a tiny hot set through the hotcold
 // policy: the hot pages must cross into the hot tier (FleetMigrations
-// > 0) and the run must stay fully accounted afterwards.
+// > 0). TestSplitsReconcile (package skybyte) checks that a migrating
+// hotcold fleet stays fully accounted.
 func TestFleetHotColdMigrates(t *testing.T) {
 	mk := func(i int) trace.Stream { return hotStream(uint64(i)+1, 24) }
 	res := runFleet(t, fleetConfigOf(BaseCSSD, 4, "hotcold"), 4, 8000, mk)
 	if res.FleetMigrations == 0 {
 		t.Fatal("hot pages never migrated to the hot tier")
 	}
-	var reads uint64
-	for _, d := range res.Devices {
-		reads += d.Traffic.TotalReads()
+}
+
+// TestFleetPageCacheProbePoolsDevices: the fleet-wide
+// pagecache.hit_ratio probe pools every device's hits and misses
+// (DESIGN.md §9) rather than reading device 0's cache alone.
+func TestFleetPageCacheProbePoolsDevices(t *testing.T) {
+	cfg := fleetConfigOf(SkyByteFull, 2, "")
+	cfg.TelemetryCadence = sim.Microsecond
+	s := New(cfg)
+	s.devs[0].ctrl.Cache().Stats = core.PageCacheStats{Misses: 4}
+	s.devs[1].ctrl.Cache().Stats = core.PageCacheStats{Hits: 12}
+	res := s.Run() // no threads: the sampler takes one tick and stops
+	ser := res.Telemetry.SeriesByName("pagecache.hit_ratio")
+	if ser == nil || len(ser.Points) == 0 {
+		t.Fatal("no pagecache.hit_ratio samples")
 	}
-	if reads != res.Traffic.TotalReads() {
-		t.Fatalf("splits do not reconcile after migration: %d vs %d", reads, res.Traffic.TotalReads())
+	if got := ser.Points[0].Last; got != 0.75 {
+		t.Fatalf("pagecache.hit_ratio = %v, want 0.75 (12 hits of 16 accesses over both devices)", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"skybyte/internal/cpu"
 	"skybyte/internal/cxl"
 	"skybyte/internal/flash"
-	"skybyte/internal/fleet"
 	"skybyte/internal/ftl"
 	"skybyte/internal/sim"
 	"skybyte/internal/stats"
@@ -59,16 +58,16 @@ type Result struct {
 
 	// Tenants carries the per-tenant accounting of a multi-tenant run
 	// (DeclareTenants), in tenant declaration order; nil for solo runs.
-	// Each tenant's counters are exact splits of the whole-system
-	// measurements above: instructions, boundedness, request classes,
-	// context switches, LLC misses, and write-log activity all sum to
-	// the system totals (TestTenantStatsSumToSystemTotals).
+	// The whole-system measurements above are the tenants' merged —
+	// instructions, boundedness, request classes, read latencies,
+	// context switches, hints, LLC misses — so every split sums to its
+	// total by construction (TestSplitsReconcile).
 	Tenants []TenantResult `json:",omitempty"`
 
 	// OpenLoop carries the per-SLO-class request accounting of an
 	// arrival-driven run (DeclareSLOClasses + AttachGate); nil for
-	// closed-loop runs. Class splits merge exactly into Total
-	// (TestOpenLoopClassesSumToTotal).
+	// closed-loop runs. Total is the classes merged
+	// (TestSplitsReconcile).
 	OpenLoop *OpenLoopResult `json:",omitempty"`
 
 	// Telemetry carries the sampled probe time-series (and, for
@@ -80,13 +79,12 @@ type Result struct {
 	Telemetry *telemetry.Snapshot `json:",omitempty"`
 
 	// Devices carries the per-device accounting of a fleet run
-	// (Config.Devices >= 1), in device order; nil for legacy
-	// single-device configs (Devices == 0). The summable counters —
-	// flash traffic, FTL/flash/cache/compaction stats, log index peaks —
-	// are exact splits of the whole-system fields above
-	// (TestFleetDeviceSplitsSumToTotals); Placement names the resolved
-	// placement policy and FleetMigrations counts hot/cold inter-device
-	// page transfers.
+	// (Config.Devices >= 2), in device order; nil for the single-device
+	// machine (Devices 0 or 1). The device-side fields above — flash
+	// traffic, FTL/flash/cache/compaction stats, log index peaks — are
+	// the devices' summed (TestSplitsReconcile); Placement names the
+	// resolved placement policy and FleetMigrations counts hot/cold
+	// inter-device page transfers.
 	Devices         []DeviceResult `json:",omitempty"`
 	Placement       string         `json:",omitempty"`
 	FleetMigrations uint64         `json:",omitempty"`
@@ -115,8 +113,7 @@ type DeviceResult struct {
 	LogIndexPeak     int
 	FlashUtilization float64
 
-	// Port is the device's downstream CXL attachment traffic. Zero in a
-	// fleet of one, where bytes move on the shared host link alone.
+	// Port is the device's downstream CXL attachment traffic.
 	Port cxl.Stats
 }
 
@@ -197,107 +194,65 @@ func (r *Result) Speedup(base *Result) float64 {
 	return float64(base.ExecTime) / float64(r.ExecTime)
 }
 
+// collect assembles the Result. Every measurement lives in one part —
+// a tenant part and its threads, a device, an SLO class — and each
+// whole-system total is its parts merged, so splits and totals cannot
+// drift apart (TestSplitsReconcile). Solo runs have one tenant part and
+// single-device runs one device; their sections are omitted.
 func (s *System) collect() *Result {
-	r := &Result{Variant: s.cfg.Name, ExecTime: s.lastDone}
-	var instr uint64
-	for _, t := range s.threads {
-		instr += t.Progress
+	r := &Result{Variant: s.cfg.Name, FlashLat: s.flashLat, Migration: s.migr}
+	tenants := s.collectTenants()
+	for i := range tenants {
+		tr := &tenants[i]
+		if tr.ExecTime > r.ExecTime {
+			r.ExecTime = tr.ExecTime
+		}
+		r.Instructions += tr.Instructions
+		stats.Sum(&r.Bound, &tr.Bound)
+		stats.Sum(&r.Breakdown, &tr.Breakdown)
+		stats.Sum(&r.AMAT, &tr.AMAT)
+		r.ReadLat.Merge(&tr.ReadLat)
+		r.CtxSwitches += tr.CtxSwitches
+		r.HintSwitches += tr.HintSwitches
+		r.HintsSent += tr.HintsSent
+		r.LLCMisses += tr.LLCMisses
 	}
-	r.Instructions = instr
-
-	for _, c := range s.cores {
-		r.Bound.Add(c.Stats.Bound)
-		r.CtxSwitches += c.Stats.Switches
-		r.HintSwitches += c.Stats.HintSwitches
-		r.LLCMisses += c.Stats.LLCMisses
+	if r.Instructions > 0 {
+		r.MPKI = float64(r.LLCMisses) / float64(r.Instructions) * 1000
 	}
-	if instr > 0 {
-		r.MPKI = float64(r.LLCMisses) / float64(instr) * 1000
+	if len(s.tenantInfo) > 0 {
+		r.Tenants = tenants
 	}
 
-	r.Breakdown = s.breakdown
-	r.AMAT = s.amat
-	r.ReadLat = s.readLat
-	r.FlashLat = s.flashLat
-	r.HintsSent = s.hints
-	r.Migration = s.migr
-
-	// Device-side accounting. Every backend contributes one DeviceResult
-	// and its counters accumulate into the whole-system fields, so the
-	// per-device splits reconcile to the fleet totals exactly, by
-	// construction (TestFleetDeviceSplitsSumToTotals pins this). The
-	// single-device machine is the same loop over one backend, producing
-	// the identical totals it always has.
-	devResults := make([]DeviceResult, len(s.devs))
+	devices := make([]DeviceResult, len(s.devs))
 	var utilSum float64
-	for i, d := range s.devs {
-		dr := &devResults[i]
-		dr.Device = i
-		dfs := d.fl.Stats()
-		dr.Traffic = d.ctrl.Traffic
-		dr.Traffic.GCReads = dfs.GCReads
-		dr.Traffic.GCPrograms = dfs.GCPrograms
-		dr.Traffic.Erases = dfs.Erases
-		dr.Traffic.GCInvocations = dfs.GCInvocations
-		dr.FTLStats = dfs
-		dr.FlashStats = d.arr.Stats()
-		dr.CacheStats = d.ctrl.Cache().Stats
-		dr.Compaction = d.ctrl.Compaction
-		if logs := d.ctrl.Logs(); logs[0] != nil {
-			dr.LogIndexPeak = logs[0].Stats().PeakIndex + logs[1].Stats().PeakIndex
-		}
-		dr.FlashUtilization = d.arr.Utilization()
-		utilSum += dr.FlashUtilization
-		if d.port != nil {
-			dr.Port = d.port.Stats()
-		}
-		if s.placer != nil {
-			dr.Pages = s.placer.Pages(i)
-			dr.Inbound = s.placer.Inbound(i)
-		}
-
-		addFlashTraffic(&r.Traffic, &dr.Traffic)
-		r.FTLStats.UserPrograms += dfs.UserPrograms
-		r.FTLStats.GCPrograms += dfs.GCPrograms
-		r.FTLStats.GCReads += dfs.GCReads
-		r.FTLStats.Erases += dfs.Erases
-		r.FTLStats.GCInvocations += dfs.GCInvocations
-		r.FlashStats.Reads += dr.FlashStats.Reads
-		r.FlashStats.Programs += dr.FlashStats.Programs
-		r.FlashStats.Erases += dr.FlashStats.Erases
-		r.FlashStats.BusyTime += dr.FlashStats.BusyTime
-		r.CacheStats.Hits += dr.CacheStats.Hits
-		r.CacheStats.Misses += dr.CacheStats.Misses
-		r.CacheStats.Inserts += dr.CacheStats.Inserts
-		r.CacheStats.Evictions += dr.CacheStats.Evictions
-		r.CacheStats.DirtyEvs += dr.CacheStats.DirtyEvs
-		r.Compaction.Count += dr.Compaction.Count
-		r.Compaction.TotalTime += dr.Compaction.TotalTime
-		r.Compaction.Pages += dr.Compaction.Pages
+	for i := range s.devs {
+		devices[i] = s.collectDevice(i)
+		dr := &devices[i]
+		stats.Sum(&r.Traffic, &dr.Traffic)
+		stats.Sum(&r.FTLStats, &dr.FTLStats)
+		stats.Sum(&r.FlashStats, &dr.FlashStats)
+		stats.Sum(&r.CacheStats, &dr.CacheStats)
+		stats.Sum(&r.Compaction, &dr.Compaction)
 		r.LogIndexPeak += dr.LogIndexPeak
-	}
-	r.LinkStats = s.link.Stats()
-	if secs := s.lastDone.Seconds(); secs > 0 {
-		r.SSDBandwidthBps = float64(r.LinkStats.ToDeviceBytes+r.LinkStats.ToHostBytes) / secs
+		utilSum += dr.FlashUtilization
 	}
 	r.FlashUtilization = utilSum / float64(len(s.devs))
+	if s.placer != nil {
+		r.Devices = devices
+		r.Placement = string(s.placer.Policy())
+		r.FleetMigrations = s.placer.Migrations()
+	}
+
+	r.LinkStats = s.link.Stats()
+	if secs := r.ExecTime.Seconds(); secs > 0 {
+		r.SSDBandwidthBps = float64(r.LinkStats.ToDeviceBytes+r.LinkStats.ToHostBytes) / secs
+	}
 	if s.cfg.TrackLocality {
-		r.ReadLocality = s.ctrl.Cache().ReadLocality.CDF()
-		r.WriteLocality = s.ctrl.WriteLocality.CDF()
+		ctrl := s.devs[0].ctrl
+		r.ReadLocality = ctrl.Cache().ReadLocality.CDF()
+		r.WriteLocality = ctrl.WriteLocality.CDF()
 	}
-	// The per-device section appears only when the config engaged the
-	// fleet layer (Devices >= 1); legacy configs keep the pre-fleet
-	// Result shape byte for byte.
-	if s.cfg.Devices > 0 {
-		r.Devices = devResults
-		if s.placer != nil {
-			r.Placement = string(s.placer.Policy())
-			r.FleetMigrations = s.placer.Migrations()
-		} else {
-			r.Placement = string(fleet.Striped)
-		}
-	}
-	s.collectTenants(r)
 	s.collectOpenLoop(r)
 	if s.tel != nil {
 		r.Telemetry = s.tel.Snapshot()
@@ -305,84 +260,85 @@ func (s *System) collect() *Result {
 	return r
 }
 
-// collectOpenLoop assembles the per-SLO-class section of an
-// arrival-driven run.
-func (s *System) collectOpenLoop(r *Result) {
-	if len(s.sloInfo) == 0 {
-		return
-	}
-	ol := &OpenLoopResult{Classes: make([]SLOClassResult, len(s.sloInfo)), Total: s.openTotal}
-	for i, info := range s.sloInfo {
-		ol.Classes[i] = SLOClassResult{Name: info.Name, OfferedRPS: info.OfferedRPS, Stats: s.sloStats[i]}
-	}
-	r.OpenLoop = ol
-}
-
-// collectTenants assembles the per-tenant Result slice of a declared
-// multi-tenant run from the per-thread scheduler accounting, the
-// per-tenant request-path accumulators, and the controller's tenant
-// write accounting.
-// addFlashTraffic accumulates one device's merged flash traffic into
-// the fleet total, field by field.
-func addFlashTraffic(dst, src *stats.FlashTraffic) {
-	dst.HostReads += src.HostReads
-	dst.PrefetchReads += src.PrefetchReads
-	dst.CompactReads += src.CompactReads
-	dst.GCReads += src.GCReads
-	dst.HostPrograms += src.HostPrograms
-	dst.CompactWrites += src.CompactWrites
-	dst.GCPrograms += src.GCPrograms
-	dst.DemoteWrites += src.DemoteWrites
-	dst.Erases += src.Erases
-	dst.GCInvocations += src.GCInvocations
-	dst.LinesAbsorbed += src.LinesAbsorbed
-	dst.LinesCoalesced += src.LinesCoalesced
-}
-
-func (s *System) collectTenants(r *Result) {
-	if len(s.tenantInfo) == 0 {
-		return
-	}
-	// Per-tenant write-log accounting sums elementwise across the fleet:
-	// a tenant's lines may land on any device its pages map to.
-	tlog := s.ctrl.TenantLog()
-	for _, d := range s.devs[1:] {
-		for i, tl := range d.ctrl.TenantLog() {
-			for i >= len(tlog) {
-				tlog = append(tlog, core.TenantLogStats{})
-			}
-			tlog[i].LinesAbsorbed += tl.LinesAbsorbed
-			tlog[i].StalledWrites += tl.StalledWrites
-			tlog[i].RMWFetches += tl.RMWFetches
+// collectTenants returns one TenantResult per tenant part: the part's
+// request-path measurements, its threads' scheduler and core-time
+// accounts, and its write-log activity summed over every device its
+// pages map to.
+func (s *System) collectTenants() []TenantResult {
+	tenants := make([]TenantResult, len(s.parts))
+	for i := range tenants {
+		tr, p := &tenants[i], &s.parts[i]
+		if i < len(s.tenantInfo) {
+			info := s.tenantInfo[i]
+			tr.Name, tr.Workload, tr.Threads = info.Name, info.Workload, info.Threads
 		}
+		tr.ExecTime = p.done
+		tr.Breakdown = p.breakdown
+		tr.AMAT = p.amat
+		tr.ReadLat = p.readLat
+		tr.HintsSent = p.hints
 	}
-	r.Tenants = make([]TenantResult, len(s.tenantInfo))
-	for i, info := range s.tenantInfo {
-		tr := &r.Tenants[i]
-		tr.Name, tr.Workload, tr.Threads = info.Name, info.Workload, info.Threads
-		tr.ExecTime = s.tenantDone[i]
-		tr.Breakdown = s.tenantBreak[i]
-		tr.AMAT = s.tenantAMAT[i]
-		tr.ReadLat = s.tenantReadLat[i]
-		tr.HintsSent = s.tenantHints[i]
-		if i < len(tlog) {
-			tr.Log = tlog[i]
+	for _, d := range s.devs {
+		tlog := d.ctrl.TenantLog()
+		for i := range tlog {
+			stats.Sum(&tenants[i].Log, &tlog[i])
 		}
 	}
 	for _, t := range s.threads {
-		tr := &r.Tenants[t.Tenant]
+		tr := &tenants[t.Tenant]
 		tr.Instructions += t.Progress
-		tr.Bound.Add(t.Bound)
+		stats.Sum(&tr.Bound, &t.Bound)
 		tr.CtxSwitches += t.Switches
 		tr.HintSwitches += t.HintSwitches
 		tr.Enqueues += t.Enqueues
 		tr.LLCMisses += t.LLCMisses
 	}
-	for i := range r.Tenants {
-		if tr := &r.Tenants[i]; tr.Instructions > 0 {
+	for i := range tenants {
+		if tr := &tenants[i]; tr.Instructions > 0 {
 			tr.MPKI = float64(tr.LLCMisses) / float64(tr.Instructions) * 1000
 		}
 	}
+	return tenants
+}
+
+// collectDevice returns device i's share of the run.
+func (s *System) collectDevice(i int) DeviceResult {
+	d := s.devs[i]
+	dr := DeviceResult{Device: i, FTLStats: d.fl.Stats()}
+	dr.Traffic = d.ctrl.Traffic
+	dr.Traffic.GCReads = dr.FTLStats.GCReads
+	dr.Traffic.GCPrograms = dr.FTLStats.GCPrograms
+	dr.Traffic.Erases = dr.FTLStats.Erases
+	dr.Traffic.GCInvocations = dr.FTLStats.GCInvocations
+	dr.FlashStats = d.arr.Stats()
+	dr.CacheStats = d.ctrl.Cache().Stats
+	dr.Compaction = d.ctrl.Compaction
+	if logs := d.ctrl.Logs(); logs[0] != nil {
+		dr.LogIndexPeak = logs[0].Stats().PeakIndex + logs[1].Stats().PeakIndex
+	}
+	dr.FlashUtilization = d.arr.Utilization()
+	if d.port != nil {
+		dr.Port = d.port.Stats()
+	}
+	if s.placer != nil {
+		dr.Pages = s.placer.Pages(i)
+		dr.Inbound = s.placer.Inbound(i)
+	}
+	return dr
+}
+
+// collectOpenLoop assembles the per-SLO-class section of an
+// arrival-driven run; the total is the classes merged.
+func (s *System) collectOpenLoop(r *Result) {
+	if len(s.sloInfo) == 0 {
+		return
+	}
+	ol := &OpenLoopResult{Classes: make([]SLOClassResult, len(s.sloInfo))}
+	for i, info := range s.sloInfo {
+		ol.Classes[i] = SLOClassResult{Name: info.Name, OfferedRPS: info.OfferedRPS, Stats: s.sloStats[i]}
+		ol.Total.Merge(&s.sloStats[i])
+	}
+	r.OpenLoop = ol
 }
 
 var _ cpu.Backend = (*System)(nil)

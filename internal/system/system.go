@@ -51,24 +51,15 @@ type System struct {
 
 	// The device backends (DESIGN.md §9). Single-device runs — the
 	// default, Config.Devices <= 1 — wire exactly one and leave placer
-	// nil, so every request path short-circuits to devs[0] through the
-	// aliases below with no fleet overhead. Fleet runs (Devices >= 2)
-	// route each logical page through placer to its owning device, whose
-	// downstream port serializes transfers behind the shared host link.
+	// nil, so every request path short-circuits to devs[0] with no fleet
+	// overhead. Fleet runs (Devices >= 2) route each logical page
+	// through placer to its owning device, whose downstream port
+	// serializes transfers behind the shared host link.
 	devs   []*device
 	placer *fleet.Placer
 
-	// Aliases of devs[0]'s components, kept because the single-device
-	// hot paths (and the Controller/FTL/Flash accessors plus most tests)
-	// address one device.
-	ssdDRAM *dram.DRAM
-	arr     *flash.Array
-	fl      *ftl.FTL
-	ctrl    *core.Controller
-
 	threads  []*osched.Thread
 	finished int
-	lastDone sim.Time
 
 	// Tiering state.
 	promoted  map[uint64][]byte // lpa -> host copy (payload nil unless tracking)
@@ -80,29 +71,22 @@ type System struct {
 	promoteQ  []uint64
 	promoting bool
 
-	// Measurements.
-	breakdown stats.RequestBreakdown
-	amat      stats.AMAT
-	readLat   stats.LatencyHist
-	flashLat  stats.LatencyHist
-	migr      MigrationStats
-	hints     uint64
+	// Measurements. Each request-path measurement is booked once, into
+	// the issuing tenant's part; a solo run has exactly one part, and
+	// collect derives the whole-system totals by merging them.
+	parts    []tenantPart
+	flashLat stats.LatencyHist
+	migr     MigrationStats
 
-	// Per-tenant measurement state of a multi-tenant run
-	// (DeclareTenants); all nil/empty in solo runs, in which case the
-	// request paths skip tenant attribution entirely.
-	tenantInfo    []TenantInfo
-	tenantBreak   []stats.RequestBreakdown
-	tenantAMAT    []stats.AMAT
-	tenantReadLat []stats.LatencyHist
-	tenantHints   []uint64
-	tenantDone    []sim.Time
+	// The tenant groups of a multi-tenant run (DeclareTenants), one per
+	// part; nil in solo runs, whose Result carries no Tenants section.
+	tenantInfo []TenantInfo
 
 	// Open-loop measurement state (DeclareSLOClasses); empty in
-	// closed-loop runs.
-	sloInfo   []SLOClass
-	sloStats  []stats.OpenStats
-	openTotal stats.OpenStats
+	// closed-loop runs. The all-classes total is merged from the
+	// classes at collect.
+	sloInfo  []SLOClass
+	sloStats []stats.OpenStats
 
 	// Transaction pools for the hot request paths (see the readTxn
 	// comment below).
@@ -178,10 +162,7 @@ func (s *System) getReadTxn() *readTxn {
 	}
 	x.hintFn = func(est sim.Time) {
 		sys := x.s
-		sys.hints++
-		if len(sys.tenantHints) > 0 {
-			sys.tenantHints[x.req.Tenant]++
-		}
+		sys.parts[x.req.Tenant].hints++
 		sys.sendToHost(x.lpa, cxl.HeaderBytes, x.hintArrive)
 	}
 	x.hintArrive = func() {
@@ -345,6 +326,18 @@ type TenantInfo struct {
 	Threads  int
 }
 
+// tenantPart is one tenant group's share of the request-path
+// measurements: its off-chip request classes, demand-access AMAT
+// components, read latencies and SkyByte-Delay hints, plus the instant
+// its last thread retired.
+type tenantPart struct {
+	breakdown stats.RequestBreakdown
+	amat      stats.AMAT
+	readLat   stats.LatencyHist
+	hints     uint64
+	done      sim.Time
+}
+
 type astriFetch struct{ writeAccepts []func() }
 
 // device is one SSD backend of the machine: its controller DRAM, flash
@@ -370,7 +363,7 @@ type device struct {
 // same contract as WithVariant on an unknown variant: callers taking
 // external input validate first with fleet.Validate or fleet.ParsePolicy.
 func New(cfg Config) *System {
-	s := &System{cfg: cfg, promoted: make(map[uint64][]byte)}
+	s := &System{cfg: cfg, promoted: make(map[uint64][]byte), parts: make([]tenantPart, 1)}
 	s.link = cxl.New(&s.Eng, cfg.Link)
 	s.hostDRAM = dram.New(&s.Eng, cfg.HostDRAM)
 
@@ -400,7 +393,6 @@ func New(cfg Config) *System {
 		}
 		s.devs[i] = d
 	}
-	s.ssdDRAM, s.arr, s.fl, s.ctrl = s.devs[0].ssdDRAM, s.devs[0].arr, s.devs[0].fl, s.devs[0].ctrl
 
 	s.sched = osched.New(&s.Eng, osched.NewPolicy(cfg.Policy, cfg.PolicySeed), cfg.CtxSwitchCost)
 	s.llc = cachesim.New(cachesim.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays})
@@ -449,13 +441,13 @@ func (s *System) initPromotionPool() {
 // Controller exposes the SSD controller (traffic counters, compaction and
 // locality statistics). In a fleet run this is device 0's controller;
 // per-device accounting flows through Result.Devices.
-func (s *System) Controller() *core.Controller { return s.ctrl }
+func (s *System) Controller() *core.Controller { return s.devs[0].ctrl }
 
 // FTL exposes the translation layer (device 0's in a fleet run).
-func (s *System) FTL() *ftl.FTL { return s.fl }
+func (s *System) FTL() *ftl.FTL { return s.devs[0].fl }
 
 // Flash exposes the array (device 0's in a fleet run).
-func (s *System) Flash() *flash.Array { return s.arr }
+func (s *System) Flash() *flash.Array { return s.devs[0].arr }
 
 // Devices returns the number of wired SSD backends (1 unless the fleet
 // layer is on).
@@ -480,20 +472,19 @@ func (s *System) AddThread(stream trace.Stream, totalInstr uint64) *osched.Threa
 
 // DeclareTenants switches the system into multi-tenant accounting:
 // each subsequent AddThreadFor call attributes its thread to one of the
-// declared groups, the request paths split their measurements per
-// group, and Run's Result carries a Tenants slice in declaration
-// order. Call once, before any threads are added.
+// declared groups, the request paths book their measurements into that
+// group's part, and Run's Result carries a Tenants slice in declaration
+// order. Call once, with at least one group, before any threads are
+// added.
 func (s *System) DeclareTenants(infos []TenantInfo) {
 	if len(s.threads) > 0 || len(s.tenantInfo) > 0 {
 		panic("system: DeclareTenants must be called once, before AddThread")
 	}
+	if len(infos) == 0 {
+		panic("system: DeclareTenants needs at least one tenant group")
+	}
 	s.tenantInfo = append([]TenantInfo(nil), infos...)
-	n := len(s.tenantInfo)
-	s.tenantBreak = make([]stats.RequestBreakdown, n)
-	s.tenantAMAT = make([]stats.AMAT, n)
-	s.tenantReadLat = make([]stats.LatencyHist, n)
-	s.tenantHints = make([]uint64, n)
-	s.tenantDone = make([]sim.Time, n)
+	s.parts = make([]tenantPart, len(infos))
 }
 
 // SLOClass names one open-loop service class and its analytically
@@ -534,7 +525,7 @@ func (s *System) AttachGate(t *osched.Thread, class int, src osched.ArrivalSourc
 	if class < 0 || class >= len(s.sloInfo) {
 		panic("system: AttachGate class index out of range (call DeclareSLOClasses first)")
 	}
-	t.Gate = osched.NewGate(src, reqInstr, class, &s.sloStats[class], &s.openTotal)
+	t.Gate = osched.NewGate(src, reqInstr, class, &s.sloStats[class])
 	if s.tel != nil {
 		t.Gate.Track = s.classTracks[class]
 		if s.telSpans != nil {
@@ -547,7 +538,7 @@ func (s *System) AttachGate(t *osched.Thread, class int, src osched.ArrivalSourc
 // AddThreadFor is AddThread with an explicit tenant group index
 // (0 <= tenant < len of the DeclareTenants slice; 0 when none declared).
 func (s *System) AddThreadFor(tenant int, stream trace.Stream, totalInstr uint64) *osched.Thread {
-	if len(s.tenantInfo) > 0 && (tenant < 0 || tenant >= len(s.tenantInfo)) {
+	if tenant < 0 || tenant >= len(s.parts) {
 		panic("system: AddThreadFor tenant index out of range")
 	}
 	t := &osched.Thread{
@@ -562,11 +553,8 @@ func (s *System) AddThreadFor(tenant int, stream trace.Stream, totalInstr uint64
 
 func (s *System) onThreadFinished(t *osched.Thread, at sim.Time) {
 	s.finished++
-	if at > s.lastDone {
-		s.lastDone = at
-	}
-	if len(s.tenantDone) > 0 && at > s.tenantDone[t.Tenant] {
-		s.tenantDone[t.Tenant] = at
+	if p := &s.parts[t.Tenant]; at > p.done {
+		p.done = at
 	}
 }
 
@@ -608,7 +596,7 @@ func cxlPage(a mem.Addr) uint64   { return cxlOffset(a) >> mem.PageShift }
 // layer is off, the placer's pick otherwise.
 func (s *System) ctrlFor(lpa uint64) *core.Controller {
 	if s.placer == nil {
-		return s.ctrl
+		return s.devs[0].ctrl
 	}
 	return s.devs[s.placer.Device(lpa)].ctrl
 }
@@ -712,26 +700,19 @@ func (s *System) fleetMigrate(m fleet.Migration) {
 
 // --- measurement recording ---
 
-// recordRead books one completed off-chip read into the system
-// accumulators and, in a multi-tenant run, the issuing tenant's slice.
+// recordRead books one completed off-chip read into the issuing
+// tenant's part.
 func (s *System) recordRead(tenant int, lat sim.Time, class stats.RequestClass, parts [5]sim.Time) {
-	s.readLat.Observe(lat)
-	s.breakdown.Inc(class)
-	s.amat.AddAccess(parts)
-	if len(s.tenantInfo) > 0 {
-		s.tenantReadLat[tenant].Observe(lat)
-		s.tenantBreak[tenant].Inc(class)
-		s.tenantAMAT[tenant].AddAccess(parts)
-	}
+	p := &s.parts[tenant]
+	p.readLat.Observe(lat)
+	p.breakdown.Inc(class)
+	p.amat.AddAccess(parts)
 }
 
 // recordClass books one classified request without latency components
 // (the write paths).
 func (s *System) recordClass(tenant int, class stats.RequestClass) {
-	s.breakdown.Inc(class)
-	if len(s.tenantInfo) > 0 {
-		s.tenantBreak[tenant].Inc(class)
-	}
+	s.parts[tenant].breakdown.Inc(class)
 }
 
 // --- cpu.Backend ---

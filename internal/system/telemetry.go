@@ -17,10 +17,9 @@ import (
 func (s *System) setupTelemetry() {
 	tel := s.tel
 
-	// Fleet runs average write-log occupancy across every device's log
-	// pair; a fleet of one reduces to the original single-device series,
-	// value for value.
-	if logs := s.ctrl.Logs(); logs[0] != nil {
+	// Write-log occupancy averages across every device's log pair; on
+	// one device it is that device's series, value for value.
+	if logs := s.devs[0].ctrl.Logs(); logs[0] != nil {
 		devs := s.devs
 		tel.Register("writelog.occupancy", func() float64 {
 			var sum float64
@@ -33,12 +32,16 @@ func (s *System) setupTelemetry() {
 	}
 	// Hit ratios are windowed: each sample differences the cumulative
 	// counters against the previous tick, so the series shows the ratio
-	// of that cadence window, not the run-to-date average.
-	pc := s.ctrl.Cache()
+	// of that cadence window, not the run-to-date average. The page-cache
+	// ratio pools every device's hits and misses.
 	var pcHits, pcAcc uint64
 	tel.Register("pagecache.hit_ratio", func() float64 {
-		st := pc.Stats
-		hits, acc := st.Hits, st.Hits+st.Misses
+		var hits, acc uint64
+		for _, d := range s.devs {
+			st := d.ctrl.Cache().Stats
+			hits += st.Hits
+			acc += st.Hits + st.Misses
+		}
 		dh, da := hits-pcHits, acc-pcAcc
 		pcHits, pcAcc = hits, acc
 		if da == 0 {
@@ -98,10 +101,7 @@ func (s *System) setupTelemetry() {
 	// Per-tenant in-flight backend requests (reads and writebacks
 	// between backend entry and completion); solo runs count as one
 	// tenant group 0.
-	n := len(s.tenantInfo)
-	if n == 0 {
-		n = 1
-	}
+	n := len(s.parts)
 	s.telInflight = make([]int, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("tenant.%d.inflight", i)

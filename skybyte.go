@@ -84,7 +84,7 @@ type Result = system.Result
 type System = system.System
 
 // DeviceResult is one device's share of a fleet run's accounting; it
-// rides in Result.Devices when Config.Devices >= 1 and its summable
+// rides in Result.Devices when Config.Devices >= 2 and its summable
 // counters add up exactly to the fleet totals (DESIGN.md §9).
 type DeviceResult = system.DeviceResult
 

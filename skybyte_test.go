@@ -2,15 +2,18 @@ package skybyte_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"skybyte"
 	"skybyte/internal/runner"
+	"skybyte/internal/stats"
 	"skybyte/internal/system"
 	"skybyte/internal/trace"
 	"skybyte/internal/traceimport"
@@ -369,77 +372,196 @@ func TestRunnerMatchesDirectCalls(t *testing.T) {
 	}
 }
 
-// TestTenantStatsSumToSystemTotals is the per-tenant accounting
-// contract: every split measurement — instructions, boundedness,
-// request classes, read-latency samples, context switches, hints, LLC
-// misses, log lines — sums exactly to the whole-system totals, on the
-// fullest design point (context switches + write log + migration all
-// active).
+// TestTenantStatsSumToSystemTotals runs a mix on the fullest design
+// point (context switches + write log + migration all active) and pins
+// that it exercises the paths the per-tenant split divides: context
+// switches and write-log activity. The sums themselves are
+// TestSplitsReconcile's.
 func TestTenantStatsSumToSystemTotals(t *testing.T) {
 	m, err := skybyte.MixByName("graph-vs-log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []skybyte.Variant{skybyte.BaseCSSD, skybyte.SkyByteFull} {
-		cfg := skybyte.ScaledConfig().WithVariant(v)
-		res, err := skybyte.RunMix(cfg, m, 128_000, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var (
-			instr, ctx, hintSw, hints, llc, readN, logLines, stalls uint64
-			bound                                                   = res.Bound
-			breakdown                                               = res.Breakdown
-		)
-		for _, tr := range res.Tenants {
-			instr += tr.Instructions
-			ctx += tr.CtxSwitches
-			hintSw += tr.HintSwitches
-			hints += tr.HintsSent
-			llc += tr.LLCMisses
-			readN += tr.ReadLat.Count()
-			logLines += tr.Log.LinesAbsorbed
-			stalls += tr.Log.StalledWrites
-			bound.Compute -= tr.Bound.Compute
-			bound.MemStall -= tr.Bound.MemStall
-			bound.CtxSwitch -= tr.Bound.CtxSwitch
-			for c, n := range tr.Breakdown.Counts {
-				breakdown.Counts[c] -= n
+	res, err := skybyte.RunMix(skybyte.ScaledConfig().WithVariant(skybyte.SkyByteFull), m, 128_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tenants) != len(m.Tenants) {
+		t.Fatalf("%d tenant rows, want %d", len(res.Tenants), len(m.Tenants))
+	}
+	if res.CtxSwitches == 0 || res.Traffic.LinesAbsorbed == 0 {
+		t.Errorf("test exercised no switches/log activity (ctx=%d lines=%d)", res.CtxSwitches, res.Traffic.LinesAbsorbed)
+	}
+}
+
+// TestSplitsReconcile is the one reconciliation contract for every
+// split a Result carries: tenant rows against the system totals, device
+// rows against the fleet totals, and SLO-class stats against
+// OpenLoop.Total. A split field is matched to its total by name, so a
+// counter added to a split is reconciled as soon as its total exists.
+// A solo run books into one tenant part and one device and reports
+// neither section.
+func TestSplitsReconcile(t *testing.T) {
+	full := skybyte.ScaledConfig().WithVariant(skybyte.SkyByteFull)
+	ycsb, err := skybyte.WorkloadByName("ycsb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := skybyte.MixByName("graph-vs-log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := skybyte.ArrivalByName("open-steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srad, err := skybyte.WorkloadByName("srad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A small write log makes the fleet compact as well as migrate.
+	fleet := full
+	fleet.Devices, fleet.Placement, fleet.WriteLogBytes = 4, "hotcold", 16<<10
+	for _, tc := range []struct {
+		name                      string
+		run                       func() (*skybyte.Result, error)
+		tenants, devices, classes int
+	}{
+		{"solo", func() (*skybyte.Result, error) { return skybyte.Run(full, ycsb, 8, 6000, 1), nil }, 0, 0, 0},
+		{"mix", func() (*skybyte.Result, error) { return skybyte.RunMix(full, mix, 96_000, 1) }, 2, 0, 0},
+		{"arrival", func() (*skybyte.Result, error) { return skybyte.RunArrival(full, arr, 72_000, 1, 1) }, 2, 0, 2},
+		{"fleet", func() (*skybyte.Result, error) { return skybyte.Run(fleet, srad, 8, 40_000, 1), nil }, 0, 4, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if instr != res.Instructions {
-			t.Errorf("%s: tenant instructions sum %d != system %d", v, instr, res.Instructions)
-		}
-		if ctx != res.CtxSwitches {
-			t.Errorf("%s: tenant ctx switches sum %d != system %d", v, ctx, res.CtxSwitches)
-		}
-		if hintSw != res.HintSwitches {
-			t.Errorf("%s: tenant hint switches sum %d != system %d", v, hintSw, res.HintSwitches)
-		}
-		if hints != res.HintsSent {
-			t.Errorf("%s: tenant hints sum %d != system %d", v, hints, res.HintsSent)
-		}
-		if llc != res.LLCMisses {
-			t.Errorf("%s: tenant LLC misses sum %d != system %d", v, llc, res.LLCMisses)
-		}
-		if readN != res.ReadLat.Count() {
-			t.Errorf("%s: tenant read samples sum %d != system %d", v, readN, res.ReadLat.Count())
-		}
-		if logLines != res.Traffic.LinesAbsorbed {
-			t.Errorf("%s: tenant log lines sum %d != system %d", v, logLines, res.Traffic.LinesAbsorbed)
-		}
-		if bound.Compute != 0 || bound.MemStall != 0 || bound.CtxSwitch != 0 {
-			t.Errorf("%s: tenant boundedness does not sum to system totals (residual %+v)", v, bound)
-		}
-		for c, n := range breakdown.Counts {
-			if n != 0 {
-				t.Errorf("%s: request class %d residual %d after tenant subtraction", v, c, n)
+			classes := 0
+			if res.OpenLoop != nil {
+				classes = len(res.OpenLoop.Classes)
 			}
+			if len(res.Tenants) != tc.tenants || len(res.Devices) != tc.devices || classes != tc.classes {
+				t.Fatalf("%d tenant, %d device, %d class rows; want %d, %d, %d",
+					len(res.Tenants), len(res.Devices), classes, tc.tenants, tc.devices, tc.classes)
+			}
+			reconcile(t, res, res.Tenants)
+			reconcile(t, res, res.Devices)
+			if tc.devices > 0 && (res.Compaction.Count == 0 || res.FleetMigrations == 0) {
+				t.Errorf("fleet ran %d compactions and %d migrations; the case needs both",
+					res.Compaction.Count, res.FleetMigrations)
+			}
+			if ol := res.OpenLoop; ol != nil {
+				var splits []stats.OpenStats
+				for _, c := range ol.Classes {
+					splits = append(splits, c.Stats)
+				}
+				reconcile(t, &ol.Total, splits)
+			}
+			// The tenant write-log split has no same-named total.
+			if len(res.Tenants) > 0 {
+				var lines uint64
+				for _, tr := range res.Tenants {
+					lines += tr.Log.LinesAbsorbed
+				}
+				if lines != res.Traffic.LinesAbsorbed {
+					t.Errorf("tenant log lines sum %d != system %d", lines, res.Traffic.LinesAbsorbed)
+				}
+			}
+		})
+	}
+}
+
+// nonAdditive names the split fields whose same-named total is not
+// their sum: extrema (ExecTime, FirstDone, LastDone) and derived ratios
+// (MPKI, FlashUtilization).
+var nonAdditive = map[string]bool{
+	"ExecTime": true, "FirstDone": true, "LastDone": true,
+	"MPKI": true, "FlashUtilization": true,
+}
+
+// reconcile checks every field of the splits that *total also has, by
+// name: counters and nested counter sets must sum to it exactly, and
+// latency histograms must merge into it bucket for bucket. Split fields
+// without a total (names, placement tallies, port traffic) are skipped.
+func reconcile[P any](t *testing.T, total any, splits []P) {
+	t.Helper()
+	if len(splits) == 0 {
+		return
+	}
+	tv := reflect.ValueOf(total).Elem()
+	st := reflect.TypeOf(splits[0])
+	checked := 0
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		tf := tv.FieldByName(f.Name)
+		if !tf.IsValid() || nonAdditive[f.Name] {
+			continue
 		}
-		if v == skybyte.SkyByteFull && (res.CtxSwitches == 0 || res.Traffic.LinesAbsorbed == 0) {
-			t.Errorf("%s: test exercised no switches/log activity (ctx=%d lines=%d)", v, res.CtxSwitches, res.Traffic.LinesAbsorbed)
+		if tf.Type() != f.Type {
+			t.Fatalf("%s.%s is a %s but its total is a %s", st.Name(), f.Name, f.Type, tf.Type())
 		}
-		_ = stalls // backpressure may legitimately be zero at this budget
+		parts := make([]reflect.Value, len(splits))
+		for j := range splits {
+			parts[j] = reflect.ValueOf(splits[j]).Field(i)
+		}
+		checkSum(t, st.Name()+"."+f.Name, tf, parts)
+		checked++
+	}
+	if checked == 0 {
+		t.Fatalf("no %s field matched a total", st.Name())
+	}
+}
+
+var histType = reflect.TypeOf(stats.LatencyHist{})
+
+func checkSum(t *testing.T, path string, total reflect.Value, parts []reflect.Value) {
+	t.Helper()
+	switch {
+	case total.Type() == histType:
+		var merged stats.LatencyHist
+		for _, p := range parts {
+			h := p.Interface().(stats.LatencyHist)
+			merged.Merge(&h)
+		}
+		if want := total.Interface().(stats.LatencyHist); !reflect.DeepEqual(merged, want) {
+			t.Errorf("%s: splits merge to %d samples (mean %v), total has %d (mean %v)",
+				path, merged.Count(), merged.Mean(), want.Count(), want.Mean())
+		}
+	case total.Kind() == reflect.Struct:
+		for i := 0; i < total.NumField(); i++ {
+			sub := make([]reflect.Value, len(parts))
+			for j, p := range parts {
+				sub[j] = p.Field(i)
+			}
+			checkSum(t, path+"."+total.Type().Field(i).Name, total.Field(i), sub)
+		}
+	case total.Kind() == reflect.Array:
+		for i := 0; i < total.Len(); i++ {
+			sub := make([]reflect.Value, len(parts))
+			for j, p := range parts {
+				sub[j] = p.Index(i)
+			}
+			checkSum(t, fmt.Sprintf("%s[%d]", path, i), total.Index(i), sub)
+		}
+	case total.CanInt():
+		var sum int64
+		for _, p := range parts {
+			sum += p.Int()
+		}
+		if sum != total.Int() {
+			t.Errorf("%s: splits sum to %d, total is %d", path, sum, total.Int())
+		}
+	case total.CanUint():
+		var sum uint64
+		for _, p := range parts {
+			sum += p.Uint()
+		}
+		if sum != total.Uint() {
+			t.Errorf("%s: splits sum to %d, total is %d", path, sum, total.Uint())
+		}
+	default:
+		t.Fatalf("%s: no sum rule for a %s field", path, total.Kind())
 	}
 }
 
