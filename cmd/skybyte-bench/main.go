@@ -105,63 +105,17 @@ func main() {
 	// computes spec keys: the runner's source-folded keys snapshot each
 	// definition, which is what keeps a store warm across re-runs of the
 	// same file and re-colds exactly the affected entries after an edit.
-	var fileNames []string
-	seenFile := map[string]string{}
-	for _, path := range wfiles {
-		w, err := workloads.RegisterFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Two files resolving to one name would silently replace each
-		// other (traces from the same source all load as
-		// "trace:<source>"): refuse, rather than run half the inputs.
-		if prev, ok := seenFile[w.Name]; ok {
-			fmt.Fprintf(os.Stderr, "workload files %s and %s both define %q; rename one (a definition's \"name\" field) or record traces from distinct sources\n", prev, path, w.Name)
-			os.Exit(2)
-		}
-		seenFile[w.Name] = path
-		fileNames = append(fileNames, w.Name)
-	}
-	for _, spec := range imports {
-		w, err := skybyte.ImportTrace(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if prev, ok := seenFile[w.Name]; ok {
-			fmt.Fprintf(os.Stderr, "workload inputs %s and %s both define %q; imports from the same source file collide\n", prev, spec, w.Name)
-			os.Exit(2)
-		}
-		seenFile[w.Name] = spec
-		fileNames = append(fileNames, w.Name)
-	}
-	seenMix := map[string]string{}
-	for _, path := range mixFiles {
-		m, err := tenant.RegisterFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if prev, ok := seenMix[m.Name]; ok {
-			fmt.Fprintf(os.Stderr, "mix files %s and %s both define %q; rename one (the \"name\" field)\n", prev, path, m.Name)
-			os.Exit(2)
-		}
-		seenMix[m.Name] = path
-	}
-	seenArr := map[string]string{}
-	for _, path := range arrFiles {
-		a, err := arrival.RegisterFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if prev, ok := seenArr[a.Name]; ok {
-			fmt.Fprintf(os.Stderr, "arrival files %s and %s both define %q; rename one (the \"name\" field)\n", prev, path, a.Name)
-			os.Exit(2)
-		}
-		seenArr[a.Name] = path
-	}
+	workloadName := func(w workloads.Spec) string { return w.Name }
+	seenWorkload := map[string]string{}
+	// Traces from the same source all load as "trace:<source>".
+	fileNames := registerAll("workload files", wfiles, workloads.RegisterFile, workloadName, seenWorkload,
+		`rename one (a definition's "name" field) or record traces from distinct sources`)
+	fileNames = append(fileNames, registerAll("workload inputs", imports, skybyte.ImportTrace, workloadName, seenWorkload,
+		"imports from the same source file collide")...)
+	registerAll("mix files", mixFiles, tenant.RegisterFile, func(m tenant.Mix) string { return m.Name }, map[string]string{},
+		`rename one (the "name" field)`)
+	registerAll("arrival files", arrFiles, arrival.RegisterFile, func(a arrival.Spec) string { return a.Name }, map[string]string{},
+		`rename one (the "name" field)`)
 
 	opt := experiments.DefaultOptions()
 	if *instr > 0 {
@@ -342,6 +296,31 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	fmt.Fprintf(os.Stderr, "completed in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), workers)
+}
+
+// registerAll registers every input with register and returns the
+// names they define, exiting non-zero on the first error. Two inputs
+// defining one name would silently replace each other, so that is
+// refused rather than running half the inputs: seen maps each name to
+// the input that defined it (shared where two flags share a
+// namespace), and hint tells the user how to resolve the clash.
+func registerAll[T any](kind string, inputs []string, register func(string) (T, error), name func(T) string, seen map[string]string, hint string) []string {
+	var names []string
+	for _, in := range inputs {
+		v, err := register(in)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		n := name(v)
+		if prev, ok := seen[n]; ok {
+			fmt.Fprintf(os.Stderr, "%s %s and %s both define %q; %s\n", kind, prev, in, n, hint)
+			os.Exit(2)
+		}
+		seen[n] = in
+		names = append(names, n)
+	}
+	return names
 }
 
 func validFigure(id string) bool {

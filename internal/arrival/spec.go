@@ -1,17 +1,13 @@
 package arrival
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"sort"
 	"strings"
-	"sync"
 
+	"skybyte/internal/registry"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
 	"skybyte/internal/workloads"
@@ -251,14 +247,7 @@ func (sp Spec) Classes(rateScale float64) ([]system.SLOClass, error) {
 // of its normalized canonical JSON, prefixed with the format version.
 // It covers the spec *shape* only; SourceID additionally folds the
 // member workloads'/mixes' source identities.
-func (sp Spec) Fingerprint() string {
-	b, err := json.Marshal(sp.normalized())
-	if err != nil {
-		panic(fmt.Sprintf("arrival: spec not fingerprintable: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("fmt%d:%s", SpecFormatVersion, hex.EncodeToString(sum[:]))
-}
+func (sp Spec) Fingerprint() string { return registry.Digest(SpecFormatVersion, sp.normalized()) }
 
 // SourceID returns the full source identity of an arrival run: the
 // spec's own fingerprint plus each member workload's or mix's
@@ -386,27 +375,26 @@ func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale floa
 
 // --- registry ---
 
-// registry holds every spec beyond the built-ins, in registration
-// order, mirroring the workload registry's contract: register before
+// reg holds the code-defined specs and every spec registered at
+// start-up, under the workload registry's contract: register before
 // building runners or harnesses; re-registering a name replaces it
 // (the file-editing loop); built-in names are reserved.
-var registry = struct {
-	sync.Mutex
-	specs []Spec
-	index map[string]int
-}{index: map[string]int{}}
-
-// builtinSpecs caches the code-defined specs.
-var builtinSpecs = sync.OnceValue(func() []Spec {
-	return []Spec{openSteady(), openBurst()}
+var reg = registry.New(registry.Kind[Spec]{
+	Pkg:       "arrival",
+	Noun:      "arrival spec",
+	File:      "arrival spec",
+	Tag:       "skybyte-arrivals|",
+	Builtins:  func() []Spec { return []Spec{openSteady(), openBurst()} },
+	Name:      func(sp Spec) string { return sp.Name },
+	SourceID:  Spec.SourceID,
+	Validate:  Spec.Validate,
+	Normalize: Spec.normalized,
 })
 
 // Builtins returns the code-defined arrival specs: the steady
 // two-class population figopen sweeps, and a bursty time-varying
 // schedule. The returned slice is shared — do not mutate.
-func Builtins() []Spec {
-	return builtinSpecs()
-}
+func Builtins() []Spec { return reg.Builtins() }
 
 // openSteady is figopen's default population: a latency-sensitive
 // zipfian point-lookup cohort against a burstier transactional batch
@@ -450,135 +438,34 @@ func openBurst() Spec {
 	}
 }
 
-func builtinByName(name string) (Spec, bool) {
-	for _, sp := range Builtins() {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return Spec{}, false
-}
-
 // Register adds a spec to the registry, making it resolvable by name
 // everywhere a built-in spec is — ByName, figopen's spec set, the
 // CLIs' -arrival flags. The spec must validate; built-in names are
 // reserved; re-registering a registered name replaces it.
-func Register(sp Spec) error {
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	if _, ok := builtinByName(sp.Name); ok {
-		return fmt.Errorf("arrival: %q is a built-in arrival spec and cannot be replaced", sp.Name)
-	}
-	n := sp.normalized()
-	registry.Lock()
-	defer registry.Unlock()
-	if i, ok := registry.index[n.Name]; ok {
-		registry.specs[i] = n
-		return nil
-	}
-	registry.index[n.Name] = len(registry.specs)
-	registry.specs = append(registry.specs, n)
-	return nil
-}
-
-// Registered returns the registered (non-built-in) specs in
-// registration order.
-func Registered() []Spec {
-	registry.Lock()
-	defer registry.Unlock()
-	return append([]Spec(nil), registry.specs...)
-}
-
-// resetRegistry clears registrations (tests only).
-func resetRegistry() {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.specs = nil
-	registry.index = map[string]int{}
-}
+func Register(sp Spec) error { return reg.Register(sp) }
 
 // Names returns every resolvable spec name: built-ins first, then
 // registered specs in registration order.
-func Names() []string {
-	var out []string
-	for _, sp := range Builtins() {
-		out = append(out, sp.Name)
-	}
-	for _, sp := range Registered() {
-		out = append(out, sp.Name)
-	}
-	return out
-}
+func Names() []string { return reg.Names() }
 
 // ByName resolves any known arrival spec — built-in or registered.
 // Unknown names error with the full valid list.
-func ByName(name string) (Spec, error) {
-	if sp, ok := builtinByName(name); ok {
-		return sp, nil
-	}
-	registry.Lock()
-	i, ok := registry.index[name]
-	var sp Spec
-	if ok {
-		sp = registry.specs[i]
-	}
-	registry.Unlock()
-	if ok {
-		return sp, nil
-	}
-	return Spec{}, fmt.Errorf("arrival: unknown arrival spec %q (valid: %s)", name, strings.Join(Names(), ", "))
-}
+func ByName(name string) (Spec, error) { return reg.ByName(name) }
 
 // FromFile loads a spec from a versioned JSON file (WORKLOADS.md
-// documents the schema). Unknown fields are rejected so a typo fails
-// loudly instead of silently meaning "default". The returned Spec is
-// validated but not registered; RegisterFile also makes it resolvable
-// by name.
-func FromFile(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("arrival: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
-		return Spec{}, fmt.Errorf("arrival: %s: not a valid arrival spec: %w", path, err)
-	}
-	if err := sp.Validate(); err != nil {
-		return Spec{}, fmt.Errorf("arrival: %s: %w", path, err)
-	}
-	return sp.normalized(), nil
-}
+// documents the schema). It is strictly decoded: unknown fields and
+// trailing data are rejected so a typo fails loudly instead of
+// silently meaning "default". The returned Spec is validated but not
+// registered; RegisterFile also makes it resolvable by name.
+func FromFile(path string) (Spec, error) { return reg.FromFile(path) }
 
 // RegisterFile loads a spec from path (FromFile) and registers it, so
 // campaigns and CLIs can select it by name like a built-in.
-func RegisterFile(path string) (Spec, error) {
-	sp, err := FromFile(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	if err := Register(sp); err != nil {
-		return Spec{}, err
-	}
-	return sp, nil
-}
+func RegisterFile(path string) (Spec, error) { return reg.RegisterFile(path, FromFile) }
 
 // RegistryFingerprint digests the full resolvable spec set — every
 // name mapped to its SourceID, sorted. Campaign-level external cache
 // keys (skybyte.CampaignFingerprint) fold it in next to the workload
 // and mix registry fingerprints, so a CI cache key rotates when any
 // arrival spec — or anything one references — changes.
-func RegistryFingerprint() string {
-	var lines []string
-	for _, sp := range Builtins() {
-		lines = append(lines, sp.Name+"="+sp.SourceID())
-	}
-	for _, sp := range Registered() {
-		lines = append(lines, sp.Name+"="+sp.SourceID())
-	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte("skybyte-arrivals|" + strings.Join(lines, "\n")))
-	return hex.EncodeToString(sum[:])
-}
+func RegistryFingerprint() string { return reg.Fingerprint() }

@@ -126,7 +126,7 @@ func TestResolveReportsUnknownMembersWithValidSet(t *testing.T) {
 }
 
 func TestTotalThreadsAndClasses(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	s := validSpec()
 	n, err := s.TotalThreads()
 	if err != nil || n != 3 {
@@ -230,18 +230,14 @@ func TestSourceIDFoldsMembers(t *testing.T) {
 }
 
 func TestRegistryLifecycle(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	names := Names()
 	if len(names) < 2 || names[0] != "open-steady" || names[1] != "open-burst" {
 		t.Fatalf("builtin names = %v", names)
 	}
-	if _, err := ByName("open-steady"); err != nil {
-		t.Fatalf("builtin not resolvable: %v", err)
-	}
 	_, err := ByName("nope")
-	if err == nil || !strings.Contains(err.Error(), "valid:") ||
-		!strings.Contains(err.Error(), "open-steady") {
-		t.Fatalf("unknown-name error does not list the valid set: %v", err)
+	if err == nil || err.Error() != `arrival: unknown arrival spec "nope" (valid: open-steady, open-burst)` {
+		t.Fatalf("unknown-name error: %v", err)
 	}
 
 	s := validSpec()
@@ -253,21 +249,9 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("registered spec not returned intact: %v", err)
 	}
 
-	// Re-registering a name replaces it (the file-editing loop).
-	s2 := validSpec()
-	s2.Cohorts[0].Process.Rate = 2000
-	if err := Register(s2); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = ByName("test-arr")
-	if got.Cohorts[0].Process.Rate != 2000 {
-		t.Fatal("re-registration did not replace the spec")
-	}
-
-	// Built-in names are reserved.
 	b := validSpec()
 	b.Name = "open-steady"
-	if err := Register(b); err == nil || !strings.Contains(err.Error(), "built-in") {
+	if err := Register(b); err == nil || err.Error() != `arrival: "open-steady" is a built-in arrival spec and cannot be replaced` {
 		t.Fatalf("builtin shadowing accepted (err=%v)", err)
 	}
 
@@ -277,17 +261,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := Register(bad); err == nil {
 		t.Fatal("invalid spec registered")
 	}
-
-	// The registry fingerprint moves with registration state.
-	before := RegistryFingerprint()
-	resetRegistry()
-	if RegistryFingerprint() == before {
-		t.Fatal("registry fingerprint ignores registered specs")
-	}
 }
 
 func TestFromFileAndRegisterFile(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	dir := t.TempDir()
 	good := filepath.Join(dir, "arr.json")
 	if err := os.WriteFile(good, []byte(`{
@@ -439,7 +416,7 @@ func TestApplyDeterminism(t *testing.T) {
 // mix tenant, named cohort/tenant, all reporting under the cohort's
 // SLO class.
 func TestApplyMixCohort(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	mx := tenant.Mix{
 		Format: tenant.MixFormatVersion,
 		Name:   "arr-apply-mix",

@@ -106,9 +106,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 

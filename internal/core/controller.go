@@ -226,6 +226,8 @@ type Controller struct {
 	lineBuf []writelog.LineEntry
 
 	// Traffic is the flash-level cause-split accounting behind Figs. 18/20.
+	// Absorbed lines are booked per tenant only (TenantLog); the system
+	// derives Traffic.LinesAbsorbed from that split when it collects.
 	Traffic stats.FlashTraffic
 	// tenantLog splits write-path activity by the tenant index MemWr
 	// receives; the slice grows on demand (solo runs use index 0 only).
@@ -269,17 +271,6 @@ func (c *Controller) Cache() *PageCache { return c.cache }
 
 // Logs returns the two write-log halves (nil when disabled).
 func (c *Controller) Logs() [2]*writelog.Log { return c.logs }
-
-// LogIndexBytes returns the current combined log index footprint.
-func (c *Controller) LogIndexBytes() int {
-	if !c.cfg.WriteLogEnabled {
-		return 0
-	}
-	return c.logs[0].IndexBytes() + c.logs[1].IndexBytes()
-}
-
-// Compacting reports whether a log half is draining.
-func (c *Controller) Compacting() bool { return c.compacting }
 
 // respondAt schedules respond(meta) at time t through the pooled
 // response path.
@@ -615,7 +606,6 @@ func (c *Controller) MemWr(off uint64, data []byte, record bool, tenant int, acc
 		return
 	}
 	c.activeLog().Append(off>>mem.LineShift, data)
-	c.Traffic.LinesAbsorbed++
 	c.tenantAcct(tenant).LinesAbsorbed++
 	// W2: parallel update of the data cache copy.
 	if f := c.cache.Peek(lpa); f != nil {
@@ -893,24 +883,4 @@ func (c *Controller) WritePage(lpa uint64, data []byte, accepted func()) {
 	c.Traffic.DemoteWrites++
 	c.ResetHeat(lpa)
 	c.fl.Write(lpa, data, accepted)
-}
-
-// ReadPageDirect fetches a page's full current content for test oracles:
-// cache, then log overlay, then flash. It is synchronous metadata-wise and
-// only valid with TrackData.
-func (c *Controller) ReadPageDirect(lpa uint64, done func(data []byte)) {
-	if f := c.cache.Peek(lpa); f != nil {
-		c.mergeLogInto(f)
-		out := make([]byte, mem.PageBytes)
-		copy(out, f.Data)
-		done(out)
-		return
-	}
-	c.fl.Read(lpa, func(flashData []byte) {
-		out := make([]byte, mem.PageBytes)
-		copy(out, flashData)
-		tmp := &PageFrame{LPA: lpa, Data: out}
-		c.mergeLogInto(tmp)
-		done(out)
-	})
 }

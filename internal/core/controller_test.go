@@ -127,7 +127,7 @@ func TestWriteLogAbsorbsWritesFast(t *testing.T) {
 	if r.arr.Stats().Reads != 0 || r.arr.Stats().Programs != 0 {
 		t.Fatal("logged write touched flash")
 	}
-	if r.c.Traffic.LinesAbsorbed != 1 {
+	if r.c.TenantLog()[0].LinesAbsorbed != 1 {
 		t.Fatal("absorbed line not counted")
 	}
 }

@@ -368,9 +368,6 @@ func (f *FTL) pickVictim(ch int) int64 {
 	return best
 }
 
-// FreeBlocks returns the free-block count on a channel (tests/diagnostics).
-func (f *FTL) FreeBlocks(ch int) int { return len(f.freeBlocks[ch]) }
-
 // MappedPages returns how many logical pages currently have a mapping.
 func (f *FTL) MappedPages() uint64 {
 	var n uint64

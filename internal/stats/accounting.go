@@ -152,9 +152,6 @@ func (a *AMAT) AddAccess(parts [amatComponentCount]sim.Time) {
 // (used when a single access has components recorded at different points).
 func (a *AMAT) Add(c AMATComponent, d sim.Time) { a.Time[c] += d }
 
-// CountAccess counts one access (pair with Add calls).
-func (a *AMAT) CountAccess() { a.Accesses++ }
-
 // Mean returns the average access time in picoseconds.
 func (a *AMAT) Mean() sim.Time {
 	if a.Accesses == 0 {
@@ -174,9 +171,6 @@ func (a *AMAT) MeanOf(c AMATComponent) sim.Time {
 	}
 	return a.Time[c] / sim.Time(a.Accesses)
 }
-
-// ComponentCount returns the number of AMAT components.
-func ComponentCount() int { return int(amatComponentCount) }
 
 // FlashTraffic counts flash-level operations split by cause, supporting
 // Fig. 18 (write traffic) and write-amplification analysis.

@@ -310,6 +310,9 @@ func (s *System) collectDevice(i int) DeviceResult {
 	dr.Traffic.GCPrograms = dr.FTLStats.GCPrograms
 	dr.Traffic.Erases = dr.FTLStats.Erases
 	dr.Traffic.GCInvocations = dr.FTLStats.GCInvocations
+	for _, t := range d.ctrl.TenantLog() {
+		dr.Traffic.LinesAbsorbed += t.LinesAbsorbed
+	}
 	dr.FlashStats = d.arr.Stats()
 	dr.CacheStats = d.ctrl.Cache().Stats
 	dr.Compaction = d.ctrl.Compaction

@@ -16,18 +16,14 @@
 package tenant
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strings"
-	"sync"
 
 	"skybyte/internal/mem"
 	"skybyte/internal/osched"
+	"skybyte/internal/registry"
 	"skybyte/internal/system"
 	"skybyte/internal/trace"
 	"skybyte/internal/workloads"
@@ -166,14 +162,7 @@ func (m Mix) PerThreadInstr(i int, totalInstr uint64) uint64 {
 // of its normalized canonical JSON, prefixed with the format version.
 // It covers the mix *shape* only; SourceID additionally folds the
 // member workloads' source identities.
-func (m Mix) Fingerprint() string {
-	b, err := json.Marshal(m.normalized())
-	if err != nil {
-		panic(fmt.Sprintf("tenant: mix not fingerprintable: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("fmt%d:%s", MixFormatVersion, hex.EncodeToString(sum[:]))
-}
+func (m Mix) Fingerprint() string { return registry.Digest(MixFormatVersion, m.normalized()) }
 
 // SourceID returns the full source identity of a mix run: the mix's
 // own fingerprint plus each member workload's SourceID. It is the
@@ -276,27 +265,26 @@ func Layout(sys *system.System, groups []Group, seed uint64) ([]*osched.Thread, 
 
 // --- registry ---
 
-// registry holds every mix beyond the built-ins, in registration
-// order, mirroring the workload registry's contract: register before
+// reg holds the code-defined mixes and every mix registered at
+// start-up, under the workload registry's contract: register before
 // building runners or harnesses; re-registering a name replaces it
 // (the file-editing loop); built-in names are reserved.
-var registry = struct {
-	sync.Mutex
-	mixes []Mix
-	index map[string]int
-}{index: map[string]int{}}
-
-// builtinMixes caches the code-defined mixes.
-var builtinMixes = sync.OnceValue(func() []Mix {
-	return []Mix{graphVsLog(), scanVsPoint()}
+var reg = registry.New(registry.Kind[Mix]{
+	Pkg:       "tenant",
+	Noun:      "mix",
+	File:      "mix definition",
+	Tag:       "skybyte-mixes|",
+	Builtins:  func() []Mix { return []Mix{graphVsLog(), scanVsPoint()} },
+	Name:      func(m Mix) string { return m.Name },
+	SourceID:  Mix.SourceID,
+	Validate:  Mix.Validate,
+	Normalize: Mix.normalized,
 })
 
 // Builtins returns the code-defined mixes: interference pairings of
 // the extension scenarios and Table I workloads, used by the figmix
 // fairness table. The returned slice is shared — do not mutate.
-func Builtins() []Mix {
-	return builtinMixes()
-}
+func Builtins() []Mix { return reg.Builtins() }
 
 // graphVsLog co-locates the latency-bound Graph500-style pointer chase
 // (the coordinated context switch's best case) with the bursty
@@ -327,135 +315,34 @@ func scanVsPoint() Mix {
 	}
 }
 
-func builtinByName(name string) (Mix, bool) {
-	for _, m := range Builtins() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Mix{}, false
-}
-
 // Register adds a mix to the registry, making it resolvable by name
 // everywhere a built-in mix is — ByName, figmix's mix set, the CLIs'
 // -mix flags. The mix must validate; built-in names are reserved;
 // re-registering a registered name replaces it.
-func Register(m Mix) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	if _, ok := builtinByName(m.Name); ok {
-		return fmt.Errorf("tenant: %q is a built-in mix and cannot be replaced", m.Name)
-	}
-	n := m.normalized()
-	registry.Lock()
-	defer registry.Unlock()
-	if i, ok := registry.index[n.Name]; ok {
-		registry.mixes[i] = n
-		return nil
-	}
-	registry.index[n.Name] = len(registry.mixes)
-	registry.mixes = append(registry.mixes, n)
-	return nil
-}
-
-// Registered returns the registered (non-built-in) mixes in
-// registration order.
-func Registered() []Mix {
-	registry.Lock()
-	defer registry.Unlock()
-	return append([]Mix(nil), registry.mixes...)
-}
-
-// resetRegistry clears registrations (tests only).
-func resetRegistry() {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.mixes = nil
-	registry.index = map[string]int{}
-}
+func Register(m Mix) error { return reg.Register(m) }
 
 // Names returns every resolvable mix name: built-ins first, then
 // registered mixes in registration order.
-func Names() []string {
-	var out []string
-	for _, m := range Builtins() {
-		out = append(out, m.Name)
-	}
-	for _, m := range Registered() {
-		out = append(out, m.Name)
-	}
-	return out
-}
+func Names() []string { return reg.Names() }
 
 // ByName resolves any known mix — built-in or registered. Unknown
 // names error with the full valid list.
-func ByName(name string) (Mix, error) {
-	if m, ok := builtinByName(name); ok {
-		return m, nil
-	}
-	registry.Lock()
-	i, ok := registry.index[name]
-	var m Mix
-	if ok {
-		m = registry.mixes[i]
-	}
-	registry.Unlock()
-	if ok {
-		return m, nil
-	}
-	return Mix{}, fmt.Errorf("tenant: unknown mix %q (valid: %s)", name, strings.Join(Names(), ", "))
-}
+func ByName(name string) (Mix, error) { return reg.ByName(name) }
 
 // FromFile loads a mix from a versioned JSON file (WORKLOADS.md
-// documents the schema). Unknown fields are rejected so a typo fails
-// loudly instead of silently meaning "default". The returned Mix is
-// validated but not registered; RegisterFile also makes it resolvable
-// by name.
-func FromFile(path string) (Mix, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Mix{}, fmt.Errorf("tenant: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var m Mix
-	if err := dec.Decode(&m); err != nil {
-		return Mix{}, fmt.Errorf("tenant: %s: not a valid mix definition: %w", path, err)
-	}
-	if err := m.Validate(); err != nil {
-		return Mix{}, fmt.Errorf("tenant: %s: %w", path, err)
-	}
-	return m.normalized(), nil
-}
+// documents the schema). It is strictly decoded: unknown fields and
+// trailing data are rejected so a typo fails loudly instead of
+// silently meaning "default". The returned Mix is validated but not
+// registered; RegisterFile also makes it resolvable by name.
+func FromFile(path string) (Mix, error) { return reg.FromFile(path) }
 
 // RegisterFile loads a mix from path (FromFile) and registers it, so
 // campaigns and CLIs can select it by name like a built-in.
-func RegisterFile(path string) (Mix, error) {
-	m, err := FromFile(path)
-	if err != nil {
-		return Mix{}, err
-	}
-	if err := Register(m); err != nil {
-		return Mix{}, err
-	}
-	return m, nil
-}
+func RegisterFile(path string) (Mix, error) { return reg.RegisterFile(path, FromFile) }
 
 // RegistryFingerprint digests the full resolvable mix set — every name
 // mapped to its SourceID, sorted. Campaign-level external cache keys
 // (skybyte.CampaignFingerprint) fold it in next to the workload
 // registry fingerprint, so a CI cache key rotates when any mix — or
 // any workload a mix references — changes.
-func RegistryFingerprint() string {
-	var lines []string
-	for _, m := range Builtins() {
-		lines = append(lines, m.Name+"="+m.SourceID())
-	}
-	for _, m := range Registered() {
-		lines = append(lines, m.Name+"="+m.SourceID())
-	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte("skybyte-mixes|" + strings.Join(lines, "\n")))
-	return hex.EncodeToString(sum[:])
-}
+func RegistryFingerprint() string { return reg.Fingerprint() }

@@ -83,7 +83,7 @@ func TestPerThreadInstr(t *testing.T) {
 }
 
 func TestSourceIDFoldsMemberWorkloads(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	defOf := func(theta float64) workloads.Def {
 		return workloads.Def{
 			Format:         workloads.DefFormatVersion,
@@ -119,12 +119,12 @@ func TestSourceIDFoldsMemberWorkloads(t *testing.T) {
 }
 
 func TestRegistryResolvesMixes(t *testing.T) {
-	defer resetRegistry()
-	if _, err := ByName("graph-vs-log"); err != nil {
-		t.Fatalf("built-in mix unresolvable: %v", err)
+	defer reg.Reset()
+	if names := Names(); names[0] != "graph-vs-log" || names[1] != "scan-vs-point" {
+		t.Fatalf("built-in mixes = %v", names)
 	}
-	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), "graph-vs-log") {
-		t.Fatalf("unknown-mix error should list the valid set, got: %v", err)
+	if _, err := ByName("nope"); err == nil || err.Error() != `tenant: unknown mix "nope" (valid: graph-vs-log, scan-vs-point)` {
+		t.Fatalf("unknown-mix error: %v", err)
 	}
 	m := validMix()
 	if err := Register(m); err != nil {
@@ -137,28 +137,15 @@ func TestRegistryResolvesMixes(t *testing.T) {
 	if got.Tenants[1].Intensity != 0.5 {
 		t.Fatalf("registered mix lost fields: %+v", got)
 	}
-	// Replacement is the file-editing loop.
-	m.Tenants[0].Threads = 3
-	if err := Register(m); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := ByName("test-mix"); got.Tenants[0].Threads != 3 {
-		t.Fatal("re-registration did not replace the mix")
-	}
-	// Built-in names are reserved.
 	bad := validMix()
 	bad.Name = "graph-vs-log"
-	if err := Register(bad); err == nil {
-		t.Fatal("built-in name accepted for registration")
-	}
-	names := Names()
-	if names[0] != "graph-vs-log" || names[len(names)-1] != "test-mix" {
-		t.Fatalf("Names() = %v", names)
+	if err := Register(bad); err == nil || err.Error() != `tenant: "graph-vs-log" is a built-in mix and cannot be replaced` {
+		t.Fatalf("built-in name accepted for registration (err = %v)", err)
 	}
 }
 
 func TestMixFromFile(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	good := `{
   "format": 1,
   "name": "file-mix",
@@ -245,7 +232,7 @@ func TestApplyRunsPerTenant(t *testing.T) {
 // fit the device's logical space — overlapping arenas would alias
 // tenants' data, and wrapping would fault the FTL mid-run.
 func TestApplyRejectsOversizedMixes(t *testing.T) {
-	defer resetRegistry()
+	defer reg.Reset()
 	huge := workloads.Def{
 		Format:         workloads.DefFormatVersion,
 		Name:           "huge-w",

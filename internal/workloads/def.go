@@ -1,13 +1,11 @@
 package workloads
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"skybyte/internal/mem"
+	"skybyte/internal/registry"
 	"skybyte/internal/trace"
 )
 
@@ -281,14 +279,7 @@ func validateName(name string) error {
 // digest of its normalized canonical JSON, prefixed with the format
 // version. Equivalent definitions (explicit vs defaulted fields) hash
 // identically; any semantic change — and any format bump — changes it.
-func (d Def) Fingerprint() string {
-	b, err := json.Marshal(d.normalized())
-	if err != nil {
-		panic(fmt.Sprintf("workloads: definition not fingerprintable: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return fmt.Sprintf("fmt%d:%s", DefFormatVersion, hex.EncodeToString(sum[:]))
-}
+func (d Def) Fingerprint() string { return registry.Digest(DefFormatVersion, d.normalized()) }
 
 // Spec validates the definition and wraps it as a runnable Spec.
 func (d Def) Spec() (Spec, error) {

@@ -10,16 +10,6 @@ func Extras() []Spec {
 	return []Spec{scanHeavy().MustSpec(), logAppend().MustSpec(), graph500().MustSpec()}
 }
 
-// ExtraNames lists the extra scenarios in catalogue order.
-func ExtraNames() []string {
-	specs := Extras()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // scanHeavy models an analytics column scan: long sequential reads
 // over a large fact table (multi-line runs — the spatial pattern the
 // Base-CSSD prefetcher and the page-granular SSD cache love), zipfian

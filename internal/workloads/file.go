@@ -1,11 +1,10 @@
 package workloads
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
+	"skybyte/internal/registry"
 	"skybyte/internal/trace"
 )
 
@@ -18,7 +17,8 @@ import (
 //     reader, so a block-compressed v2 recording replays with O(block)
 //     memory and is never materialized;
 //   - anything else must be a JSON declarative definition
-//     (WORKLOADS.md documents the schema). Unknown fields are rejected
+//     (WORKLOADS.md documents the schema), strictly decoded
+//     (registry.Decode): unknown fields and trailing data are rejected
 //     so a typo fails loudly instead of silently meaning "default".
 //
 // The returned Spec is validated but not registered; RegisterFile also
@@ -50,29 +50,13 @@ func FromFile(path string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("workloads: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var d Def
-	if err := dec.Decode(&d); err != nil {
+	d, err := registry.Decode[Def](data)
+	if err != nil {
 		return Spec{}, fmt.Errorf("workloads: %s: not a trace and not a valid workload definition: %w", path, err)
 	}
 	s, err := d.Spec()
 	if err != nil {
 		return Spec{}, fmt.Errorf("workloads: %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// RegisterFile loads a workload from path (FromFile) and registers it,
-// so campaigns and CLIs can select it by name like a built-in. It
-// returns the registered spec.
-func RegisterFile(path string) (Spec, error) {
-	s, err := FromFile(path)
-	if err != nil {
-		return Spec{}, err
-	}
-	if err := Register(s); err != nil {
-		return Spec{}, err
 	}
 	return s, nil
 }

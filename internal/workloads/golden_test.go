@@ -44,7 +44,7 @@ func TestGoldenStreams(t *testing.T) {
 		seed   uint64
 	}{{0, 1}, {3, 7}}
 	got := map[string][]string{}
-	for _, s := range builtins() {
+	for _, s := range reg.Builtins() {
 		for _, c := range cells {
 			key := fmt.Sprintf("%s/t%d/s%d", s.Name, c.thread, c.seed)
 			got[key] = goldenRecords(s, c.thread, c.seed, n)

@@ -1,14 +1,10 @@
 package workloads
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
-	"sync"
 
+	"skybyte/internal/registry"
 	"skybyte/internal/trace"
 )
 
@@ -18,56 +14,29 @@ import (
 // campaign identity) stop serving results produced by the old streams.
 const builtinGenVersion = 1
 
-// registry holds every workload beyond the built-ins, in registration
-// order. Built-ins (Table1 + Extras) are code; registered specs come
-// from Register/RegisterFile at process start-up. The mutex makes
-// registration safe, but the determinism contract (DESIGN.md §3) asks
-// callers to finish registering before building runners or harnesses —
-// RegistryFingerprint is a snapshot, not a subscription.
-var registry = struct {
-	sync.Mutex
-	specs []Spec
-	index map[string]int
-}{index: map[string]int{}}
-
-// builtinSpecs caches the code-defined workloads — they are immutable,
-// and resolution paths (ByName per executed simulation, Names in every
-// listing, RegistryFingerprint) would otherwise rebuild and re-validate
-// the extras' definitions on every call.
-var builtinSpecs = sync.OnceValue(func() []Spec {
-	return append(Table1(), Extras()...)
+// reg holds the code-defined workloads (Table1 + Extras) and every
+// workload registered from Register/RegisterFile at process start-up.
+var reg = registry.New(registry.Kind[Spec]{
+	Pkg:       "workloads",
+	Noun:      "workload",
+	Tag:       fmt.Sprintf("skybyte-workloads|trc%d|", trace.CodecVersion),
+	Builtins:  func() []Spec { return append(Table1(), Extras()...) },
+	Name:      func(s Spec) string { return s.Name },
+	SourceID:  Spec.SourceID,
+	Validate:  validateSpec,
+	Normalize: normalizeSpec,
+	Replaced:  closeReplaced,
 })
 
-// builtins returns the code-defined workloads: the Table I seven plus
-// the extra scenarios composed from the declarative primitives. The
-// returned slice is shared — callers must not mutate it.
-func builtins() []Spec {
-	return builtinSpecs()
-}
-
-// builtinByName resolves a code-defined workload.
-func builtinByName(name string) (Spec, bool) {
-	for _, s := range builtins() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Spec{}, false
-}
-
-// Register adds a workload to the registry, making it resolvable by
-// name everywhere a built-in is — ByName, campaign Options.Workloads,
-// the CLIs' -workload flags. Built-in names are reserved; registering
-// an already-registered name replaces the previous definition (the
-// editing loop for workload files), so register before building the
-// harnesses and runners that will resolve it. The spec must carry a
-// generator (a definition or a trace) and a valid name.
-func Register(s Spec) error {
+// validateSpec vets a spec for registration: it must carry a generator
+// (a definition or a trace) and a valid name, and a definition must
+// validate. Registration is the chokepoint: stream compilation assumes
+// a vetted definition with defaults filled (an invalid one would fail
+// mid-campaign — a zero region panics, a zero-Lines op emits nothing
+// and spins).
+func validateSpec(s Spec) error {
 	if err := validateName(s.Name); err != nil {
 		return err
-	}
-	if _, ok := builtinByName(s.Name); ok {
-		return fmt.Errorf("workloads: %q is a built-in workload and cannot be replaced", s.Name)
 	}
 	if s.Def == nil && s.Trace == nil {
 		return fmt.Errorf("workloads: %q has no generator (expected a definition or a trace)", s.Name)
@@ -76,89 +45,57 @@ func Register(s Spec) error {
 		return fmt.Errorf("workloads: %q has a zero footprint", s.Name)
 	}
 	if s.Def != nil {
-		// Validate and normalize at the chokepoint: stream compilation
-		// assumes a vetted definition with defaults filled (an invalid
-		// one would fail mid-campaign — a zero region panics, a
-		// zero-Lines op emits nothing and spins), and specs built via
-		// Def.Spec() have already paid this once.
-		if err := s.Def.Validate(); err != nil {
-			return err
-		}
-		n := s.Def.normalized()
-		s.Def = &n
+		return s.Def.Validate()
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if i, ok := registry.index[s.Name]; ok {
-		old := registry.specs[i]
-		registry.specs[i] = s
-		// A displaced trace workload may hold a streaming reader with
-		// an open file handle; release it so the file-editing loop
-		// (re-register after every edit) does not leak a descriptor
-		// per iteration. Sound under the registration contract: specs
-		// are registered before runners and harnesses resolve them, so
-		// nothing replays the displaced spec's streams afterwards.
-		if old.Trace != nil && (s.Trace == nil || old.Trace.Data != s.Trace.Data) {
-			if c, ok := old.Trace.Data.(io.Closer); ok {
-				c.Close()
-			}
-		}
-		return nil
-	}
-	registry.index[s.Name] = len(registry.specs)
-	registry.specs = append(registry.specs, s)
 	return nil
 }
 
-// Registered returns the registered (non-built-in) workloads in
-// registration order.
-func Registered() []Spec {
-	registry.Lock()
-	defer registry.Unlock()
-	return append([]Spec(nil), registry.specs...)
+// normalizeSpec fills a definition's defaults (specs built via
+// Def.Spec() have already paid this once).
+func normalizeSpec(s Spec) Spec {
+	if s.Def != nil {
+		n := s.Def.normalized()
+		s.Def = &n
+	}
+	return s
 }
 
-// resetRegistry clears registrations (tests only).
-func resetRegistry() {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.specs = nil
-	registry.index = map[string]int{}
+// closeReplaced releases a displaced trace workload's streaming reader,
+// which may hold an open file handle, so the file-editing loop
+// (re-register after every edit) does not leak a descriptor per
+// iteration. Sound under the registration contract: specs are
+// registered before runners and harnesses resolve them, so nothing
+// replays the displaced spec's streams afterwards.
+func closeReplaced(old, s Spec) {
+	if old.Trace != nil && (s.Trace == nil || old.Trace.Data != s.Trace.Data) {
+		if c, ok := old.Trace.Data.(io.Closer); ok {
+			c.Close()
+		}
+	}
 }
+
+// Register adds a workload to the registry, making it resolvable by
+// name everywhere a built-in is — ByName, campaign Options.Workloads,
+// the CLIs' -workload flags. Built-in names are reserved; registering
+// an already-registered name replaces the previous definition (the
+// editing loop for workload files), so register before building the
+// harnesses and runners that will resolve it.
+func Register(s Spec) error { return reg.Register(s) }
+
+// RegisterFile loads a workload from path (FromFile) and registers it,
+// so campaigns and CLIs can select it by name like a built-in. It
+// returns the registered spec.
+func RegisterFile(path string) (Spec, error) { return reg.RegisterFile(path, FromFile) }
 
 // Names returns every resolvable workload name: Table I in paper
 // order, then the extra built-in scenarios, then registered workloads
 // in registration order. This is the listing unknown-name errors
 // print, so file- and registry-loaded workloads show up next to the
 // built-in seven.
-func Names() []string {
-	var out []string
-	for _, s := range builtins() {
-		out = append(out, s.Name)
-	}
-	for _, s := range Registered() {
-		out = append(out, s.Name)
-	}
-	return out
-}
+func Names() []string { return reg.Names() }
 
 // ByName resolves any known workload — built-in, extra, or registered.
-func ByName(name string) (Spec, error) {
-	if s, ok := builtinByName(name); ok {
-		return s, nil
-	}
-	registry.Lock()
-	i, ok := registry.index[name]
-	var s Spec
-	if ok {
-		s = registry.specs[i]
-	}
-	registry.Unlock()
-	if ok {
-		return s, nil
-	}
-	return Spec{}, fmt.Errorf("workloads: unknown workload %q (valid: %s)", name, strings.Join(Names(), ", "))
-}
+func ByName(name string) (Spec, error) { return reg.ByName(name) }
 
 // SourceID returns the stable identity of the spec's generator — the
 // input that, together with (thread, seed), fully determines the
@@ -192,15 +129,4 @@ func (s Spec) SourceID() string {
 // name mapped to its SourceID, sorted — plus the trace codec version.
 // Identical registrations on different machines produce identical
 // fingerprints; any changed definition changes it.
-func RegistryFingerprint() string {
-	var lines []string
-	for _, s := range builtins() {
-		lines = append(lines, s.Name+"="+s.SourceID())
-	}
-	for _, s := range Registered() {
-		lines = append(lines, s.Name+"="+s.SourceID())
-	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte(fmt.Sprintf("skybyte-workloads|trc%d|%s", trace.CodecVersion, strings.Join(lines, "\n"))))
-	return hex.EncodeToString(sum[:])
-}
+func RegistryFingerprint() string { return reg.Fingerprint() }

@@ -64,9 +64,6 @@ type TraceReplay struct {
 // FootprintBytes returns the scaled footprint in bytes.
 func (s Spec) FootprintBytes() uint64 { return s.FootprintPages * mem.PageBytes }
 
-// Arena returns the base address of the workload's CXL arena.
-func (s Spec) Arena() mem.Addr { return mem.CXLBase }
-
 // Table1 lists the seven benchmarks in the paper's order. Footprints are
 // Table I divided by the 64x capacity scaling (≥8 GB → ≥128 MB).
 func Table1() []Spec {

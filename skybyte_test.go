@@ -12,11 +12,14 @@ import (
 	"testing"
 
 	"skybyte"
+	"skybyte/internal/arrival"
 	"skybyte/internal/runner"
 	"skybyte/internal/stats"
 	"skybyte/internal/system"
+	"skybyte/internal/tenant"
 	"skybyte/internal/trace"
 	"skybyte/internal/traceimport"
+	"skybyte/internal/workloads"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -306,6 +309,46 @@ func TestRunMixPublicAPI(t *testing.T) {
 	}
 	if _, err := skybyte.MixByName("api-file-mix"); err != nil {
 		t.Fatal("file mix not resolvable by name after MixFromFile")
+	}
+}
+
+// TestFromFileRejectsTrailingData: each example definition loads as
+// shipped, and the same file with anything but whitespace after its
+// JSON value is refused by the facade loader, not silently truncated.
+// The unmodified loads go through the non-registering loaders so the
+// examples do not join later tests' default mix and arrival sets.
+func TestFromFileRejectsTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		path, junk string
+		load       func(string) error
+		loadClean  func(string) error
+	}{
+		{"examples/multitenant/mix.json", `{"garbage": true} trailing junk`, errOf(skybyte.MixFromFile), errOf(tenant.FromFile)},
+		{"examples/openloop/spec.json", "not json at all", errOf(skybyte.ArrivalFromFile), errOf(arrival.FromFile)},
+		{"examples/customworkload/workload.json", "]]]", errOf(skybyte.WorkloadFromFile), errOf(workloads.FromFile)},
+	} {
+		if err := tc.loadClean(tc.path); err != nil {
+			t.Fatalf("%s does not load as shipped: %v", tc.path, err)
+		}
+		data, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		junked := filepath.Join(t.TempDir(), filepath.Base(tc.path))
+		if err := os.WriteFile(junked, append(data, tc.junk...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.load(junked); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s + %q: err = %v, want a trailing-data error", tc.path, tc.junk, err)
+		}
+	}
+}
+
+// errOf adapts a loader to one that reports only its error.
+func errOf[T any](load func(string) (T, error)) func(string) error {
+	return func(path string) error {
+		_, err := load(path)
+		return err
 	}
 }
 
