@@ -23,10 +23,9 @@
 //	skybyte-trace -workload ycsb -nthreads 24 -record-instr 16000 -record ycsb.trc
 //	skybyte-sim -workload-file ycsb.trc -variant SkyByte-Full -threads 24 -instr 16000
 //
-// Files are written in the block-compressed v2 container by default;
-// -trace-version 1 emits the flat legacy layout (both replay
-// identically; v2 streams with bounded memory and is roughly a third
-// of the size).
+// Files are written in the block-compressed v2 container, which
+// replays with bounded memory; legacy flat v1 files still load, and
+// re-recording one writes v2.
 //
 // Import: -import <format>:<path> converts an external trace and
 // either records it (-record) or analyses it like any workload. A bare
@@ -131,7 +130,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		record   = flag.String("record", "", "record the streams to this trace file instead of analysing")
 		recInstr = flag.Uint64("record-instr", 0, "with -record: cut each stream at this instruction budget (matching a simulation's -instr) instead of at -n records")
-		recVer   = flag.Int("trace-version", trace.CodecVersion, "with -record: trace codec version to emit (1 = flat legacy, 2 = block-compressed streaming)")
 		impSpec  = flag.String("import", "", "convert an external trace, <format>:<path> or a bare path with a recognized extension (formats: champsim, damon, cachegrind; champsim accepts a dir/glob of per-CPU files); records it with -record, analyses it otherwise")
 		fixture  = flag.String("make-fixture", "", "write a tiny synthetic external-format source file, <format>:<path>, then exit (importer demo/CI fixture)")
 		checkTL  = flag.String("check-timeline", "", "validate a Chrome trace-event timeline written by skybyte-sim -timeline (JSON shape and per-track span nesting), then exit; a violation is a non-zero exit")
@@ -181,7 +179,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		if err := recordImport(*impSpec, *record, *recVer); err != nil {
+		if err := recordImport(*impSpec, *record); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -250,7 +248,7 @@ func main() {
 		// re-recording: defaults mean "reproduce the source exactly".
 		explicit := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if err := recordTrace(w, *record, *nthreads, *n, *recInstr, *seed, *recVer, explicit); err != nil {
+		if err := recordTrace(w, *record, *nthreads, *n, *recInstr, *seed, explicit); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -468,44 +466,42 @@ func analyzeArrival(a skybyte.Arrival, n int, seed uint64) {
 func fmtSeconds(s float64) string { return fmt.Sprintf("%.1fµs", s*1e6) }
 
 // recordTrace captures nthreads deterministic streams and writes them
-// in the versioned on-disk trace format. Streams are cut at maxRecords
-// records, or — with a -record-instr budget — at exactly that many
-// instructions per thread (the same trace.Limited clipping a
-// simulation applies, so replaying the file at the same budget
-// reproduces the run's Result bit for bit). Re-recording a trace-backed
-// workload preserves the source metadata (including import
-// provenance), and with -nthreads, -n, -record-instr, and
-// -trace-version left at their defaults the source's thread count,
-// cuts, and codec version are inherited too, so a plain re-record
-// reproduces the source file bit for bit.
-func recordTrace(w skybyte.Workload, path string, nthreads, maxRecords int, instrBudget, seed uint64, version int, explicit map[string]bool) error {
-	tr := &trace.Trace{Meta: trace.Meta{
+// in the on-disk trace format, streaming each record into the encoder.
+// Streams are cut at maxRecords records, or — with a -record-instr
+// budget — at exactly that many instructions per thread (the same
+// trace.Limited clipping a simulation applies, so replaying the file at
+// the same budget reproduces the run's Result bit for bit).
+// Re-recording a trace-backed workload preserves the source metadata
+// (including import provenance), and with -nthreads, -n and
+// -record-instr left at their defaults the source's thread count and
+// cuts are inherited too, so a plain re-record of a v2 file reproduces
+// it bit for bit (a v1 file comes out as v2).
+func recordTrace(w skybyte.Workload, path string, nthreads, maxRecords int, instrBudget, seed uint64, explicit map[string]bool) error {
+	meta := trace.Meta{
 		Workload:       w.Name,
 		Seed:           seed,
 		FootprintPages: w.FootprintPages,
 		WriteRatio:     w.WriteRatio,
 		InstrPerThread: instrBudget,
-	}}
+	}
 	if w.Trace != nil {
-		src := w.Trace.Data.TraceMeta()
-		tr.Meta.Workload = src.Workload
-		tr.Meta.Seed = src.Seed
-		tr.Meta.Origin = src.Origin
+		src := w.Trace.TraceMeta()
+		meta.Workload = src.Workload
+		meta.Seed = src.Seed
+		meta.Origin = src.Origin
 		if !explicit["record-instr"] && !explicit["n"] {
 			// No new cut at all: the source records pass through
 			// verbatim (never truncate), so the source's recorded
 			// budget still describes them. With an explicit -n the cut
 			// is a record count and InstrPerThread correctly stays 0.
-			tr.Meta.InstrPerThread = src.InstrPerThread
+			meta.InstrPerThread = src.InstrPerThread
 			maxRecords = math.MaxInt
 		}
 		if !explicit["nthreads"] {
-			nthreads = w.Trace.Data.NumThreads()
-		}
-		if !explicit["trace-version"] && w.Trace.Data.FileVersion() != 0 {
-			version = w.Trace.Data.FileVersion()
+			nthreads = w.Trace.NumThreads()
 		}
 	}
+	enc := trace.NewStreamEncoder()
 	for t := 0; t < nthreads; t++ {
 		var st trace.Stream = w.Stream(t, seed)
 		limit := maxRecords
@@ -513,9 +509,18 @@ func recordTrace(w skybyte.Workload, path string, nthreads, maxRecords int, inst
 			st = &trace.Limited{Src: st, Budget: instrBudget}
 			limit = math.MaxInt
 		}
-		tr.Threads = append(tr.Threads, trace.RecordStream(st, limit))
+		enc.BeginThread()
+		for i := 0; i < limit; i++ {
+			r, ok := st.Next()
+			if !ok {
+				break
+			}
+			if err := enc.Append(r); err != nil {
+				return err
+			}
+		}
 	}
-	data, err := trace.EncodeTraceVersion(tr, version)
+	data, err := enc.Finish(meta)
 	if err != nil {
 		return err
 	}
@@ -523,7 +528,7 @@ func recordTrace(w skybyte.Workload, path string, nthreads, maxRecords int, inst
 		return err
 	}
 	fmt.Printf("recorded %s: %d threads, %d records, %d bytes (%s)\n",
-		path, len(tr.Threads), tr.Records(), len(data), trace.TraceDigest(data))
+		path, enc.Threads(), enc.Records(), len(data), trace.TraceDigest(data))
 	fmt.Printf("replay with: skybyte-sim -workload-file %s\n", path)
 	return nil
 }
@@ -533,12 +538,12 @@ func recordTrace(w skybyte.Workload, path string, nthreads, maxRecords int, inst
 // stream from the parser straight into the block writer, so importing
 // a multi-gigabyte published trace needs memory for the encoded
 // output, not for the record stream.
-func recordImport(spec, out string, version int) error {
+func recordImport(spec, out string) error {
 	format, src, err := traceimport.ParseSpec(spec)
 	if err != nil {
 		return err
 	}
-	enc, err := traceimport.ImportEncoded(format, src, version)
+	enc, err := traceimport.ImportEncoded(format, src)
 	if err != nil {
 		return err
 	}

@@ -11,19 +11,19 @@ import (
 	"skybyte/internal/mem"
 )
 
-// CodecVersion names the newest on-disk trace layout this build writes
-// by default. Bump it whenever the record encoding or the envelope
-// changes shape or meaning: a version beyond it is a decode error
-// (never a silent reinterpretation), and the workload registry folds
-// the version into every trace-backed workload's source identity, so a
-// bump also invalidates persistent result-store entries produced from
-// traces under the old layout.
+// CodecVersion names the on-disk trace layout this build writes. Bump
+// it whenever the record encoding or the envelope changes shape or
+// meaning: a version beyond it is a decode error (never a silent
+// reinterpretation), and the workload registry folds the version into
+// every trace-backed workload's source identity, so a bump also
+// invalidates persistent result-store entries produced from traces
+// under the old layout.
 //
 // Two layouts exist (WORKLOADS.md documents both):
 //
 //	v1 — flat: every thread's records stored back to back, fully
-//	     materialized on decode. Still written via
-//	     EncodeTraceVersion(t, 1) and always readable.
+//	     materialized on decode. Read-only: re-recording a v1 file
+//	     writes v2.
 //	v2 — block-compressed: records chunked into per-thread blocks,
 //	     each deflate-compressed and crc-sealed, so the streaming
 //	     Reader replays with O(block) memory.
@@ -78,49 +78,14 @@ type Meta struct {
 	Origin *Origin `json:"origin,omitempty"`
 }
 
-// Source is a replayable multi-thread record source — the interface
-// trace-backed workloads hold. Two implementations: *Trace (records
-// materialized in memory, e.g. fresh from an importer) and *Reader
-// (records streamed block by block from a file, so replay memory stays
-// bounded). Streams returned by one Source must be independent:
-// concurrent replays of distinct threads are safe.
-type Source interface {
-	// TraceMeta returns the recorded metadata.
-	TraceMeta() Meta
-	// NumThreads returns the recorded thread-stream count (>= 1).
-	NumThreads() int
-	// NumRecords returns the total record count across all threads.
-	NumRecords() uint64
-	// FileVersion is the codec version of the backing file, or 0 for
-	// an in-memory trace that was never encoded.
-	FileVersion() int
-	// Stream replays thread's records (threads wrap modulo the
-	// recorded count, so a trace recorded with fewer threads than a
-	// run schedules still feeds every software thread).
-	Stream(thread int) Stream
-}
-
 // Trace is a decoded (or to-be-encoded) multi-thread record stream:
-// Threads[i] is the complete record sequence of thread i. It is the
-// materialized Source; large on-disk traces should be opened as a
-// streaming *Reader instead.
+// Threads[i] is the complete record sequence of thread i. Replay reads
+// files through the streaming *Reader instead; a Trace is for callers
+// that need the records as slices.
 type Trace struct {
 	Meta    Meta
 	Threads [][]Record
 }
-
-// TraceMeta implements Source.
-func (t *Trace) TraceMeta() Meta { return t.Meta }
-
-// NumThreads implements Source.
-func (t *Trace) NumThreads() int { return len(t.Threads) }
-
-// NumRecords implements Source.
-func (t *Trace) NumRecords() uint64 { return uint64(t.Records()) }
-
-// FileVersion implements Source: an in-memory trace has no backing
-// file, so it reports 0.
-func (t *Trace) FileVersion() int { return 0 }
 
 // Stream returns a replay Stream over thread's records (threads wrap
 // modulo the recorded count). The returned stream is independent of
@@ -139,7 +104,7 @@ func (t *Trace) Records() int {
 }
 
 // appendRecord appends one record in the wire encoding shared by both
-// codec versions: a kind byte followed by one uvarint — the
+// codec layouts: a kind byte followed by one uvarint — the
 // instruction count for Compute, the byte address for memory ops.
 func appendRecord(dst []byte, r Record) ([]byte, error) {
 	var varBuf [binary.MaxVarintLen64]byte
@@ -181,46 +146,12 @@ func decodeRecord(buf []byte, pos int) (Record, int, error) {
 	return Record{}, pos, fmt.Errorf("trace: unknown record kind %d", kind)
 }
 
-// encodeHeader writes the fixed envelope both versions share: magic,
-// version, meta length + canonical JSON, thread count.
-func encodeHeader(b *bytes.Buffer, m Meta, threads int, version uint32) error {
-	if threads == 0 {
-		return fmt.Errorf("trace: encode: no thread streams")
-	}
-	meta, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("trace: encode meta: %w", err)
-	}
-	b.Write(traceMagic[:])
-	var u32 [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		b.Write(u32[:])
-	}
-	put32(version)
-	put32(uint32(len(meta)))
-	b.Write(meta)
-	put32(uint32(threads))
-	return nil
-}
-
-// EncodeTrace serializes t canonically in the current default layout
+// EncodeTrace serializes t canonically in the current layout
 // (CodecVersion). The same Trace always encodes to the same bytes, so
-// re-recording a replayed trace reproduces the file bit for bit.
+// re-recording a replayed trace reproduces the file bit for bit. This
+// is the batch face of StreamEncoder.
 func EncodeTrace(t *Trace) ([]byte, error) {
-	return EncodeTraceVersion(t, CodecVersion)
-}
-
-// EncodeTraceVersion serializes t in a specific codec version — 1 for
-// the flat legacy layout, 2 for the block-compressed layout. Both are
-// canonical: the same Trace and version always yield the same bytes.
-// This is the batch face of StreamEncoder, so a materialized encode and
-// a streamed one produce identical files by construction.
-func EncodeTraceVersion(t *Trace, version int) ([]byte, error) {
-	e, err := NewStreamEncoder(version)
-	if err != nil {
-		return nil, err
-	}
+	e := NewStreamEncoder()
 	for _, recs := range t.Threads {
 		e.BeginThread()
 		for _, r := range recs {
@@ -248,35 +179,24 @@ func traceVersion(data []byte) uint32 {
 	return binary.LittleEndian.Uint32(data[len(traceMagic):])
 }
 
-// DecodeTrace reverses EncodeTrace for either codec version,
-// materializing every record. Every defect is a distinct, loud error —
-// wrong magic, future codec version, truncation, checksum mismatch, or
-// malformed records — never a partial Trace: a damaged trace must not
-// replay as a subtly different workload. Large v2 files should be
-// opened with OpenFile instead, which streams records block by block
-// rather than materializing them.
+// DecodeTrace reverses EncodeTrace, reading either codec version and
+// materializing every record. It is NewReader's verification followed
+// by Materialize, so every defect is the same distinct, loud error the
+// streaming open reports — wrong magic, future codec version,
+// truncation, checksum mismatch, or malformed records — never a
+// partial Trace: a damaged trace must not replay as a subtly different
+// workload. Large files should be opened with OpenFile instead, which
+// streams records block by block rather than materializing them.
 func DecodeTrace(data []byte) (*Trace, error) {
-	if !IsTrace(data) {
-		return nil, fmt.Errorf("trace: not a skybyte trace (bad magic)")
+	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
 	}
-	if len(data) < len(traceMagic)+8+sha256.Size {
-		return nil, fmt.Errorf("trace: truncated (file shorter than the fixed envelope)")
-	}
-	switch v := traceVersion(data); v {
-	case 1:
-		return decodeTraceV1(data)
-	case 2:
-		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return nil, err
-		}
-		return r.Materialize()
-	default:
-		return nil, fmt.Errorf("trace: codec version %d, this build reads v1-v%d (re-record the trace)", v, CodecVersion)
-	}
+	return r.Materialize()
 }
 
-// decodeTraceV1 reverses encodeTraceV1.
+// decodeTraceV1 decodes the flat legacy layout, which this build reads
+// but never writes.
 func decodeTraceV1(data []byte) (*Trace, error) {
 	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	if got := sha256.Sum256(body); !bytes.Equal(got[:], sum) {

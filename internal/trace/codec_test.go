@@ -3,8 +3,8 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,63 +36,67 @@ func sampleTrace() *Trace {
 	}
 }
 
+// goldenV1 returns the checked-in v1 fixture — the only source of v1
+// bytes, since nothing writes that layout any more.
+func goldenV1(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/golden-v1.trc")
+	if err != nil {
+		t.Fatalf("golden fixture missing: %v", err)
+	}
+	return data
+}
+
+// reseal recomputes data's sha256 trailer in place, the way a crafted
+// file's author would seal their own bytes.
+func reseal(data []byte) []byte {
+	sum := sha256.Sum256(data[:len(data)-sha256.Size])
+	copy(data[len(data)-sha256.Size:], sum[:])
+	return data
+}
+
 func TestTraceRoundTripByteIdentity(t *testing.T) {
 	tr := sampleTrace()
-	for _, version := range []int{1, 2} {
-		a, err := EncodeTraceVersion(tr, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := DecodeTrace(a)
-		if err != nil {
-			t.Fatalf("v%d: %v", version, err)
-		}
-		if !reflect.DeepEqual(dec.Meta, tr.Meta) {
-			t.Fatalf("v%d: meta changed across round trip: %+v vs %+v", version, dec.Meta, tr.Meta)
-		}
-		if !reflect.DeepEqual(dec.Threads, tr.Threads) {
-			t.Fatalf("v%d: records changed across round trip", version)
-		}
-		b, err := EncodeTraceVersion(dec, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Fatalf("v%d: re-encoding a decoded trace is not byte-identical", version)
-		}
-		if TraceDigest(a) != TraceDigest(b) {
-			t.Fatalf("v%d: digest differs across an identical round trip", version)
-		}
-		wantPrefix := fmt.Sprintf("v%d:", version)
-		if !strings.HasPrefix(TraceDigest(a), wantPrefix) {
-			t.Fatalf("digest %q does not carry the file's own version prefix %q", TraceDigest(a), wantPrefix)
-		}
-	}
-	// The default encoder writes the current version.
-	def, err := EncodeTrace(tr)
+	a, err := EncodeTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := EncodeTraceVersion(tr, CodecVersion)
+	dec, err := DecodeTrace(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(def) != string(cur) {
-		t.Fatal("EncodeTrace does not match EncodeTraceVersion(t, CodecVersion)")
+	if !reflect.DeepEqual(dec.Meta, tr.Meta) {
+		t.Fatalf("meta changed across round trip: %+v vs %+v", dec.Meta, tr.Meta)
+	}
+	if !reflect.DeepEqual(dec.Threads, tr.Threads) {
+		t.Fatal("records changed across round trip")
+	}
+	b, err := EncodeTrace(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("re-encoding a decoded trace is not byte-identical")
+	}
+	if want := fmt.Sprintf("v%d:", CodecVersion); !strings.HasPrefix(TraceDigest(a), want) {
+		t.Fatalf("digest %q does not carry the file's own version prefix %q", TraceDigest(a), want)
+	}
+	// A v1 file's digest carries its own version, so re-encoding it
+	// (always to v2) is a different identity for the same records.
+	if d := TraceDigest(goldenV1(t)); !strings.HasPrefix(d, "v1:") {
+		t.Fatalf("v1 fixture digest %q lacks the v1 prefix", d)
 	}
 }
 
+// TestCrossVersionDecodeIdentical: the v1 fixture and its v2
+// re-encoding decode to the same trace, and v2 is the smaller file.
 func TestCrossVersionDecodeIdentical(t *testing.T) {
-	tr := sampleTrace()
-	v1, err := EncodeTraceVersion(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := EncodeTraceVersion(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := goldenV1(t)
 	d1, err := DecodeTrace(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := EncodeTrace(d1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +133,11 @@ func TestTraceReplayStream(t *testing.T) {
 }
 
 func TestTraceDecodeRejectsDamage(t *testing.T) {
-	for _, version := range []int{1, 2} {
-		good, err := EncodeTraceVersion(sampleTrace(), version)
-		if err != nil {
-			t.Fatal(err)
-		}
+	v2, err := EncodeTrace(sampleTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for version, good := range map[int][]byte{1: goldenV1(t), 2: v2} {
 		cases := []struct {
 			name    string
 			mutate  func([]byte) []byte
@@ -168,9 +172,7 @@ func TestTraceDecodeRejectsFutureVersion(t *testing.T) {
 	// rather than guess at the layout.
 	data := append([]byte(nil), good...)
 	data[8] = CodecVersion + 7
-	sum := sha256.Sum256(data[:len(data)-sha256.Size])
-	copy(data[len(data)-sha256.Size:], sum[:])
-	_, err = DecodeTrace(data)
+	_, err = DecodeTrace(reseal(data))
 	if err == nil || !strings.Contains(err.Error(), "codec version") {
 		t.Fatalf("future-version trace decoded, err=%v", err)
 	}
@@ -179,21 +181,27 @@ func TestTraceDecodeRejectsFutureVersion(t *testing.T) {
 func TestDecodeRejectsHugeDeclaredCount(t *testing.T) {
 	// A crafted file may declare an absurd record count over a valid
 	// checksum (the author seals their own bytes): decoding must fail
-	// with a truncation error, not attempt a matching allocation.
-	tr := &Trace{
-		Meta:    Meta{Workload: "x", FootprintPages: 1},
-		Threads: [][]Record{{{Kind: Compute, N: 5}}},
+	// with a truncation error, not attempt a matching allocation. The
+	// attack targets v1's flat per-thread count field; patch the last
+	// thread's, so the records it over-claims run off the file's end.
+	data := goldenV1(t)
+	want := goldenTrace()
+	off := 8 + 4 + 4 + int(binary.LittleEndian.Uint32(data[12:])) + 4
+	for _, recs := range want.Threads[:len(want.Threads)-1] {
+		off += 8
+		for _, r := range recs {
+			enc, err := appendRecord(nil, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += len(enc)
+		}
 	}
-	data, err := EncodeTraceVersion(tr, 1) // the attack targets v1's flat count field
-	if err != nil {
-		t.Fatal(err)
+	if got := binary.LittleEndian.Uint64(data[off:]); got != uint64(len(want.Threads[len(want.Threads)-1])) {
+		t.Fatalf("located count field reads %d, not the last thread's record count", got)
 	}
-	meta, _ := json.Marshal(tr.Meta)
-	countOff := 8 + 4 + 4 + len(meta) + 4
-	binary.LittleEndian.PutUint64(data[countOff:], 1<<50)
-	sum := sha256.Sum256(data[:len(data)-sha256.Size])
-	copy(data[len(data)-sha256.Size:], sum[:])
-	_, err = DecodeTrace(data)
+	binary.LittleEndian.PutUint64(data[off:], 1<<50)
+	_, err := DecodeTrace(reseal(data))
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("huge-count trace decoded, err=%v", err)
 	}

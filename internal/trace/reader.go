@@ -26,36 +26,36 @@ type blockRef struct {
 	crc     uint32
 }
 
-// Reader is the streaming Source over an on-disk trace. Opening scans
-// and verifies the whole file once with a bounded buffer — envelope,
-// per-block crc seals, and the sha256 trailer — and builds an index of
-// block locations; Stream then inflates one block at a time on demand,
-// so replaying a 100M-record trace holds O(block) memory per stream
-// instead of materializing every record. v1 files have no block
-// structure and are small legacy recordings, so they are materialized
-// on open and served from memory; both versions present the same
-// Source interface.
+// Reader is the replay source over an encoded trace. Opening scans
+// and verifies the whole file once with bounded buffers — envelope,
+// every block's crc seal, inflated length and records, and the sha256
+// trailer — and builds an index of block locations; Stream then
+// inflates one block at a time on demand, so replaying a 100M-record
+// trace holds O(block) memory per stream instead of materializing
+// every record. v1 files have no block structure and are
+// small legacy recordings, so they are materialized on open and served
+// from memory behind the same methods.
 //
 // Streams of distinct threads are independent and may run on distinct
 // goroutines concurrently (reads go through io.ReaderAt). The Reader
 // keeps its file handle for its lifetime; Close releases it.
 type Reader struct {
-	src     io.ReaderAt
-	closer  io.Closer
-	version int
-	meta    Meta
-	counts  []uint64
-	blocks  [][]blockRef // per thread, in file order
-	total   uint64
-	digest  string
-	legacy  *Trace // v1 files: materialized records
+	src    io.ReaderAt
+	closer io.Closer
+	meta   Meta
+	counts []uint64
+	blocks [][]blockRef // per thread, in file order
+	total  uint64
+	digest string
+	legacy *Trace // v1 files: materialized records
 }
 
 // OpenFile opens path as a streaming trace Reader, verifying the whole
-// file (structure, every block seal, and the sha256 trailer) before
-// returning. Damage is a loud, specific error: a flipped bit inside a
-// compressed block names that block, and a truncated file fails at the
-// point the structure breaks off — never a quiet EOF mid-replay.
+// file (structure, every block's seal and records, and the sha256
+// trailer) before returning. Damage is a loud, specific error: a
+// flipped bit inside a compressed block names that block, and a
+// truncated file fails at the point the structure breaks off — never
+// a quiet EOF or a panic mid-replay.
 func OpenFile(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -109,12 +109,11 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 			return nil, err
 		}
 		return &Reader{
-			src:     src,
-			version: 1,
-			meta:    legacy.Meta,
-			total:   legacy.NumRecords(),
-			digest:  TraceDigest(buf),
-			legacy:  legacy,
+			src:    src,
+			meta:   legacy.Meta,
+			total:  uint64(legacy.Records()),
+			digest: TraceDigest(buf),
+			legacy: legacy,
 		}, nil
 	case 2:
 		return scanV2(src, size)
@@ -124,9 +123,9 @@ func NewReader(src io.ReaderAt, size int64) (*Reader, error) {
 }
 
 // scanV2 walks a v2 file once, sequentially: it parses the envelope,
-// indexes every block, checks each block's crc seal as the payload
-// streams past, and finally compares the sha256 trailer — all through
-// one bounded buffer.
+// indexes every block, checks each block's crc seal, inflates it and
+// decodes its records, and finally compares the sha256 trailer — all
+// with one block's worth of buffers.
 func scanV2(src io.ReaderAt, size int64) (*Reader, error) {
 	bodyLen := size - sha256.Size
 	h := sha256.New()
@@ -151,7 +150,7 @@ func scanV2(src io.ReaderAt, size int64) (*Reader, error) {
 	if err := need(metaBuf, "the metadata block"); err != nil {
 		return nil, err
 	}
-	r := &Reader{src: src, version: 2}
+	r := &Reader{src: src}
 	if err := json.Unmarshal(metaBuf, &r.meta); err != nil {
 		return nil, fmt.Errorf("trace: bad metadata: %w", err)
 	}
@@ -184,7 +183,8 @@ func scanV2(src io.ReaderAt, size int64) (*Reader, error) {
 		return v, nil
 	}
 	seen := make([]uint64, threads)
-	crcBuf := make([]byte, 32<<10)
+	var comp []byte
+	var inf inflater
 	for bi := 0; ; bi++ {
 		tag, err := readUvarint("the block index")
 		if err != nil {
@@ -228,20 +228,25 @@ func scanV2(src io.ReaderAt, size int64) (*Reader, error) {
 		}
 		want := binary.LittleEndian.Uint32(u32[:])
 		ref := blockRef{off: off, compLen: int(compLen), rawLen: int(rawLen), count: int(count), crc: want}
-		crc := uint32(0)
-		for left := int(compLen); left > 0; {
-			n := left
-			if n > len(crcBuf) {
-				n = len(crcBuf)
-			}
-			if err := need(crcBuf[:n], fmt.Sprintf("block %d of thread %d", bi, ti)); err != nil {
-				return nil, err
-			}
-			crc = crc32.Update(crc, crcTable, crcBuf[:n])
-			left -= n
+		if cap(comp) < ref.compLen {
+			comp = make([]byte, ref.compLen)
 		}
-		if crc != want {
+		comp = comp[:ref.compLen]
+		if err := need(comp, fmt.Sprintf("block %d of thread %d", bi, ti)); err != nil {
+			return nil, err
+		}
+		if crc32.Checksum(comp, crcTable) != want {
 			return nil, fmt.Errorf("trace: block %d of thread %d is damaged (crc mismatch; the file was altered after recording)", bi, ti)
+		}
+		// The seal only proves the payload is what the writer sealed;
+		// inflate and decode it too, so a block whose content is
+		// malformed fails here, named, instead of panicking mid-replay.
+		raw, err := inf.inflate(comp, ref.rawLen)
+		if err == nil {
+			err = checkRecords(raw, ref.count)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: block %d of thread %d: %w", bi, ti, err)
 		}
 		seen[ti] += count
 		r.blocks[ti] = append(r.blocks[ti], ref)
@@ -281,22 +286,19 @@ func (c countingByteReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// TraceMeta implements Source.
+// TraceMeta returns the recorded metadata.
 func (r *Reader) TraceMeta() Meta { return r.meta }
 
-// NumThreads implements Source.
+// NumThreads returns the recorded thread-stream count (>= 1).
 func (r *Reader) NumThreads() int {
 	if r.legacy != nil {
-		return r.legacy.NumThreads()
+		return len(r.legacy.Threads)
 	}
 	return len(r.counts)
 }
 
-// NumRecords implements Source.
+// NumRecords returns the total record count across all threads.
 func (r *Reader) NumRecords() uint64 { return r.total }
-
-// FileVersion implements Source: the codec version of the backing file.
-func (r *Reader) FileVersion() int { return r.version }
 
 // Digest returns the file's content identity — identical to
 // TraceDigest of the encoded bytes, computed during the open scan
@@ -314,10 +316,12 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Stream implements Source: a lazily decoded walk of thread's blocks
-// (threads wrap modulo the recorded count). Each returned stream owns
-// its own block buffers, so concurrent replays of distinct threads are
-// safe; memory per stream stays bounded by one block.
+// Stream replays thread's records as a lazily decoded walk of its
+// blocks. Threads wrap modulo the recorded count, so a trace recorded
+// with fewer threads than a run schedules still feeds every software
+// thread. Each returned stream owns its own block buffers, so
+// concurrent replays of distinct threads are safe; memory per stream
+// stays bounded by one block.
 func (r *Reader) Stream(thread int) Stream {
 	if r.legacy != nil {
 		return r.legacy.Stream(thread)
@@ -354,8 +358,8 @@ func (r *Reader) Materialize() (*Trace, error) {
 
 // blockStream walks one thread's blocks, inflating one at a time and
 // decoding records on demand. Open-time verification has already
-// sealed every block, so a failure here means the file changed under
-// a live Reader — an unrecoverable programming/environment error the
+// inflated and decoded every block, so a failure here means the file
+// changed under a live Reader — an unrecoverable environment error the
 // Stream interface has no channel for; it panics with the block's
 // identity rather than replaying damaged records.
 type blockStream struct {
@@ -366,7 +370,7 @@ type blockStream struct {
 	pos    int    // cursor in raw
 	left   int    // records remaining in the current block
 	comp   []byte // scratch: compressed payload
-	fr     io.ReadCloser
+	inf    inflater
 }
 
 // Next implements Stream.
@@ -385,7 +389,7 @@ func (s *blockStream) Next() (Record, bool) {
 	s.pos = pos
 	s.left--
 	if s.left == 0 && s.pos != len(s.raw) {
-		panic(fmt.Sprintf("trace: block %d carries %d bytes beyond its declared records", s.bi-1, len(s.raw)-s.pos))
+		panic(fmt.Sprintf("trace: block %d carries %d bytes beyond its declared records (file changed under a live reader?)", s.bi-1, len(s.raw)-s.pos))
 	}
 	return rec, true
 }
@@ -402,22 +406,58 @@ func (s *blockStream) load(ref blockRef) {
 	if crc := crc32.Checksum(comp, crcTable); crc != ref.crc {
 		panic(fmt.Sprintf("trace: block at offset %d is damaged (crc mismatch; file changed under a live reader)", ref.off))
 	}
-	if s.fr == nil {
-		s.fr = flate.NewReader(bytes.NewReader(comp))
-	} else if err := s.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		panic(fmt.Sprintf("trace: resetting inflater: %v", err))
+	raw, err := s.inf.inflate(comp, ref.rawLen)
+	if err != nil {
+		panic(fmt.Sprintf("trace: block at offset %d: %v (file changed under a live reader?)", ref.off, err))
 	}
-	if cap(s.raw) < ref.rawLen {
-		s.raw = make([]byte, ref.rawLen)
-	}
-	s.raw = s.raw[:ref.rawLen]
-	if _, err := io.ReadFull(s.fr, s.raw); err != nil {
-		panic(fmt.Sprintf("trace: inflating block at offset %d: %v", ref.off, err))
-	}
-	var one [1]byte
-	if n, _ := s.fr.Read(one[:]); n != 0 {
-		panic(fmt.Sprintf("trace: block at offset %d inflates beyond its declared %d bytes", ref.off, ref.rawLen))
-	}
+	s.raw = raw
 	s.pos = 0
 	s.left = ref.count
+}
+
+// inflater decompresses block payloads, reusing one flate reader and
+// one output buffer across blocks.
+type inflater struct {
+	fr  io.ReadCloser
+	raw []byte
+}
+
+// inflate decompresses comp, which must inflate to exactly rawLen
+// bytes and end its deflate stream there. The returned slice is valid
+// until the next call.
+func (z *inflater) inflate(comp []byte, rawLen int) ([]byte, error) {
+	if z.fr == nil {
+		z.fr = flate.NewReader(bytes.NewReader(comp))
+	} else if err := z.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, fmt.Errorf("resetting inflater: %w", err)
+	}
+	if cap(z.raw) < rawLen {
+		z.raw = make([]byte, rawLen)
+	}
+	z.raw = z.raw[:rawLen]
+	if _, err := io.ReadFull(z.fr, z.raw); err != nil {
+		return nil, fmt.Errorf("inflating to its declared %d bytes: %w", rawLen, err)
+	}
+	var one [1]byte
+	if n, err := z.fr.Read(one[:]); n != 0 || err != io.EOF {
+		return nil, fmt.Errorf("payload does not end at its declared %d bytes", rawLen)
+	}
+	return z.raw, nil
+}
+
+// checkRecords decodes every record of an inflated block: exactly
+// count well-formed records must fill raw.
+func checkRecords(raw []byte, count int) error {
+	pos := 0
+	for i := 0; i < count; i++ {
+		_, next, err := decodeRecord(raw, pos)
+		if err != nil {
+			return fmt.Errorf("record %d of %d: %w", i, count, err)
+		}
+		pos = next
+	}
+	if pos != len(raw) {
+		return fmt.Errorf("carries %d bytes beyond its declared %d records", len(raw)-pos, count)
+	}
+	return nil
 }

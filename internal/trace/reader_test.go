@@ -40,18 +40,23 @@ func drain(st Stream) []Record {
 }
 
 func TestStreamingReaderMatchesDecode(t *testing.T) {
-	tr := sampleTrace()
-	for _, version := range []int{1, 2} {
-		data, err := EncodeTraceVersion(tr, version)
-		if err != nil {
-			t.Fatal(err)
-		}
+	v2, err := EncodeTrace(sampleTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		version int
+		data    []byte
+		tr      *Trace
+	}{
+		{1, goldenV1(t), goldenTrace()},
+		{2, v2, sampleTrace()},
+	}
+	for _, tc := range cases {
+		version, data, tr := tc.version, tc.data, tc.tr
 		r, err := OpenFile(writeTemp(t, "s.trc", data))
 		if err != nil {
 			t.Fatalf("v%d: %v", version, err)
-		}
-		if got := r.FileVersion(); got != version {
-			t.Fatalf("FileVersion = %d, file is v%d", got, version)
 		}
 		if !reflect.DeepEqual(r.TraceMeta(), tr.Meta) {
 			t.Fatalf("v%d: meta %+v, want %+v", version, r.TraceMeta(), tr.Meta)
@@ -120,10 +125,7 @@ func goldenTrace() *Trace {
 func TestGoldenV1Compat(t *testing.T) {
 	const fixture = "testdata/golden-v1.trc"
 	const wantDigest = "v1:baec21cbf76d4cfe5fe4ecc998dbd008871ac601fac379471bd8fd14b7be74fe"
-	data, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatalf("golden fixture missing: %v", err)
-	}
+	data := goldenV1(t)
 	if got := TraceDigest(data); got != wantDigest {
 		t.Fatalf("fixture digest %q, want %q (the checked-in file changed)", got, wantDigest)
 	}
@@ -149,7 +151,7 @@ func TestGoldenV1Compat(t *testing.T) {
 		}
 	}
 	// And the fixture's records survive a v2 re-encode bit-exactly.
-	re, err := EncodeTraceVersion(dec, 2)
+	re, err := EncodeTrace(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func multiBlockTrace() *Trace {
 // compressed block: opening must fail naming exactly that block — not
 // succeed, not fail at EOF, not report a vague whole-file error.
 func TestV2DamagedBlockFailsAtBlock(t *testing.T) {
-	data, err := EncodeTraceVersion(multiBlockTrace(), 2)
+	data, err := EncodeTrace(multiBlockTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,7 @@ func TestStreamingReplayBoundedMemory(t *testing.T) {
 	}
 	tr := &Trace{Meta: Meta{Workload: "big", Seed: 1, FootprintPages: 1 << 19}, Threads: [][]Record{recs}}
 	materializedBytes := uint64(len(recs)) * uint64(16) // 16 B/record in memory
-	data, err := EncodeTraceVersion(tr, 2)
+	data, err := EncodeTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,47 +321,53 @@ func TestStreamingReplayBoundedMemory(t *testing.T) {
 	}
 }
 
+// craftV2 builds a one-thread v2 file around a single block whose
+// payload is raw, deflate-compressed and crc-sealed correctly, under
+// whatever record count and sizes the header declares (declComp 0
+// declares the true compressed length). The sha256 trailer is valid:
+// the author of a crafted file seals their own bytes.
+func craftV2(raw []byte, declCount, declRaw, declComp uint64) []byte {
+	var b bytes.Buffer
+	b.Write(traceMagic[:])
+	var u32 [4]byte
+	put32 := func(v uint32) {
+		binary.LittleEndian.PutUint32(u32[:], v)
+		b.Write(u32[:])
+	}
+	meta, _ := json.Marshal(Meta{Workload: "x", FootprintPages: 1})
+	put32(2)
+	put32(uint32(len(meta)))
+	b.Write(meta)
+	put32(1) // one thread
+	var u64 [8]byte
+	binary.LittleEndian.PutUint64(u64[:], declCount)
+	b.Write(u64[:])
+	var comp bytes.Buffer
+	fw, _ := flate.NewWriter(&comp, flate.DefaultCompression)
+	fw.Write(raw)
+	fw.Close()
+	if declComp == 0 {
+		declComp = uint64(comp.Len())
+	}
+	var varBuf [binary.MaxVarintLen64]byte
+	putUv := func(v uint64) { b.Write(varBuf[:binary.PutUvarint(varBuf[:], v)]) }
+	putUv(1) // thread 0
+	putUv(declCount)
+	putUv(declRaw)
+	putUv(declComp)
+	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(comp.Bytes(), crcTable))
+	b.Write(u32[:])
+	b.Write(comp.Bytes())
+	putUv(0)
+	sum := sha256.Sum256(b.Bytes())
+	b.Write(sum[:])
+	return b.Bytes()
+}
+
 // TestV2RejectsOverflowingBlockHeader: block headers are untrusted
 // input — sizes near 2^63 must fail validation as loud errors, not
 // wrap an arithmetic check and surface later as an allocation panic.
 func TestV2RejectsOverflowingBlockHeader(t *testing.T) {
-	build := func(declCount, declRaw, declComp uint64) []byte {
-		var b bytes.Buffer
-		b.Write(traceMagic[:])
-		var u32 [4]byte
-		put32 := func(v uint32) {
-			binary.LittleEndian.PutUint32(u32[:], v)
-			b.Write(u32[:])
-		}
-		meta, _ := json.Marshal(Meta{Workload: "x", FootprintPages: 1})
-		put32(2)
-		put32(uint32(len(meta)))
-		b.Write(meta)
-		put32(1) // one thread
-		var u64 [8]byte
-		binary.LittleEndian.PutUint64(u64[:], declCount)
-		b.Write(u64[:])
-		// One real compute record, deflate-compressed and crc-sealed,
-		// under whatever sizes the header declares.
-		raw := []byte{byte(Compute), 2}
-		var comp bytes.Buffer
-		fw, _ := flate.NewWriter(&comp, flate.DefaultCompression)
-		fw.Write(raw)
-		fw.Close()
-		var varBuf [binary.MaxVarintLen64]byte
-		putUv := func(v uint64) { b.Write(varBuf[:binary.PutUvarint(varBuf[:], v)]) }
-		putUv(1) // thread 0
-		putUv(declCount)
-		putUv(declRaw)
-		putUv(declComp)
-		binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(comp.Bytes(), crcTable))
-		b.Write(u32[:])
-		b.Write(comp.Bytes())
-		putUv(0)
-		sum := sha256.Sum256(b.Bytes())
-		b.Write(sum[:])
-		return b.Bytes()
-	}
 	cases := []struct {
 		name                         string
 		declCount, declRaw, declComp uint64
@@ -369,7 +377,8 @@ func TestV2RejectsOverflowingBlockHeader(t *testing.T) {
 		{"rawLen near 2^63", 1, 1 << 63, 10},
 	}
 	for _, tc := range cases {
-		data := build(tc.declCount, tc.declRaw, tc.declComp)
+		// One real compute record under whatever sizes the header declares.
+		data := craftV2([]byte{byte(Compute), 2}, tc.declCount, tc.declRaw, tc.declComp)
 		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err == nil {
 			// Belt and braces: even if the scan were loosened, decode
@@ -382,5 +391,43 @@ func TestV2RejectsOverflowingBlockHeader(t *testing.T) {
 		if !strings.Contains(err.Error(), "impossible sizes") && !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("%s: error %q is not the named validation failure", tc.name, err)
 		}
+	}
+}
+
+// TestV2MalformedBlockContentFailsAtOpen: a block whose seals are all
+// valid but whose inflated content is malformed must fail at open,
+// naming the block — not open cleanly and panic partway through a
+// replay.
+func TestV2MalformedBlockContentFailsAtOpen(t *testing.T) {
+	const c = byte(Compute)
+	cases := []struct {
+		name          string
+		raw           []byte
+		count, rawLen uint64
+		errPart       string
+	}{
+		{"unknown record kind", []byte{9, 2}, 1, 2, "unknown record kind 9"},
+		{"records beyond the declared count", []byte{c, 2, c, 3}, 1, 4, "beyond its declared 1 records"},
+		{"fewer records than declared", []byte{c, 0x80, 0x80, 0x01}, 2, 4, "record 1 of 2"},
+		{"inflates past the declared length", []byte{c, 2, c, 3}, 1, 2, "does not end at its declared 2 bytes"},
+		{"inflates short of the declared length", []byte{c, 2}, 1, 3, "declared 3 bytes"},
+	}
+	for _, tc := range cases {
+		data := craftV2(tc.raw, tc.count, tc.rawLen, 0)
+		wantErr := func(how string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s: %s accepted the crafted file", tc.name, how)
+			}
+			if !strings.Contains(err.Error(), "block 0 of thread 0") || !strings.Contains(err.Error(), tc.errPart) {
+				t.Fatalf("%s: %s error %q does not name the block and %q", tc.name, how, err, tc.errPart)
+			}
+		}
+		_, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		wantErr("NewReader", err)
+		_, err = OpenFile(writeTemp(t, "crafted.trc", data))
+		wantErr("OpenFile", err)
+		_, err = DecodeTrace(data)
+		wantErr("DecodeTrace", err)
 	}
 }

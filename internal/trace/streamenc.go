@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,11 +14,11 @@ import (
 // StreamEncoder builds an encoded trace one record at a time, so a
 // producer — an importer parsing a multi-gigabyte external file, a
 // recorder draining a generator — never materializes the full record
-// slice. It is THE encoder: EncodeTraceVersion is a thin loop over
-// BeginThread/Append/Finish, so the streamed bytes are identical to a
-// batch encode by construction (same block cuts, same deflate state
-// handling), and every digest derived from a trace is independent of
-// which path produced it.
+// slice. It is the only trace writer: EncodeTrace is a thin loop over
+// BeginThread/Append/Finish, so a batch encode and a streamed one
+// produce identical bytes by construction (same block cuts, same
+// deflate state handling), and every digest derived from a trace is
+// independent of which path produced it.
 //
 // Usage: NewStreamEncoder, then for each thread in order BeginThread
 // followed by its Appends, then Finish with the file meta (meta is
@@ -25,50 +26,34 @@ import (
 // footprint, write ratio, source digest — can ride in it). The first
 // error poisons the encoder; Finish reports it.
 //
-// Memory: v2 holds the current raw block (~64 KiB) plus the compressed
-// blocks already cut, v1 holds the flat record bytes — either way peak
-// heap tracks the encoded size (a few bytes per record), not the
-// 16 B/record of a materialized []Record.
+// Memory: the encoder holds the current raw block (~64 KiB) plus the
+// compressed blocks already cut, each in its own exact-size slice, so
+// peak heap tracks the encoded size (a few bytes per record) with no
+// growth slack, not the 16 B/record of a materialized []Record.
 type StreamEncoder struct {
-	version int
-	counts  []uint64     // per-thread record counts, in BeginThread order
-	body    bytes.Buffer // v2: sealed blocks; v1: per-thread count+records
+	counts  []uint64 // per-thread record counts, in BeginThread order
+	blocks  [][]byte // sealed blocks, in file order
+	bodyLen int      // total bytes across blocks
 	err     error
 
-	// v2 block state: the raw payload being accumulated and the shared
-	// deflate scratch, reset per block exactly like the batch loop did.
+	// Block state: the raw payload being accumulated and the shared
+	// deflate scratch, reset per block.
 	raw        []byte
 	blockCount int
 	comp       bytes.Buffer
 	fw         *flate.Writer
-
-	// v1 writes each thread's u64 record count ahead of its records;
-	// the count is only known at thread end, so a placeholder goes in at
-	// BeginThread and is patched in place (body is append-only).
-	countOff int
 }
 
 // errFinished poisons an encoder whose Finish already ran.
 var errFinished = errors.New("trace: stream encode: encoder already finished")
 
-// NewStreamEncoder returns an encoder for the given codec version (1
-// flat, 2 block-compressed).
-func NewStreamEncoder(version int) (*StreamEncoder, error) {
-	e := &StreamEncoder{version: version}
-	switch version {
-	case 1:
-		e.raw = make([]byte, 0, 16)
-	case 2:
-		fw, err := flate.NewWriter(&e.comp, flate.DefaultCompression)
-		if err != nil {
-			return nil, fmt.Errorf("trace: encode: %w", err)
-		}
-		e.fw = fw
-		e.raw = make([]byte, 0, blockRawTarget+16)
-	default:
-		return nil, fmt.Errorf("trace: cannot encode codec version %d (this build writes v1 and v2)", version)
-	}
-	return e, nil
+// NewStreamEncoder returns an encoder writing the block-compressed
+// layout (CodecVersion).
+func NewStreamEncoder() *StreamEncoder {
+	e := &StreamEncoder{raw: make([]byte, 0, blockRawTarget+16)}
+	// NewWriter only fails on an invalid level; DefaultCompression is valid.
+	e.fw, _ = flate.NewWriter(&e.comp, flate.DefaultCompression)
+	return e
 }
 
 // BeginThread opens the next thread stream; subsequent Appends belong
@@ -77,13 +62,8 @@ func (e *StreamEncoder) BeginThread() {
 	if e.err != nil {
 		return
 	}
-	e.endThread()
+	e.flushBlock() // a failure poisons e.err, which Append and Finish report
 	e.counts = append(e.counts, 0)
-	if e.version == 1 {
-		e.countOff = e.body.Len()
-		var u64 [8]byte
-		e.body.Write(u64[:]) // placeholder, patched at thread end
-	}
 }
 
 // Append encodes one record into the current thread.
@@ -95,32 +75,20 @@ func (e *StreamEncoder) Append(r Record) error {
 		e.err = errors.New("trace: stream encode: Append before BeginThread")
 		return e.err
 	}
-	switch e.version {
-	case 1:
-		rec, err := appendRecord(e.raw[:0], r)
-		if err != nil {
-			e.err = err
+	// Cut the block before the append that would pass the target, so
+	// cuts land between the same records whatever the caller's batching.
+	if len(e.raw) >= blockRawTarget {
+		if err := e.flushBlock(); err != nil {
 			return err
 		}
-		e.raw = rec
-		e.body.Write(rec)
-	case 2:
-		// Cut the block before the append that would pass the target —
-		// the same rule as the batch loop's "append while raw < target",
-		// so cuts land between the same records.
-		if len(e.raw) >= blockRawTarget {
-			if err := e.flushBlock(); err != nil {
-				return err
-			}
-		}
-		raw, err := appendRecord(e.raw, r)
-		if err != nil {
-			e.err = err
-			return err
-		}
-		e.raw = raw
-		e.blockCount++
 	}
+	raw, err := appendRecord(e.raw, r)
+	if err != nil {
+		e.err = err
+		return err
+	}
+	e.raw = raw
+	e.blockCount++
 	e.counts[len(e.counts)-1]++
 	return nil
 }
@@ -137,24 +105,10 @@ func (e *StreamEncoder) Records() uint64 {
 // Threads returns the number of thread streams opened so far.
 func (e *StreamEncoder) Threads() int { return len(e.counts) }
 
-// endThread seals the current thread: v1 patches its record count in,
-// v2 flushes the partial block. No-op before the first BeginThread.
-func (e *StreamEncoder) endThread() {
-	if len(e.counts) == 0 {
-		return
-	}
-	switch e.version {
-	case 1:
-		binary.LittleEndian.PutUint64(e.body.Bytes()[e.countOff:], e.counts[len(e.counts)-1])
-	case 2:
-		e.flushBlock()
-	}
-}
-
 // flushBlock deflates the accumulated raw payload and appends one
 // sealed block for the current thread. Empty payloads emit nothing (a
 // thread with no records has no blocks, matching the reader's
-// expectation and the batch layout).
+// expectation).
 func (e *StreamEncoder) flushBlock() error {
 	if e.blockCount == 0 {
 		return nil
@@ -169,53 +123,56 @@ func (e *StreamEncoder) flushBlock() error {
 		e.err = fmt.Errorf("trace: encode: deflate: %w", err)
 		return e.err
 	}
-	var varBuf [binary.MaxVarintLen64]byte
-	put := func(v uint64) { e.body.Write(varBuf[:binary.PutUvarint(varBuf[:], v)]) }
-	put(uint64(len(e.counts)-1) + 1) // thread+1; 0 is the end sentinel
-	put(uint64(e.blockCount))
-	put(uint64(len(e.raw)))
-	put(uint64(e.comp.Len()))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(e.comp.Bytes(), crcTable))
-	e.body.Write(crc[:])
-	e.body.Write(e.comp.Bytes())
+	var hdr [4*binary.MaxVarintLen64 + 4]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(len(e.counts))) // thread+1; 0 is the end sentinel
+	h = binary.AppendUvarint(h, uint64(e.blockCount))
+	h = binary.AppendUvarint(h, uint64(len(e.raw)))
+	h = binary.AppendUvarint(h, uint64(e.comp.Len()))
+	h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(e.comp.Bytes(), crcTable))
+	blk := make([]byte, 0, len(h)+e.comp.Len())
+	blk = append(append(blk, h...), e.comp.Bytes()...)
+	e.blocks = append(e.blocks, blk)
+	e.bodyLen += len(blk)
 	e.raw = e.raw[:0]
 	e.blockCount = 0
 	return nil
 }
 
 // Finish seals the trace and returns the complete file bytes: header
-// with meta, the encoded thread payloads, and the sha256 trailer. The
-// encoder cannot be reused afterwards.
+// with meta, the per-thread record counts, the sealed blocks, the
+// block sentinel and the sha256 trailer. Every part's size is known
+// here, so the file is allocated once at its exact length. The encoder
+// cannot be reused afterwards.
 func (e *StreamEncoder) Finish(meta Meta) ([]byte, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.endThread()
-	if e.err != nil {
-		return nil, e.err
+	if err := e.flushBlock(); err != nil {
+		return nil, err
 	}
 	if len(e.counts) == 0 {
 		return nil, fmt.Errorf("trace: encode: no thread streams")
 	}
-	var b bytes.Buffer
-	if err := encodeHeader(&b, meta, len(e.counts), uint32(e.version)); err != nil {
-		return nil, err
+	m, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("trace: encode meta: %w", err)
 	}
-	if e.version == 2 {
-		var u64 [8]byte
-		for _, c := range e.counts {
-			binary.LittleEndian.PutUint64(u64[:], c)
-			b.Write(u64[:])
-		}
+	size := len(traceMagic) + 4 + 4 + len(m) + 4 + 8*len(e.counts) + e.bodyLen + 1 + sha256.Size
+	b := make([]byte, 0, size)
+	b = append(b, traceMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, CodecVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m)))
+	b = append(b, m...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.counts)))
+	for _, c := range e.counts {
+		b = binary.LittleEndian.AppendUint64(b, c)
 	}
-	b.Write(e.body.Bytes())
-	if e.version == 2 {
-		var varBuf [binary.MaxVarintLen64]byte
-		b.Write(varBuf[:binary.PutUvarint(varBuf[:], 0)]) // block sentinel
+	for _, blk := range e.blocks {
+		b = append(b, blk...)
 	}
-	sum := sha256.Sum256(b.Bytes())
-	b.Write(sum[:])
+	b = append(b, 0) // block sentinel: uvarint 0
+	sum := sha256.Sum256(b)
+	b = append(b, sum[:]...)
 	e.err = errFinished
-	return b.Bytes(), nil
+	return b, nil
 }

@@ -35,26 +35,19 @@ func pinnedTrace() *Trace {
 	return tr
 }
 
-// TestEncodeGoldenDigests pins the encoded bytes of both codec
-// versions across encoder rewrites. The v1 digest depends only on this
-// package; the v2 digest also depends on compress/flate's output for
-// the pinned toolchain (WORKLOADS.md documents the caveat) — a Go
-// version bump that changes deflate output legitimately moves it, and
-// the fix is to re-pin alongside re-recording any checked-in traces.
+// TestEncodeGoldenDigests pins the encoded bytes across encoder
+// rewrites. The digest depends on compress/flate's output for the
+// pinned toolchain (WORKLOADS.md documents the caveat) — a Go version
+// bump that changes deflate output legitimately moves it, and the fix
+// is to re-pin alongside re-recording any checked-in traces.
 func TestEncodeGoldenDigests(t *testing.T) {
-	want := map[int]string{
-		1: "v1:05dbfc827e229f8eaa9d7ac0957c9db8ebb6e33278890ab570ab0f3890351aea",
-		2: "v2:ff1dec41e2b8f83e09a11b857b1bdb858f4e1d1d2556227ce85de17f93979772",
+	const want = "v2:ff1dec41e2b8f83e09a11b857b1bdb858f4e1d1d2556227ce85de17f93979772"
+	data, err := EncodeTrace(pinnedTrace())
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := pinnedTrace()
-	for _, v := range []int{1, 2} {
-		data, err := EncodeTraceVersion(tr, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := TraceDigest(data); got != want[v] {
-			t.Errorf("v%d encoding drifted: digest %s, pinned %s", v, got, want[v])
-		}
+	if got := TraceDigest(data); got != want {
+		t.Errorf("encoding drifted: digest %s, pinned %s", got, want)
 	}
 }
 
@@ -63,54 +56,48 @@ func TestEncodeGoldenDigests(t *testing.T) {
 // (which drives the same encoder, but via its own thread loop).
 func TestStreamEncoderMatchesBatch(t *testing.T) {
 	tr := pinnedTrace()
-	for _, v := range []int{1, 2} {
-		want, err := EncodeTraceVersion(tr, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewStreamEncoder(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, recs := range tr.Threads {
-			e.BeginThread()
-			for _, r := range recs {
-				if err := e.Append(r); err != nil {
-					t.Fatal(err)
-				}
+	want, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewStreamEncoder()
+	for _, recs := range tr.Threads {
+		e.BeginThread()
+		for _, r := range recs {
+			if err := e.Append(r); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if e.Threads() != 3 || e.Records() != uint64(tr.Records()) {
-			t.Fatalf("v%d: encoder tracked %d threads / %d records", v, e.Threads(), e.Records())
-		}
-		got, err := e.Finish(tr.Meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("v%d: streamed bytes differ from batch encode", v)
-		}
-		// Round trip: the streamed file decodes to the original records.
-		back, err := DecodeTrace(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Records() != tr.Records() || len(back.Threads) != len(tr.Threads) {
-			t.Fatalf("v%d: round trip lost records", v)
-		}
+	}
+	if e.Threads() != 3 || e.Records() != uint64(tr.Records()) {
+		t.Fatalf("encoder tracked %d threads / %d records", e.Threads(), e.Records())
+	}
+	got, err := e.Finish(tr.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("streamed bytes differ from batch encode")
+	}
+	// Finish knows every part's size, so the file is one exact-size
+	// allocation rather than a doubling buffer's over-capacity tail.
+	if cap(got) != len(got) {
+		t.Fatalf("Finish returned %d bytes in a %d-byte allocation", len(got), cap(got))
+	}
+	// Round trip: the streamed file decodes to the original records.
+	back, err := DecodeTrace(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Records() != tr.Records() || len(back.Threads) != len(tr.Threads) {
+		t.Fatal("round trip lost records")
 	}
 }
 
 // TestStreamEncoderMisuse: the failure modes are loud errors, not
 // corrupt files.
 func TestStreamEncoderMisuse(t *testing.T) {
-	if _, err := NewStreamEncoder(3); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("future version accepted: %v", err)
-	}
-	e, err := NewStreamEncoder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewStreamEncoder()
 	if err := e.Append(Record{Kind: Load, Addr: 64}); err == nil {
 		t.Fatal("Append before BeginThread succeeded")
 	}
@@ -118,18 +105,18 @@ func TestStreamEncoderMisuse(t *testing.T) {
 		t.Fatal("poisoned encoder finished cleanly")
 	}
 
-	e, _ = NewStreamEncoder(2)
+	e = NewStreamEncoder()
 	if _, err := e.Finish(Meta{}); err == nil || !strings.Contains(err.Error(), "no thread streams") {
 		t.Fatalf("zero-thread Finish: %v", err)
 	}
 
-	e, _ = NewStreamEncoder(1)
+	e = NewStreamEncoder()
 	e.BeginThread()
 	if err := e.Append(Record{Kind: Kind(99)}); err == nil {
 		t.Fatal("unknown record kind accepted")
 	}
 
-	e, _ = NewStreamEncoder(1)
+	e = NewStreamEncoder()
 	e.BeginThread()
 	if err := e.Append(Record{Kind: Compute, N: 1}); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func writeCPUSet(t *testing.T, names ...string) string {
 // champsim traces and checks each file became its own thread stream.
 func TestImportEncodedDirectoryPerCPU(t *testing.T) {
 	dir := writeCPUSet(t, "cpu2.champsimtrace", "cpu0.champsimtrace", "cpu1.champsimtrace")
-	enc, err := ImportEncoded("champsim", dir, trace.CodecVersion)
+	enc, err := ImportEncoded("champsim", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestImportEncodedDirectoryPerCPU(t *testing.T) {
 func TestImportEncodedGlobDeterministic(t *testing.T) {
 	dir := writeCPUSet(t, "cpu0.champsimtrace", "cpu1.champsimtrace")
 	glob := filepath.Join(dir, "*.champsimtrace")
-	a, err := ImportEncoded("champsim", glob, trace.CodecVersion)
+	a, err := ImportEncoded("champsim", glob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ImportEncoded("champsim", glob, trace.CodecVersion)
+	b, err := ImportEncoded("champsim", glob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestImportEncodedGlobDeterministic(t *testing.T) {
 	if err := os.Rename(filepath.Join(dir, "cpu1.champsimtrace"), filepath.Join(dir, "cpu9.champsimtrace")); err != nil {
 		t.Fatal(err)
 	}
-	c, err := ImportEncoded("champsim", glob, trace.CodecVersion)
+	c, err := ImportEncoded("champsim", glob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestImportMultiFileChampsimOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ImportEncoded("damon", dir, trace.CodecVersion); err == nil {
+	if _, err := ImportEncoded("damon", dir); err == nil {
 		t.Fatal("damon accepted a multi-file directory import")
 	}
 }
@@ -99,7 +99,7 @@ func TestImportMultiFileChampsimOnly(t *testing.T) {
 // source digest) so existing .trc identities survive.
 func TestImportSingleFileUnchanged(t *testing.T) {
 	src := fixtureFile(t, "champsim")
-	direct, err := ImportEncoded("champsim", src, trace.CodecVersion)
+	direct, err := ImportEncoded("champsim", src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,35 +14,38 @@ import (
 )
 
 // TestImportEncodedMatchesMaterialized: the streaming import path must
-// produce the exact bytes of materializing and batch-encoding — every
-// digest-derived identity (spec keys, result-store keys) depends on
-// the two paths being interchangeable.
+// produce the exact bytes of collecting the converter's records and
+// batch-encoding them — every digest-derived identity (spec keys,
+// result-store keys) depends on the encoding being independent of how
+// the records reached the encoder.
 func TestImportEncodedMatchesMaterialized(t *testing.T) {
 	for _, format := range Formats() {
 		src := fixtureFile(t, format)
-		tr, err := Import(format, src)
+		var recs []trace.Record
+		meta, err := importStream(format, src, func(r trace.Record) error {
+			recs = append(recs, r)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, version := range []int{1, 2} {
-			want, err := trace.EncodeTraceVersion(tr, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc, err := ImportEncoded(format, src, version)
-			if err != nil {
-				t.Fatalf("%s v%d: %v", format, version, err)
-			}
-			if !bytes.Equal(enc.Data, want) {
-				t.Fatalf("%s v%d: streaming import produced different bytes than materialize+encode", format, version)
-			}
-			if enc.Threads != 1 || enc.Records != uint64(tr.Records()) {
-				t.Fatalf("%s v%d: streamed %d threads / %d records, materialized %d / %d",
-					format, version, enc.Threads, enc.Records, len(tr.Threads), tr.Records())
-			}
-			if enc.Meta.Workload != tr.Meta.Workload || enc.Meta.FootprintPages != tr.Meta.FootprintPages {
-				t.Fatalf("%s v%d: meta diverged: %+v vs %+v", format, version, enc.Meta, tr.Meta)
-			}
+		want, err := trace.EncodeTrace(&trace.Trace{Meta: meta, Threads: [][]trace.Record{recs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := ImportEncoded(format, src)
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if !bytes.Equal(enc.Data, want) {
+			t.Fatalf("%s: streaming import produced different bytes than materialize+encode", format)
+		}
+		if enc.Threads != 1 || enc.Records != uint64(len(recs)) {
+			t.Fatalf("%s: streamed %d threads / %d records, materialized 1 / %d",
+				format, enc.Threads, enc.Records, len(recs))
+		}
+		if !reflect.DeepEqual(enc.Meta, meta) {
+			t.Fatalf("%s: meta diverged: %+v vs %+v", format, enc.Meta, meta)
 		}
 	}
 }
@@ -101,10 +105,7 @@ func TestStreamingImportBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	baseline := ms.HeapAlloc
 
-	enc, err := trace.NewStreamEncoder(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := trace.NewStreamEncoder()
 	enc.BeginThread()
 	var n uint64
 	var peak uint64

@@ -53,9 +53,8 @@ const ConverterVersion = "traceimport/v1"
 // time (thread 0 only for all current formats — replay wraps threads
 // modulo the recorded count, so any simulated thread count still feeds
 // every thread). Streaming instead of returning a slice keeps importer
-// memory independent of source size: the sink decides whether records
-// materialize (Import) or encode straight into trace blocks
-// (ImportEncoded).
+// memory independent of source size: ImportEncoded's sink encodes each
+// record straight into trace blocks.
 var converters = map[string]func(r io.Reader, n *normalizer, e *emitter) error{
 	"champsim":   importChampSim,
 	"damon":      importDAMON,
@@ -210,29 +209,10 @@ func (st *passStats) writeRatio() float64 {
 	return float64(st.stores) / float64(st.loads+st.stores)
 }
 
-// Import converts the external trace at path into an in-memory Trace
-// with provenance meta. The result is ready to encode
-// (trace.EncodeTrace) or to hand to code that wants materialized
-// records; conversions meant for a .trc file or a workload
-// registration should use ImportEncoded instead, which never holds
-// the record slice.
-func Import(format, path string) (*trace.Trace, error) {
-	var recs []trace.Record
-	meta, err := importStream(format, path, func(r trace.Record) error {
-		recs = append(recs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &trace.Trace{Meta: meta, Threads: [][]trace.Record{recs}}, nil
-}
-
 // Encoded is a finished streaming import: the canonical .trc bytes
 // plus the meta and record count the pass discovered.
 type Encoded struct {
-	// Data is the encoded trace container, identical to encoding the
-	// materialized Import result at the same version.
+	// Data is the encoded trace container.
 	Data []byte
 	// Meta is the trace meta that rides in Data (provenance included).
 	Meta trace.Meta
@@ -283,19 +263,18 @@ func expandSources(path string) ([]string, error) {
 }
 
 // ImportEncoded converts the external trace at path directly into
-// encoded .trc bytes at the given codec version, streaming each
-// record into the block writer as it is parsed. Peak heap tracks the
-// encoded output size (a few bytes per record) plus one raw block —
-// not the 16 B/record of a materialized conversion — so multi-gigabyte
-// published traces import without a matching memory budget. The bytes
-// are identical to EncodeTraceVersion(Import(...)) by construction.
+// encoded .trc bytes, streaming each record into the block writer as
+// it is parsed. Peak heap tracks the encoded output size (a few bytes
+// per record) plus one raw block — not the 16 B/record of a
+// materialized conversion — so multi-gigabyte published traces import
+// without a matching memory budget.
 //
 // For champsim, path may be a directory or a glob of per-CPU trace
 // files: each file (sorted by name, the cpu0..cpuN convention) becomes
 // one real thread stream, sharing a single address normalizer so pages
 // common to several cores rebase to the same arena page. The other
 // formats carry no per-CPU convention and stay single-file.
-func ImportEncoded(format, path string, version int) (*Encoded, error) {
+func ImportEncoded(format, path string) (*Encoded, error) {
 	files, err := expandSources(path)
 	if err != nil {
 		return nil, err
@@ -304,10 +283,7 @@ func ImportEncoded(format, path string, version int) (*Encoded, error) {
 		return nil, fmt.Errorf("traceimport: %s: %q names %d files; per-CPU multi-file sets are a champsim convention (other formats take one file)",
 			format, path, len(files))
 	}
-	enc, err := trace.NewStreamEncoder(version)
-	if err != nil {
-		return nil, err
-	}
+	enc := trace.NewStreamEncoder()
 	var meta trace.Meta
 	if len(files) == 1 {
 		enc.BeginThread() // single-source converters emit one thread-0 stream

@@ -22,6 +22,16 @@ func fixtureFile(t *testing.T, format string) string {
 	return path
 }
 
+// importTrace converts path through ImportEncoded and decodes the
+// container back into records, for tests that inspect the conversion.
+func importTrace(format, path string) (*trace.Trace, error) {
+	enc, err := ImportEncoded(format, path)
+	if err != nil {
+		return nil, err
+	}
+	return trace.DecodeTrace(enc.Data)
+}
+
 func kindCounts(tr *trace.Trace) map[trace.Kind]int {
 	k := map[trace.Kind]int{}
 	for _, recs := range tr.Threads {
@@ -60,7 +70,7 @@ func TestFormatsListsEveryConverter(t *testing.T) {
 func TestImportEveryFormat(t *testing.T) {
 	for _, format := range Formats() {
 		src := fixtureFile(t, format)
-		tr, err := Import(format, src)
+		tr, err := importTrace(format, src)
 		if err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
@@ -122,11 +132,11 @@ func TestImportEveryFormat(t *testing.T) {
 func TestImportDeterministic(t *testing.T) {
 	for _, format := range Formats() {
 		src := fixtureFile(t, format)
-		a, err := Import(format, src)
+		a, err := importTrace(format, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Import(format, src)
+		b, err := importTrace(format, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +171,11 @@ func TestChampSimGzip(t *testing.T) {
 	if err := os.WriteFile(gzPath, gz.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := Import("champsim", plainPath)
+	a, err := importTrace("champsim", plainPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Import("champsim", gzPath)
+	b, err := importTrace("champsim", gzPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestImportRejectsDamage(t *testing.T) {
 		{"cachegrind", write("badaddr.log", []byte(" L zzzz,4\n")), "unrecognized"},
 	}
 	for _, tc := range cases {
-		_, err := Import(tc.format, tc.path)
+		_, err := importTrace(tc.format, tc.path)
 		if err == nil {
 			t.Errorf("%s %s: malformed source imported without error", tc.format, filepath.Base(tc.path))
 			continue
@@ -228,7 +238,7 @@ func TestImportRejectsDamage(t *testing.T) {
 			t.Errorf("%s %s: error %q does not mention %q", tc.format, filepath.Base(tc.path), err, tc.errPart)
 		}
 	}
-	if _, err := Import("champsim", filepath.Join(dir, "missing.bin")); err == nil {
+	if _, err := importTrace("champsim", filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("missing source imported without error")
 	}
 }

@@ -23,7 +23,7 @@ import (
 // import across runs, write it to a .trc with the skybyte-trace CLI
 // (-import ... -record out.trc) and load the file instead.
 func RegisterWorkload(format, path string) (workloads.Spec, error) {
-	enc, err := ImportEncoded(format, path, trace.CodecVersion)
+	enc, err := ImportEncoded(format, path)
 	if err != nil {
 		return workloads.Spec{}, err
 	}
@@ -31,7 +31,7 @@ func RegisterWorkload(format, path string) (workloads.Spec, error) {
 	if err != nil {
 		return workloads.Spec{}, err
 	}
-	spec, err := workloads.SpecFromTrace(src, trace.TraceDigest(enc.Data))
+	spec, err := workloads.SpecFromTrace(src)
 	if err != nil {
 		return workloads.Spec{}, err
 	}

@@ -39,7 +39,7 @@ func FromFile(path string) (Spec, error) {
 		if err != nil {
 			return Spec{}, fmt.Errorf("workloads: %s: %w", path, err)
 		}
-		s, err := SpecFromTrace(r, r.Digest())
+		s, err := SpecFromTrace(r)
 		if err != nil {
 			r.Close()
 			return Spec{}, fmt.Errorf("workloads: %s: %w", path, err)
@@ -61,18 +61,14 @@ func FromFile(path string) (Spec, error) {
 	return s, nil
 }
 
-// SpecFromTrace wraps a replayable trace source (a materialized
-// *trace.Trace or a streaming *trace.Reader) as a workload named
-// "trace:<original workload>". The digest (trace.TraceDigest of the
-// encoded bytes) becomes the spec's source identity, so an edited or
-// re-recorded trace — or a re-encode under a different codec version —
-// fingerprints differently, and the PR-4 surgical store invalidation
-// re-keys exactly the design points that replay it.
-func SpecFromTrace(src trace.Source, digest string) (Spec, error) {
-	if src.NumThreads() == 0 {
-		return Spec{}, fmt.Errorf("workloads: trace has no thread streams")
-	}
-	meta := src.TraceMeta()
+// SpecFromTrace wraps an opened trace as a workload named
+// "trace:<original workload>". The reader's digest (the file's codec
+// version plus content hash) becomes the spec's source identity, so an
+// edited or re-recorded trace — or a re-encode under a different codec
+// version — fingerprints differently, and the surgical store
+// invalidation re-keys exactly the design points that replay it.
+func SpecFromTrace(r *trace.Reader) (Spec, error) {
+	meta := r.TraceMeta()
 	if meta.FootprintPages == 0 {
 		return Spec{}, fmt.Errorf("workloads: trace metadata missing footprint_pages")
 	}
@@ -85,6 +81,6 @@ func SpecFromTrace(src trace.Source, digest string) (Spec, error) {
 		Suite:          "trace",
 		FootprintPages: meta.FootprintPages,
 		WriteRatio:     meta.WriteRatio,
-		Trace:          &TraceReplay{Data: src, Digest: digest},
+		Trace:          r,
 	}, nil
 }

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"io"
 
 	"skybyte/internal/registry"
 	"skybyte/internal/trace"
@@ -67,10 +66,8 @@ func normalizeSpec(s Spec) Spec {
 // registered before runners and harnesses resolve them, so nothing
 // replays the displaced spec's streams afterwards.
 func closeReplaced(old, s Spec) {
-	if old.Trace != nil && (s.Trace == nil || old.Trace.Data != s.Trace.Data) {
-		if c, ok := old.Trace.Data.(io.Closer); ok {
-			c.Close()
-		}
+	if old.Trace != nil && old.Trace != s.Trace {
+		old.Trace.Close()
 	}
 }
 
@@ -120,7 +117,7 @@ func (s Spec) SourceID() string {
 	case s.Def != nil:
 		return "def:" + s.Def.Fingerprint()
 	case s.Trace != nil:
-		return "trace:" + s.Trace.Digest
+		return "trace:" + s.Trace.Digest()
 	}
 	return "none:" + s.Name
 }

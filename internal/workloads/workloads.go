@@ -42,23 +42,13 @@ type Spec struct {
 	// from (extra built-ins and file-loaded workloads).
 	Def *Def
 	// Trace, when set, replays a recorded trace through the same
-	// Stream interface (the seed is ignored — a trace is literal).
-	Trace *TraceReplay
+	// Stream interface (the seed is ignored — a trace is literal). The
+	// reader streams straight off the encoded file one compressed
+	// block at a time, so campaign memory stays bounded no matter how
+	// large the recording is.
+	Trace *trace.Reader
 	// native is the hand-coded generator of the Table I seven.
 	native func(Spec, int, *trace.RNG) trace.Stream
-}
-
-// TraceReplay backs a trace-kind workload: a replayable record source
-// plus the content digest that identifies it in fingerprints. The
-// source is either a materialized *trace.Trace (e.g. fresh from an
-// importer) or a streaming *trace.Reader, which replays straight off
-// the file one compressed block at a time so campaign memory stays
-// bounded no matter how large the recording is.
-type TraceReplay struct {
-	Data trace.Source
-	// Digest is trace.TraceDigest of the encoded file — the file's
-	// codec version plus content hash.
-	Digest string
 }
 
 // FootprintBytes returns the scaled footprint in bytes.
@@ -96,7 +86,7 @@ func Table1Names() []string {
 // Trace-backed specs replay their records literally and ignore the seed.
 func (s Spec) Stream(thread int, seed uint64) trace.Stream {
 	if s.Trace != nil {
-		return s.Trace.Data.Stream(thread)
+		return s.Trace.Stream(thread)
 	}
 	mix := trace.NewRNG(seed*0x9E37 + uint64(thread)*0x79B9 + 1)
 	switch {

@@ -662,6 +662,46 @@ func TestTraceRecordReplayBitForBit(t *testing.T) {
 	}
 }
 
+// TestTraceV1ReplaysLikeItsV2Reencode: v1 is a read-only layout, and
+// re-recording a v1 file writes v2. The checked-in v1 fixture and its
+// v2 re-encoding, replayed at the same budget, must produce the same
+// Result bytes — the re-record changes the container, never the run.
+func TestTraceV1ReplaysLikeItsV2Reencode(t *testing.T) {
+	const fixture = "internal/trace/testdata/golden-v1.trc"
+	data, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.DecodeTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := trace.EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Path := filepath.Join(t.TempDir(), "golden-v2.trc")
+	if err := os.WriteFile(v2Path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := skybyte.ScaledConfig().WithVariant(skybyte.SkyByteFull)
+	var results []string
+	for _, path := range []string{fixture, v2Path} {
+		w, err := skybyte.WorkloadFromFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := system.EncodeResult(skybyte.Run(cfg, w, len(tr.Threads), tr.Meta.InstrPerThread, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, string(enc))
+	}
+	if results[0] != results[1] {
+		t.Fatalf("the v1 fixture and its v2 re-encoding replay differently:\nv1: %.200s\nv2: %.200s", results[0], results[1])
+	}
+}
+
 // TestImportedTraceEndToEnd is the importer acceptance at the public
 // API: a synthetic ChampSim trace imports to a registered workload,
 // replays to byte-identical Results across goroutines (a campaign's
@@ -716,16 +756,12 @@ func TestImportedTraceEndToEnd(t *testing.T) {
 	// Record the conversion and load the file: same records, same
 	// source identity — the spec key (and so any cached result) is
 	// shared between the -import and -workload-file entry paths.
-	tr, err := traceimport.Import("champsim", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := trace.EncodeTrace(tr)
+	enc, err := traceimport.ImportEncoded("champsim", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trc := filepath.Join(dir, "fixture.trc")
-	if err := os.WriteFile(trc, data, 0o644); err != nil {
+	if err := os.WriteFile(trc, enc.Data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fromFile, err := skybyte.WorkloadFromFile(trc)
@@ -736,11 +772,11 @@ func TestImportedTraceEndToEnd(t *testing.T) {
 		t.Fatalf("source identity differs between import (%s) and file load (%s)", w.SourceID(), fromFile.SourceID())
 	}
 	fileRes := skybyte.Run(cfg, fromFile, threads, per, 7) // trace replay ignores the seed
-	enc, err := system.EncodeResult(fileRes)
+	fileEnc, err := system.EncodeResult(fileRes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(enc) != string(first) {
+	if string(fileEnc) != string(first) {
 		t.Fatal("replay through the recorded .trc differs from the in-memory import")
 	}
 	if skybyte.ImportFormats()[0] == "" || len(skybyte.ImportFormats()) != 3 {
