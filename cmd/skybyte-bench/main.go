@@ -336,7 +336,7 @@ func printConfigs() {
 	for _, c := range []struct {
 		name string
 		cfg  skybyte.Config
-	}{{"ScaledConfig (1/64, used by benches)", skybyte.ScaledConfig()}, {"PaperConfig (Table II verbatim)", skybyte.PaperConfig()}} {
+	}{{"ScaledConfig (1/64, used by benches)", skybyte.ScaledConfig()}, {"PaperConfig (Table II capacities; FTL 0.75/0.15/0.18, migration threshold 8 vs 32)", skybyte.PaperConfig()}} {
 		cfg := c.cfg
 		fmt.Printf("%s:\n", c.name)
 		fmt.Printf("  CPU        %d cores, %d-entry ROB, %d MSHRs; L1 %s/%dw L2 %s/%dw LLC %s/%dw\n",

@@ -67,8 +67,8 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		devices   = flag.Int("devices", 0, "wire a fleet of this many CXL-SSDs behind the placement layer (0 or 1 = the single-device machine; max 16); a fleet of 2+ prints per-device fleet-dev rows")
 		placement = flag.String("placement", "", "with -devices >= 2: fleet placement policy (striped, capacity, hotcold; default striped)")
-		threshold = flag.Duration("cs-threshold", 2*time.Microsecond, "context-switch trigger threshold (artifact knob cs_threshold)")
-		policy    = flag.String("policy", "FAIRNESS", "scheduling policy: RR, RANDOM, FAIRNESS (artifact knob t_policy)")
+		threshold = flag.Duration("cs-threshold", 0, "context-switch trigger threshold (artifact knob cs_threshold; unset keeps the machine's)")
+		policy    = flag.String("policy", "", "scheduling policy: RR, RANDOM, FAIRNESS (artifact knob t_policy; unset keeps the machine's)")
 		cacheMB   = flag.Int("ssd-dram-mb", 0, "override total SSD DRAM size in MiB (artifact knob ssd_cache_size_byte)")
 		logKB     = flag.Int("write-log-kb", 0, "override write log size in KiB")
 		paper     = flag.Bool("paper-scale", false, "use Table II capacities verbatim instead of the 1/64 scaled machine")
@@ -79,6 +79,8 @@ func main() {
 		fromCache = flag.Bool("from-cache", false, "with -variants and -cache-dir: render from the store only; a missing run is an error")
 	)
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
@@ -160,6 +162,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if given["policy"] {
+		if _, err := osched.ParsePolicy(*policy); err != nil {
+			fail(err)
+		}
+	}
 	var variantList []system.Variant
 	if *variants != "" {
 		for _, name := range strings.Split(*variants, ",") {
@@ -213,8 +220,12 @@ func main() {
 	// knobs applies the CLI overrides on top of a variant config; it is
 	// the spec's config mutation.
 	knobs := func(c *skybyte.Config) {
-		c.HintThreshold = sim.Time(threshold.Nanoseconds()) * sim.Nanosecond
-		c.Policy = osched.PolicyKind(*policy)
+		if given["cs-threshold"] {
+			c.HintThreshold = sim.Time(threshold.Nanoseconds()) * sim.Nanosecond
+		}
+		if given["policy"] {
+			c.Policy = osched.PolicyKind(*policy)
+		}
 		if *cacheMB > 0 {
 			c.SSDDRAMBytes = *cacheMB << 20
 		}

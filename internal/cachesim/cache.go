@@ -243,23 +243,6 @@ func (c *Cache) Invalidate(a mem.Addr) (wasPresent, wasDirty bool) {
 	return false, false
 }
 
-// FlushAll invalidates every line, invoking victim for each valid line (so
-// dirty data can be written down the hierarchy). Used to model the cache
-// pollution side effect of a context switch.
-func (c *Cache) FlushAll(victim func(Victim)) {
-	for i := range c.valid {
-		if !c.valid[i] {
-			continue
-		}
-		if victim != nil {
-			set := (i / c.ways)
-			victim(Victim{Addr: c.lineAddr(set, c.tags[i]), Dirty: c.dirty[i], Valid: true})
-		}
-		c.valid[i] = false
-		c.dirty[i] = false
-	}
-}
-
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0

@@ -85,25 +85,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
-	c := small()
-	c.Fill(0, true)
-	c.Fill(64, false)
-	c.Fill(128, true)
-	var dirty int
-	c.FlushAll(func(v Victim) {
-		if v.Dirty {
-			dirty++
-		}
-	})
-	if dirty != 2 {
-		t.Fatalf("dirty victims = %d, want 2", dirty)
-	}
-	if c.Occupancy() != 0 {
-		t.Fatal("cache not empty after flush")
-	}
-}
-
 func TestFillIdempotentWhenPresent(t *testing.T) {
 	c := small()
 	c.Fill(0, false)

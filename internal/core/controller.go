@@ -34,11 +34,6 @@ type Config struct {
 	// PrefetchNext enables Base-CSSD's next-page prefetch on read miss.
 	PrefetchNext bool
 
-	// LogIndexLatency / CacheIndexLatency are the FPGA-measured lookup
-	// latencies (§V: 72 ns / 49 ns); parallel probing charges the max.
-	LogIndexLatency   sim.Time
-	CacheIndexLatency sim.Time
-
 	// MigrationEnabled turns on hot-page promotion candidate tracking;
 	// MigrationThreshold is the access count that nominates a page. Counts
 	// are per flash page and persist across cache residencies (§III-C:
@@ -49,13 +44,6 @@ type Config struct {
 	// MigrationMinResidency additionally requires the page to have been
 	// cached this long before nomination, filtering single-sweep streams.
 	MigrationMinResidency sim.Time
-	// HeatDecayInterval is the epoch length after which page heat halves.
-	HeatDecayInterval sim.Time
-
-	// CompactWavePerChannel bounds how many compaction page-writes are in
-	// flight per flash channel, so background compaction cannot monopolise
-	// the FIFO queues ahead of demand reads.
-	CompactWavePerChannel int
 
 	// TrackData enables the functional byte path end to end.
 	TrackData bool
@@ -63,24 +51,20 @@ type Config struct {
 	TrackLocality bool
 }
 
-// DefaultConfig returns SkyByte-Full controller defaults at Table II scale.
-func DefaultConfig() Config {
-	return Config{
-		WriteLogEnabled:       true,
-		WriteLogBytes:         64 * mem.MiB,
-		CacheBytes:            448 * mem.MiB,
-		CacheWays:             16,
-		HintEnabled:           true,
-		HintThreshold:         2 * sim.Microsecond,
-		LogIndexLatency:       72 * sim.Nanosecond,
-		CacheIndexLatency:     49 * sim.Nanosecond,
-		MigrationEnabled:      false,
-		MigrationThreshold:    32,
-		MigrationMinResidency: 5 * sim.Microsecond,
-		HeatDecayInterval:     200 * sim.Microsecond,
-		CompactWavePerChannel: 4,
-	}
-}
+// Fixed controller parameters of the modelled machine. Changing one
+// changes the model's output and needs a system.ResultVersion bump.
+const (
+	// logIndexLatency / cacheIndexLatency are the FPGA-measured lookup
+	// latencies (§V: 72 ns / 49 ns); parallel probing charges the max.
+	logIndexLatency   = 72 * sim.Nanosecond
+	cacheIndexLatency = 49 * sim.Nanosecond
+	// heatDecayInterval is the epoch length after which page heat halves.
+	heatDecayInterval = 1 * sim.Millisecond
+	// compactWavePerChannel bounds how many compaction page-writes are in
+	// flight per flash channel, so background compaction cannot
+	// monopolise the FIFO queues ahead of demand reads.
+	compactWavePerChannel = 4
+)
 
 // ReadMeta describes how a read was served, for system-level AMAT and
 // request-class accounting (Figs. 16–17).
@@ -314,9 +298,9 @@ func (c *Controller) otherLog() *writelog.Log  { return c.logs[1-c.active] }
 
 func (c *Controller) indexLatency() sim.Time {
 	if c.cfg.WriteLogEnabled {
-		return sim.Max(c.cfg.LogIndexLatency, c.cfg.CacheIndexLatency)
+		return sim.Max(logIndexLatency, cacheIndexLatency)
 	}
-	return c.cfg.CacheIndexLatency
+	return cacheIndexLatency
 }
 
 // EstimateReadDelay is Algorithm 1: the queue-sum latency estimate for a
@@ -588,7 +572,7 @@ func (c *Controller) MemWr(off uint64, data []byte, record bool, tenant int, acc
 			c.startFetch(fs, false)
 		}
 		fs.waiters = append(fs.waiters, fetchWaiter{
-			t0: c.eng.Now(), idxLat: c.cfg.CacheIndexLatency, off: off,
+			t0: c.eng.Now(), idxLat: cacheIndexLatency, off: off,
 			record: record, isWrite: true, data: cloneLine(data), accept: accepted,
 		})
 		return
@@ -645,7 +629,7 @@ func (c *Controller) switchLogs() {
 // compaction stays in the background rather than monopolising the queues.
 func (c *Controller) compactWave() {
 	old := c.otherLog()
-	budget := c.cfg.CompactWavePerChannel * c.arr.Geo.Channels
+	budget := compactWavePerChannel * c.arr.Geo.Channels
 	if budget < 1 {
 		budget = 1
 	}
@@ -760,10 +744,7 @@ func (c *Controller) bumpHeat(lpa uint64) uint32 {
 	if !c.cfg.MigrationEnabled {
 		return 0
 	}
-	cur := uint32(0)
-	if c.cfg.HeatDecayInterval > 0 {
-		cur = uint32(c.eng.Now() / c.cfg.HeatDecayInterval)
-	}
+	cur := uint32(c.eng.Now() / heatDecayInterval)
 	e := c.heat[lpa]
 	if e.epoch < cur {
 		shift := cur - e.epoch

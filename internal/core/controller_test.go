@@ -25,7 +25,7 @@ func newRig(cfg Config) *crig {
 	geo := flash.Geometry{Channels: 4, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 16, PagesPerBlock: 32}
 	arr := flash.New(eng, geo, flash.TimingULL)
 	arr.TrackData = cfg.TrackData
-	fl := ftl.New(eng, arr, ftl.DefaultConfig())
+	fl := ftl.New(eng, arr, ftl.Config{UsableRatio: 0.875, GCTriggerFree: 0.20, GCReplenishFree: 0.25})
 	// Map the logical space so reads have real flash latency (the paper
 	// preconditions the SSD and stores all data there initially).
 	fl.Precondition(1.0, 0.1, 3)
@@ -34,14 +34,16 @@ func newRig(cfg Config) *crig {
 }
 
 func testConfig(writeLog bool) Config {
-	cfg := DefaultConfig()
-	cfg.WriteLogEnabled = writeLog
-	cfg.WriteLogBytes = 16 * mem.KiB // two halves of 128 lines
-	cfg.CacheBytes = 64 * mem.PageBytes
-	cfg.CacheWays = 8
-	cfg.HintEnabled = false
-	cfg.TrackData = true
-	return cfg
+	return Config{
+		WriteLogEnabled:       writeLog,
+		WriteLogBytes:         16 * mem.KiB, // two halves of 128 lines
+		CacheBytes:            64 * mem.PageBytes,
+		CacheWays:             8,
+		HintThreshold:         2 * sim.Microsecond,
+		MigrationThreshold:    32,
+		MigrationMinResidency: 5 * sim.Microsecond,
+		TrackData:             true,
+	}
 }
 
 func off(lpa, line uint64) uint64 { return lpa*mem.PageBytes + line*mem.LineBytes }
@@ -87,7 +89,7 @@ func TestBaseReadMissThenHit(t *testing.T) {
 	if m2.Flash != 0 {
 		t.Fatal("hit should have no flash component")
 	}
-	if m2.Index != r.c.cfg.CacheIndexLatency {
+	if m2.Index != cacheIndexLatency {
 		t.Fatalf("Base index latency = %v, want 49ns", m2.Index)
 	}
 }

@@ -65,8 +65,6 @@ type Config struct {
 	LLCHitExtra sim.Time // effective exposed latency of an LLC hit
 	WBCredits   int      // outstanding writeback budget per core
 
-	// FlushL1OnSwitch models switch-induced cache pollution.
-	FlushL1OnSwitch bool
 	// FreeMSHROnSquash releases MSHRs of squashed requests immediately
 	// (the paper's default; §III-A). Disabling it is an ablation.
 	FreeMSHROnSquash bool
@@ -757,14 +755,6 @@ func (c *Core) ctxSwitch(oldest *missEntry) {
 	c.stashValid = false
 	c.thread.Replay.RewindTo(rewindIdx)
 	c.fetchIdx = rewindIdx
-
-	if c.cfg.FlushL1OnSwitch {
-		c.l1.FlushAll(func(v cachesim.Victim) {
-			if v.Dirty {
-				c.installL2(v.Addr, true)
-			}
-		})
-	}
 
 	c.chargeCtx(c.sched.SwitchCost)
 	c.thread = c.sched.Switch(c.thread)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"skybyte/internal/flash"
 	"skybyte/internal/mem"
 	"skybyte/internal/osched"
 	"skybyte/internal/sim"
@@ -694,7 +695,10 @@ func sizeMutation(bytes int) mutate {
 }
 
 // fig22Timings are Table IV's NAND classes.
-var fig22Timings = []string{"ULL", "ULL2", "SLC", "MLC"}
+var fig22Timings = []struct {
+	name   string
+	timing flash.Timing
+}{{"ULL", flash.TimingULL}, {"ULL2", flash.TimingULL2}, {"SLC", flash.TimingSLC}, {"MLC", flash.TimingMLC}}
 
 // fig22Variants and fig22FullThreads are the per-NAND-class columns.
 var (
@@ -716,8 +720,8 @@ func (h *Harness) fig22(p *Plan) func() Table {
 	for _, spec := range h.specs() {
 		for _, nand := range fig22Timings {
 			nand := nand
-			mut := timingMutation(nand)
-			r := row{name: spec.Name, nand: nand}
+			mut := func(c *system.Config) { c.Timing = nand.timing }
+			r := row{name: spec.Name, nand: nand.name}
 			for _, v := range fig22Variants {
 				r.runs = append(r.runs, p.Add(solo(spec.Name, v, h.Opt.SweepInstr, 0), mut))
 			}
@@ -741,21 +745,6 @@ func (h *Harness) fig22(p *Plan) func() Table {
 			t.Rows = append(t.Rows, row)
 		}
 		return t
-	}
-}
-
-func timingMutation(nand string) mutate {
-	return func(c *system.Config) {
-		switch nand {
-		case "ULL":
-			// default
-		case "ULL2":
-			c.Timing.Read, c.Timing.Program, c.Timing.Erase = 4*sim.Microsecond, 75*sim.Microsecond, 850*sim.Microsecond
-		case "SLC":
-			c.Timing.Read, c.Timing.Program, c.Timing.Erase = 25*sim.Microsecond, 200*sim.Microsecond, 1500*sim.Microsecond
-		case "MLC":
-			c.Timing.Read, c.Timing.Program, c.Timing.Erase = 50*sim.Microsecond, 600*sim.Microsecond, 3000*sim.Microsecond
-		}
 	}
 }
 

@@ -113,8 +113,6 @@ type Array struct {
 	Eng *sim.Engine
 	Geo Geometry
 	Tim Timing
-	// BusPerPage is the channel-bus time per page transfer.
-	BusPerPage sim.Time
 
 	chans []channel
 	stats Stats
@@ -161,7 +159,7 @@ func init() {
 
 // New builds an array on the given engine.
 func New(eng *sim.Engine, geo Geometry, tim Timing) *Array {
-	a := &Array{Eng: eng, Geo: geo, Tim: tim, BusPerPage: DefaultBusPerPage,
+	a := &Array{Eng: eng, Geo: geo, Tim: tim,
 		chans: make([]channel, geo.Channels), data: map[uint64][]byte{}}
 	dies := geo.ChipsPerChan * geo.DiesPerChip * geo.PlanesPerDie
 	if dies < 1 {
@@ -248,7 +246,7 @@ func (a *Array) Read(ppa uint64, done func(data []byte)) sim.Time {
 	dieEnd := dieStart + a.Tim.Read
 	c.dies[die] = dieEnd
 	busStart := sim.Max(dieEnd, c.busFree)
-	end := busStart + a.BusPerPage
+	end := busStart + DefaultBusPerPage
 	c.busFree = end
 	a.stats.BusyTime += a.Tim.Read
 
@@ -285,7 +283,7 @@ func (a *Array) Program(ppa uint64, data []byte, done func()) sim.Time {
 		a.data[ppa] = buf
 	}
 	busStart := sim.Max(a.Eng.Now(), c.busFree)
-	busEnd := busStart + a.BusPerPage
+	busEnd := busStart + DefaultBusPerPage
 	c.busFree = busEnd
 	die := c.earliestDie()
 	dieStart := sim.Max(busEnd, c.dies[die])

@@ -49,7 +49,7 @@ func TestAddressingRoundTrip(t *testing.T) {
 func TestDieParallelReadTiming(t *testing.T) {
 	var eng sim.Engine
 	a := New(&eng, tinyGeo(), TimingULL) // 1 die per channel
-	bus := a.BusPerPage
+	bus := DefaultBusPerPage
 	// Two reads on channel 0 (block 0) share one die: tR then tR again.
 	c1 := a.Read(0, nil)
 	c2 := a.Read(1, nil)
@@ -146,7 +146,7 @@ func TestEstimateIsConservativeBound(t *testing.T) {
 			}
 		}
 		est := a.EstimateDelay(0)
-		slack := sim.Time(n+1) * a.BusPerPage
+		slack := sim.Time(n+1) * DefaultBusPerPage
 		actual := a.Read(2, nil)
 		eng.Run()
 		return actual <= est+slack

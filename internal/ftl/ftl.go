@@ -32,11 +32,6 @@ type Config struct {
 	GCReplenishFree float64
 }
 
-// DefaultConfig mirrors Table II.
-func DefaultConfig() Config {
-	return Config{UsableRatio: 0.875, GCTriggerFree: 0.20, GCReplenishFree: 0.25}
-}
-
 // Stats counts FTL-level activity.
 type Stats struct {
 	UserPrograms  uint64

@@ -13,9 +13,13 @@ func tinySetup() (*sim.Engine, *flash.Array, *FTL) {
 	eng := &sim.Engine{}
 	geo := flash.Geometry{Channels: 2, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 8, PagesPerBlock: 8}
 	arr := flash.New(eng, geo, flash.TimingULL)
-	f := New(eng, arr, DefaultConfig())
+	f := New(eng, arr, testConfig)
 	return eng, arr, f
 }
+
+// testConfig is the FTL the tests below were written against: 87.5%
+// usable, GC from 20% free blocks back up to 25%.
+var testConfig = Config{UsableRatio: 0.875, GCTriggerFree: 0.20, GCReplenishFree: 0.25}
 
 func TestLogicalCapacity(t *testing.T) {
 	_, arr, f := tinySetup()

@@ -8,6 +8,8 @@ package osched
 
 import (
 	"container/heap"
+	"fmt"
+	"strings"
 
 	"skybyte/internal/sim"
 	"skybyte/internal/stats"
@@ -82,6 +84,23 @@ const (
 	PolicyRandom PolicyKind = "RANDOM"
 	PolicyCFS    PolicyKind = "FAIRNESS"
 )
+
+// policyKinds lists every policy NewPolicy builds.
+var policyKinds = []PolicyKind{PolicyRR, PolicyRandom, PolicyCFS}
+
+// ParsePolicy resolves a policy name, rejecting unknown names with an
+// error that lists the valid set — use it to validate CLI input before
+// NewPolicy, which panics on unknown policies.
+func ParsePolicy(name string) (PolicyKind, error) {
+	valid := make([]string, len(policyKinds))
+	for i, k := range policyKinds {
+		if string(k) == name {
+			return k, nil
+		}
+		valid[i] = string(k)
+	}
+	return "", fmt.Errorf("osched: unknown policy %q (valid: %s)", name, strings.Join(valid, ", "))
+}
 
 // Policy is a run-queue ordering discipline.
 type Policy interface {

@@ -1,6 +1,7 @@
 package osched
 
 import (
+	"strings"
 	"testing"
 
 	"skybyte/internal/sim"
@@ -170,6 +171,20 @@ func TestThreadWarmupAndProgress(t *testing.T) {
 	th.Advance(120) // regression must not lower progress
 	if th.Progress != 150 {
 		t.Fatal("progress regressed")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for _, k := range policyKinds {
+		if got, err := ParsePolicy(string(k)); err != nil || got != k {
+			t.Fatalf("ParsePolicy(%q) = %q, %v", k, got, err)
+		}
+	}
+	for _, bad := range []string{"FOO", "fairness", ""} {
+		_, err := ParsePolicy(bad)
+		if err == nil || !strings.Contains(err.Error(), "RR, RANDOM, FAIRNESS") {
+			t.Fatalf("ParsePolicy(%q) error %v does not list the valid set", bad, err)
+		}
 	}
 }
 

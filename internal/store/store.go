@@ -2,16 +2,16 @@
 // store behind runner.Store: a directory of immutable JSON entries,
 // one per executed design point, addressed by a hash that folds
 // together the spec key, the machine-configuration fingerprint, and
-// the result codec version.
+// the result version (system.ResultVersion: Result layout and model).
 //
 // The addressing scheme is the safety argument. A cached entry is
 // only visible to a runner whose base configuration, workload seed,
-// and codec version all match the ones that produced it — a stale
-// cache (codec bump), a foreign cache (different machine config or
-// seed), or a damaged cache (corruption, truncation, tampering)
-// presents as a miss, and a miss always re-simulates. The store can
-// therefore never poison a table; the worst failure mode is wasted
-// work.
+// and result version all match the ones that produced it — a stale
+// cache (layout or model change), a foreign cache (different machine
+// config or seed), or a damaged cache (corruption, truncation,
+// tampering) presents as a miss, and a miss always re-simulates. The
+// store can therefore never poison a table; the worst failure mode is
+// wasted work.
 //
 // Because simulations are deterministic, entries written by different
 // processes — shards of one sweep split across CI jobs or machines —
@@ -34,8 +34,9 @@ import (
 
 // Fingerprint derives the store identity for a campaign: the resolved
 // base configuration plus the workload seed, the two inputs besides
-// the spec key that determine a simulation's output. The codec version
-// is folded in separately by the entry address and envelope.
+// the spec key that determine a simulation's output. The result
+// version, which covers the model's code, is folded in separately by
+// the entry address and envelope.
 func Fingerprint(cfg system.Config, seed uint64) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("skybyte-store|%s|seed=%d", cfg.Fingerprint(), seed)))
 	return hex.EncodeToString(sum[:])
@@ -62,7 +63,7 @@ func Open(dir, fingerprint string) (*Disk, error) {
 
 // entry is the on-disk envelope around one serialized result.
 type entry struct {
-	// Version is the result codec version the payload was written under.
+	// Version is the result version the payload was written under.
 	Version int `json:"version"`
 	// Fingerprint identifies the campaign (config + seed) — see Fingerprint.
 	Fingerprint string `json:"fingerprint"`
@@ -75,11 +76,11 @@ type entry struct {
 }
 
 // path returns the content address of key: every input that could
-// change the measurements — codec version, campaign fingerprint, spec
+// change the measurements — result version, campaign fingerprint, spec
 // key — is folded into the filename, so incompatible stores sharing a
 // directory cannot even collide on names.
 func (d *Disk) path(key string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s|%s", system.ResultCodecVersion, d.fp, key)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s|%s", system.ResultVersion, d.fp, key)))
 	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+".json")
 }
 
@@ -94,7 +95,7 @@ func (d *Disk) Get(key string) (*system.Result, bool) {
 	}
 	var e entry
 	if json.Unmarshal(data, &e) != nil ||
-		e.Version != system.ResultCodecVersion ||
+		e.Version != system.ResultVersion ||
 		e.Fingerprint != d.fp ||
 		e.Key != key ||
 		e.SHA256 != payloadDigest(e.Result) {
@@ -120,7 +121,7 @@ func (d *Disk) Put(key string, res *system.Result) {
 		return
 	}
 	e := entry{
-		Version:     system.ResultCodecVersion,
+		Version:     system.ResultVersion,
 		Fingerprint: d.fp,
 		Key:         key,
 		SHA256:      payloadDigest(payload),

@@ -146,11 +146,11 @@ func TestFingerprintMismatchMisses(t *testing.T) {
 
 // TestCodecVersionBumpMisses plants an entry claiming a different codec
 // version at the current address: it must miss, modelling a store
-// written by a build with a bumped ResultCodecVersion.
+// written by a build with a bumped ResultVersion.
 func TestCodecVersionBumpMisses(t *testing.T) {
 	d := openTestStore(t, t.TempDir(), "fp-a")
 	d.Put("k1", sampleResult("k1"))
-	mutateEntry(t, d, "k1", func(e *entry) { e.Version = system.ResultCodecVersion + 1 })
+	mutateEntry(t, d, "k1", func(e *entry) { e.Version = system.ResultVersion + 1 })
 	if _, ok := d.Get("k1"); ok {
 		t.Fatal("entry with foreign codec version served")
 	}

@@ -8,11 +8,14 @@ import (
 	"fmt"
 )
 
-// ResultCodecVersion names the serialized Result layout. Bump it
-// whenever Result (or any type it embeds) changes shape or meaning;
-// the persistent store folds the version into its content address, so
-// entries written under an older codec simply miss and re-simulate —
-// they can never decode into a wrong table.
+// ResultVersion names both the serialized Result layout and the model
+// that fills it. Bump it whenever Result (or any type it embeds)
+// changes shape or meaning, and whenever a change to the model's code
+// or fixed parameters changes what any run measures
+// (TestResultGolden fails until it is bumped). The persistent store
+// folds the version into every content address, so entries written by
+// an older layout or model simply miss and re-simulate — they can
+// never decode into a wrong table.
 //
 // v2: Result gained the per-tenant Tenants slice (multi-tenant runs).
 // v3: Result gained the per-SLO-class OpenLoop section (arrival-driven
@@ -21,7 +24,10 @@ import (
 // request-lifecycle spans of telemetry-enabled runs).
 // v5: Result gained the per-device Devices section with Placement and
 // FleetMigrations (fleet runs, DESIGN.md §9).
-const ResultCodecVersion = 5
+// v6: the version covers the model too; the machine's fixed
+// parameters became constants outside Config, so the config
+// fingerprint no longer sees them.
+const ResultVersion = 6
 
 // EncodeResult serializes r canonically: the same measurements always
 // produce the same bytes (struct fields encode in declaration order,

@@ -394,7 +394,7 @@ func New(cfg Config) *System {
 		s.devs[i] = d
 	}
 
-	s.sched = osched.New(&s.Eng, osched.NewPolicy(cfg.Policy, cfg.PolicySeed), cfg.CtxSwitchCost)
+	s.sched = osched.New(&s.Eng, osched.NewPolicy(cfg.Policy, policySeed), cfg.CtxSwitchCost)
 	s.llc = cachesim.New(cachesim.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays})
 	for i := 0; i < cfg.Cores; i++ {
 		l1 := cachesim.New(cachesim.Config{Name: "l1", SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways})
@@ -412,11 +412,11 @@ func New(cfg Config) *System {
 		}
 	case MigrationTPP:
 		s.initPromotionPool()
-		s.tpp = migrate.NewTPPSampler(cfg.TPPScanInterval, cfg.TPPThreshold)
+		s.tpp = migrate.NewTPPSampler(tppScanInterval, tppThreshold)
 	case MigrationAstri:
 		s.astri = cachesim.New(cachesim.Config{
 			Name: "astri", SizeBytes: cfg.PromotedMaxBytes,
-			Ways: cfg.AstriWays, LineBytes: mem.PageBytes,
+			Ways: astriWays, LineBytes: mem.PageBytes,
 		})
 		s.astriIn = make(map[mem.Addr]*astriFetch)
 	}
@@ -435,7 +435,7 @@ func (s *System) initPromotionPool() {
 		pages = 1
 	}
 	s.pool = migrate.NewPool(pages)
-	s.plb = migrate.NewPLB(s.cfg.PLBEntries)
+	s.plb = migrate.NewPLB(plbEntries)
 }
 
 // Controller exposes the SSD controller (traffic counters, compaction and
@@ -463,7 +463,7 @@ func (s *System) Scheduler() *osched.Scheduler { return s.sched }
 func (s *System) Cores() []*cpu.Core { return s.cores }
 
 // AddThread registers one software thread replaying stream, truncated to
-// totalInstr instructions. The leading WarmupFrac fraction is excluded from
+// totalInstr instructions. The leading warmupFrac fraction is excluded from
 // latency statistics. The thread joins tenant group 0 — the only group of
 // a solo run; multi-tenant runs use DeclareTenants + AddThreadFor.
 func (s *System) AddThread(stream trace.Stream, totalInstr uint64) *osched.Thread {
@@ -545,7 +545,7 @@ func (s *System) AddThreadFor(tenant int, stream trace.Stream, totalInstr uint64
 		ID:     len(s.threads),
 		Tenant: tenant,
 		Replay: trace.NewReplayer(&trace.Limited{Src: stream, Budget: totalInstr}),
-		Warmup: uint64(s.cfg.WarmupFrac * float64(totalInstr)),
+		Warmup: uint64(warmupFrac * float64(totalInstr)),
 	}
 	s.threads = append(s.threads, t)
 	return t
@@ -576,7 +576,7 @@ func (s *System) Run() *Result {
 		c.Start()
 	}
 	if s.tpp != nil {
-		s.Eng.After(s.cfg.TPPScanInterval, s.tppScan)
+		s.Eng.After(tppScanInterval, s.tppScan)
 	}
 	if s.tel != nil {
 		s.setupTelemetry()
@@ -817,7 +817,7 @@ func (s *System) drainPromotions() {
 	s.promoteQ = s.promoteQ[1:]
 	// MSI-X interrupt to the host, then the OS allocates a physical page
 	// and the 64 cachelines copy over the CXL link.
-	s.Eng.After(s.cfg.MSIXCost, func() {
+	s.Eng.After(msixCost, func() {
 		s.sendToHost(lpa, mem.LinesPerPage*cxl.DataBytes, func() {
 			s.completePromotion(lpa)
 			s.promoting = false
@@ -840,9 +840,9 @@ func (s *System) completePromotion(lpa uint64) {
 	s.plb.Complete(lpa)
 	s.migr.Promotions++
 	// PTE update, then a TLB shootdown interrupts every core.
-	s.Eng.After(s.cfg.PTEUpdateCost, func() {
+	s.Eng.After(pteUpdateCost, func() {
 		for _, c := range s.cores {
-			c.InjectStall(s.cfg.TLBShootdown)
+			c.InjectStall(tlbShootdown)
 		}
 	})
 }
@@ -890,7 +890,7 @@ func (s *System) tppScan() {
 			})
 		})
 	}
-	s.Eng.After(s.cfg.TPPScanInterval, s.tppScan)
+	s.Eng.After(tppScanInterval, s.tppScan)
 }
 
 // --- AstriFlash-style host page cache (§VI-H) ---
@@ -909,7 +909,7 @@ func (s *System) astriRead(req *cpu.ReadReq, a mem.Addr) {
 	}
 	// A host-cache miss triggers a user-level thread switch; the request
 	// re-issues after the page lands.
-	s.Eng.After(s.cfg.AstriSwitchCost/4, req.OnHint)
+	s.Eng.After(astriSwitchCost/4, req.OnHint)
 }
 
 func (s *System) astriWrite(a mem.Addr, tenant int, record bool, accepted func()) {

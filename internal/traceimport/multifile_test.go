@@ -80,6 +80,35 @@ func TestImportEncodedGlobDeterministic(t *testing.T) {
 	}
 }
 
+// TestImportDirectoryAndGlobAgree: a directory and a glob over the
+// same files are one trace set, so they must encode the same bytes,
+// named after the directory.
+func TestImportDirectoryAndGlobAgree(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cpuset")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"cpu0.champsimtrace", "cpu1.champsimtrace"} {
+		if err := WriteFixture("champsim", filepath.Join(dir, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byDir, err := ImportEncoded("champsim", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byGlob, err := ImportEncoded("champsim", filepath.Join(dir, "*.champsimtrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byDir.Meta.Workload != "champsim:cpuset" || byGlob.Meta.Workload != byDir.Meta.Workload {
+		t.Fatalf("set names: directory %q, glob %q; want both champsim:cpuset", byDir.Meta.Workload, byGlob.Meta.Workload)
+	}
+	if !bytes.Equal(byDir.Data, byGlob.Data) {
+		t.Fatalf("directory and glob imports differ: sources %q vs %q", byDir.Meta.Origin.Source, byGlob.Meta.Origin.Source)
+	}
+}
+
 // TestImportMultiFileChampsimOnly: the per-CPU convention is
 // champsim's; other formats must refuse a multi-file path.
 func TestImportMultiFileChampsimOnly(t *testing.T) {

@@ -227,7 +227,7 @@ type Encoded struct {
 // per-CPU trace sets as one file per core, and sorted-name order is
 // the cpu0..cpuN convention those sets use.
 func expandSources(path string) ([]string, error) {
-	if strings.ContainsAny(path, "*?[") {
+	if isGlob(path) {
 		matches, err := filepath.Glob(path)
 		if err != nil {
 			return nil, fmt.Errorf("traceimport: bad glob %q: %w", path, err)
@@ -261,6 +261,8 @@ func expandSources(path string) ([]string, error) {
 	sort.Strings(files)
 	return files, nil
 }
+
+func isGlob(path string) bool { return strings.ContainsAny(path, "*?[") }
 
 // ImportEncoded converts the external trace at path directly into
 // encoded .trc bytes, streaming each record into the block writer as
@@ -296,6 +298,13 @@ func ImportEncoded(format, path string) (*Encoded, error) {
 		// combined digest folding every per-file digest in thread order
 		// — any edited, added, removed, or reordered source file changes
 		// the provenance and re-keys the design points replaying it.
+		// The set is named after the directory its files sit in, so a
+		// directory import and a glob over it seal the same meta.
+		set := path
+		if isGlob(path) {
+			set = filepath.Dir(path)
+		}
+		set = filepath.Base(set)
 		norm := newNormalizer()
 		var agg passStats
 		comb := sha256.New()
@@ -310,12 +319,12 @@ func ImportEncoded(format, path string) (*Encoded, error) {
 			fmt.Fprintf(comb, "%s %s\n", st.digest, filepath.Base(f))
 		}
 		meta = trace.Meta{
-			Workload:       format + ":" + sanitizeName(filepath.Base(path)),
+			Workload:       format + ":" + sanitizeName(set),
 			FootprintPages: norm.footprintPages(),
 			WriteRatio:     agg.writeRatio(),
 			Origin: &trace.Origin{
 				Format:       format,
-				Source:       fmt.Sprintf("%s (%d files)", filepath.Base(path), len(files)),
+				Source:       fmt.Sprintf("%s (%d files)", set, len(files)),
 				SourceDigest: hex.EncodeToString(comb.Sum(nil)),
 				Converter:    ConverterVersion,
 			},

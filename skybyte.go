@@ -114,7 +114,9 @@ type Record = trace.Record
 // capacities (identical ratios; see DESIGN.md §1).
 func ScaledConfig() Config { return system.ScaledConfig() }
 
-// PaperConfig returns Table II verbatim (128 GB flash, 512 MB SSD DRAM).
+// PaperConfig returns Table II's capacities (128 GB flash, 512 MB SSD
+// DRAM) with ScaledConfig's FTL thresholds (0.75/0.15/0.18) and
+// promotion threshold (8, paper 32); see system.PaperConfig.
 func PaperConfig() Config { return system.PaperConfig() }
 
 // Workloads returns the seven Table I benchmarks.
@@ -347,9 +349,9 @@ func RunAllFromCache(opt ExperimentOptions) ([]ExperimentTable, error) {
 }
 
 // CampaignFingerprint returns the external cache identity of a
-// campaign: the result codec version plus a digest of the resolved
-// base configuration, the workload seed, and the full workload, mix,
-// and arrival-spec registries. It is deliberately *coarser* than the store's own
+// campaign: the result version (layout and model) plus a digest of
+// the resolved base configuration, the workload seed, and the full
+// workload, mix, and arrival-spec registries. It is deliberately *coarser* than the store's own
 // invalidation — the store re-keys per design point via source-folded
 // spec keys (DESIGN.md §2.1), so an edited workload only re-simulates
 // the entries that use it — but an external cache (e.g. CI's
@@ -365,5 +367,5 @@ func CampaignFingerprint(opt ExperimentOptions) string {
 		workloads.RegistryFingerprint(),
 		tenant.RegistryFingerprint(),
 		arrival.RegistryFingerprint())))
-	return fmt.Sprintf("v%d-%s", system.ResultCodecVersion, hex.EncodeToString(sum[:]))
+	return fmt.Sprintf("v%d-%s", system.ResultVersion, hex.EncodeToString(sum[:]))
 }
