@@ -1,5 +1,6 @@
 // skybyte-sim runs a single simulation — the equivalent of the artifact's
-// ./macsim invocation: one workload, one design variant, with the paper's
+// ./macsim invocation: one workload, mix or arrival spec (one selector,
+// shared with skybyte-trace) on one design variant, with the paper's
 // configuration knobs exposed as flags.
 //
 // Example:
@@ -38,7 +39,7 @@ import (
 	"time"
 
 	"skybyte"
-	"skybyte/internal/arrival"
+	"skybyte/cmd/internal/selector"
 	"skybyte/internal/fleet"
 	"skybyte/internal/osched"
 	"skybyte/internal/runner"
@@ -50,15 +51,8 @@ import (
 )
 
 func main() {
+	sel := selector.Declare(flag.CommandLine, true)
 	var (
-		workload  = flag.String("workload", "ycsb", "workload name; any of skybyte.WorkloadNames() — Table I, the extension scenarios, or a file-registered workload")
-		wfile     = flag.String("workload-file", "", "load the workload from a file (declarative JSON definition or recorded trace; see WORKLOADS.md) and run it")
-		impSpec   = flag.String("import", "", "convert and run an external trace, <format>:<path> (formats: champsim, damon, cachegrind; see WORKLOADS.md)")
-		mixName   = flag.String("mix", "", "run a multi-tenant mix instead of -workload: each tenant group replays its own workload (any of skybyte.MixNames()); prints per-tenant accounting")
-		mixFile   = flag.String("mix-file", "", "load a multi-tenant mix from a JSON file (see WORKLOADS.md) and run it")
-		arrName   = flag.String("arrival", "", "run an open-loop arrival spec instead of -workload: client cohorts offer requests at sampled instants (any of skybyte.ArrivalNames()); prints per-SLO-class percentiles")
-		arrFile   = flag.String("arrival-file", "", "load an arrival spec from a JSON file (see WORKLOADS.md) and run it")
-		arrScale  = flag.Float64("arrival-scale", 1, "with -arrival: multiply every cohort rate by this offered-intensity scale (finite and >= 0; 0 means 1)")
 		variant   = flag.String("variant", "SkyByte-Full", "design variant (Base-CSSD, SkyByte-{C,P,W,CP,WP,Full,CT,WCT}, AstriFlash-CXL, DRAM-Only)")
 		variants  = flag.String("variants", "", "comma-separated variants to compare; they run in parallel and print one table")
 		parallel  = flag.Int("parallel", 0, "with -variants: simulations in flight at once (0 = GOMAXPROCS)")
@@ -88,79 +82,23 @@ func main() {
 	}
 
 	// Validate every name before anything simulates: a typo must list
-	// the valid values and change nothing. A -workload-file (or
-	// -mix-file) both registers its definition (so the runner's
-	// source-folded spec keys reflect it exactly) and selects it for
-	// this run.
-	if *wfile != "" {
-		loaded, err := skybyte.WorkloadFromFile(*wfile)
-		if err != nil {
-			fail(err)
-		}
-		*workload = loaded.Name
-	}
-	if *impSpec != "" {
-		loaded, err := skybyte.ImportTrace(*impSpec)
-		if err != nil {
-			fail(err)
-		}
-		*workload = loaded.Name
-	}
-	if *mixFile != "" {
-		loaded, err := skybyte.MixFromFile(*mixFile)
-		if err != nil {
-			fail(err)
-		}
-		*mixName = loaded.Name
-	}
-	var mix skybyte.Mix
-	if *mixName != "" {
-		var err error
-		if mix, err = skybyte.MixByName(*mixName); err != nil {
-			fail(err)
-		}
-		if *variants != "" {
-			fail(fmt.Errorf("-mix runs one design point at a time; it cannot be combined with -variants"))
-		}
-		if *threads != 0 {
-			fail(fmt.Errorf("-mix declares its own thread counts; -threads does not apply"))
-		}
-	}
-	if *arrFile != "" {
-		loaded, err := skybyte.ArrivalFromFile(*arrFile)
-		if err != nil {
-			fail(err)
-		}
-		*arrName = loaded.Name
-	}
-	var arr skybyte.Arrival
-	if *arrName != "" {
-		var err error
-		if arr, err = skybyte.ArrivalByName(*arrName); err != nil {
-			fail(err)
-		}
-		// Resolve cohort references now: an arrival spec naming an
-		// unknown workload or mix must list the valid set and change
-		// nothing, before any simulation starts.
-		if err := arr.Resolve(); err != nil {
-			fail(err)
-		}
-		if err := arrival.ValidateScale(*arrScale); err != nil {
-			fail(fmt.Errorf("-arrival-scale: %w", err))
-		}
-		if *mixName != "" {
-			fail(fmt.Errorf("-arrival paces its own cohorts; it cannot be combined with -mix"))
-		}
-		if *variants != "" {
-			fail(fmt.Errorf("-arrival runs one design point at a time; it cannot be combined with -variants"))
-		}
-		if *threads != 0 {
-			fail(fmt.Errorf("-arrival declares its own cohort thread counts; -threads does not apply"))
-		}
-	}
-	w, err := skybyte.WorkloadByName(*workload)
+	// the valid values and change nothing. The selector registers a file
+	// or import once and resolves it to what runs.
+	spec, err := sel.Resolve()
 	if err != nil {
 		fail(err)
+	}
+	if spec.Mix != "" || spec.Arrival != "" {
+		kind := "-mix"
+		if spec.Arrival != "" {
+			kind = "-arrival"
+		}
+		if *variants != "" {
+			fail(fmt.Errorf("%s runs one design point at a time; it cannot be combined with -variants", kind))
+		}
+		if *threads != 0 {
+			fail(fmt.Errorf("%s declares its own thread counts; -threads does not apply", kind))
+		}
 	}
 	if given["policy"] {
 		if _, err := osched.ParsePolicy(*policy); err != nil {
@@ -253,46 +191,36 @@ func main() {
 
 	// Every run goes through the runner as one runner.Spec; without
 	// -cache-dir the runner simply has no store.
-	spec := runner.Spec{
-		Variant:   skybyte.Variant(*variant),
-		Devices:   *devices,
-		Placement: *placement,
-		Mutate:    knobs,
-	}
+	spec.Variant, spec.Devices, spec.Placement, spec.Mutate = skybyte.Variant(*variant), *devices, *placement, knobs
 
 	if *variants != "" {
-		spec.Workload = w.Name
 		compareVariants(newRunner(*parallel), base, spec, variantList, *threads, *instr, shardI, shardN, *shardSpec != "")
 		return
 	}
 
 	cfg := base.WithVariant(spec.Variant)
 	knobs(&cfg)
+	// The selector resolved the spec's names and members, so the lookups
+	// below cannot fail.
 	var head string
 	switch {
-	case *arrName != "":
-		n, err := arr.TotalThreads()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		spec.Arrival, spec.ArrivalScale, spec.TotalInstr = arr.Name, *arrScale, *instr*uint64(n)
+	case spec.Arrival != "":
+		arr, _ := skybyte.ArrivalByName(spec.Arrival)
+		n, _ := arr.TotalThreads()
+		spec.TotalInstr = *instr * uint64(n)
 		head = fmt.Sprintf("arrival         %s x%g (%d cohorts, %d threads on %d cores)\nvariant         %s",
-			arr.Name, *arrScale, len(arr.Cohorts), n, cfg.Cores, cfg.Name)
-	case *mixName != "":
+			arr.Name, spec.ArrivalScale, len(arr.Cohorts), n, cfg.Cores, cfg.Name)
+	case spec.Mix != "":
+		mix, _ := skybyte.MixByName(spec.Mix)
 		n := mix.TotalThreads()
-		spec.Mix, spec.Threads, spec.TotalInstr = mix.Name, n, *instr*uint64(n)
+		spec.Threads, spec.TotalInstr = n, *instr*uint64(n)
 		head = fmt.Sprintf("mix             %s (%d tenants, %d threads on %d cores)\nvariant         %s",
 			mix.Name, len(mix.Tenants), n, cfg.Cores, cfg.Name)
 	default:
-		// The paper default, as in the comparison path.
-		n := *threads
-		if n == 0 {
-			n = runner.ThreadsFor(cfg)
-		}
-		spec.Workload, spec.Threads, spec.TotalInstr = w.Name, n, *instr*uint64(n)
+		w, _ := skybyte.WorkloadByName(spec.Workload)
+		spec = sized(base, spec, *threads, *instr)
 		head = fmt.Sprintf("workload        %s (%s footprint, paper MPKI %.1f)\nvariant         %s, %d threads on %d cores",
-			w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI, cfg.Name, n, cfg.Cores)
+			w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI, cfg.Name, spec.Threads, cfg.Cores)
 	}
 
 	start := time.Now()
@@ -462,6 +390,19 @@ func emitTelemetry(res *skybyte.Result, timelinePath string) {
 	}
 }
 
+// sized sets a workload spec's thread count (threads, or 0 for the
+// paper default of the machine the spec builds) and its budget of
+// instrPerThread instructions per thread.
+func sized(base skybyte.Config, spec runner.Spec, threads int, instrPerThread uint64) runner.Spec {
+	if threads == 0 {
+		cfg := base.WithVariant(spec.Variant)
+		spec.Mutate(&cfg)
+		threads = runner.ThreadsFor(cfg)
+	}
+	spec.Threads, spec.TotalInstr = threads, instrPerThread*uint64(threads)
+	return spec
+}
+
 // compareVariants runs one workload across several design points on the
 // shared worker pool and prints them side by side (execution time
 // normalized to the first variant listed). Every thread receives the
@@ -474,14 +415,8 @@ func emitTelemetry(res *skybyte.Result, timelinePath string) {
 func compareVariants(r *runner.Runner, base skybyte.Config, template runner.Spec, vs []system.Variant, threads int, instrPerThread uint64, shardI, shardN int, sharded bool) {
 	specs := make([]runner.Spec, len(vs))
 	for i, v := range vs {
-		n := threads
-		if n == 0 {
-			vcfg := base.WithVariant(v)
-			template.Mutate(&vcfg)
-			n = runner.ThreadsFor(vcfg)
-		}
-		specs[i] = template
-		specs[i].Variant, specs[i].TotalInstr, specs[i].Threads = v, instrPerThread*uint64(n), n
+		template.Variant = v
+		specs[i] = sized(base, template, threads, instrPerThread)
 	}
 	run := specs
 	if sharded {

@@ -3,7 +3,9 @@
 // stream's characteristics against Table I, records streams to the
 // versioned on-disk trace format for later replay, and imports
 // externally produced traces — ChampSim, DAMON, cachegrind — into the
-// same format (WORKLOADS.md).
+// same format (WORKLOADS.md). It takes the same one selector per
+// invocation as skybyte-sim (a workload, mix or arrival spec; two are
+// an error) and analyses a workload as a one-group mix.
 //
 // Example:
 //
@@ -50,16 +52,19 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 
 	"skybyte"
+	"skybyte/cmd/internal/selector"
 	"skybyte/internal/arrival"
 	"skybyte/internal/mem"
 	"skybyte/internal/stats"
 	"skybyte/internal/telemetry"
+	"skybyte/internal/tenant"
 	"skybyte/internal/trace"
 	"skybyte/internal/traceimport"
 )
@@ -115,37 +120,38 @@ func (s summary) memOps() uint64 {
 }
 
 func main() {
+	sel := selector.Declare(flag.CommandLine, false)
 	var (
-		workload = flag.String("workload", "ycsb", "workload name (any of skybyte.WorkloadNames())")
-		wfile    = flag.String("workload-file", "", "load the workload from a file (JSON definition or recorded trace) instead of -workload")
-		mixName  = flag.String("mix", "", "analyse a multi-tenant mix instead of -workload: every tenant's streams, summarised per tenant (any of skybyte.MixNames())")
-		mixFile  = flag.String("mix-file", "", "load the mix from a JSON file (see WORKLOADS.md) instead of -mix")
-		arrName  = flag.String("arrival", "", "analyse an open-loop arrival spec instead of -workload: per-cohort process parameters and sampled interarrival statistics (any of skybyte.ArrivalNames())")
-		arrFile  = flag.String("arrival-file", "", "load the arrival spec from a JSON file (see WORKLOADS.md) instead of -arrival")
 		n        = flag.Int("n", 100000, "records to analyse (or record) per thread")
-		dump     = flag.Int("dump", 0, "records to print verbatim (single-thread mode only)")
+		dump     = flag.Int("dump", 0, "records to print verbatim (single-thread workload analysis only)")
 		thread   = flag.Int("thread", 0, "thread id")
 		nthreads = flag.Int("nthreads", 1, "analyse (or record) this many thread streams (ids 0..n-1)")
 		parallel = flag.Int("parallel", 0, "streams analysed concurrently (0 = GOMAXPROCS)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		record   = flag.String("record", "", "record the streams to this trace file instead of analysing")
+		record   = flag.String("record", "", "record the workload's streams to this trace file instead of analysing; with -import, write the full conversion")
 		recInstr = flag.Uint64("record-instr", 0, "with -record: cut each stream at this instruction budget (matching a simulation's -instr) instead of at -n records")
-		impSpec  = flag.String("import", "", "convert an external trace, <format>:<path> or a bare path with a recognized extension (formats: champsim, damon, cachegrind; champsim accepts a dir/glob of per-CPU files); records it with -record, analyses it otherwise")
 		fixture  = flag.String("make-fixture", "", "write a tiny synthetic external-format source file, <format>:<path>, then exit (importer demo/CI fixture)")
 		checkTL  = flag.String("check-timeline", "", "validate a Chrome trace-event timeline written by skybyte-sim -timeline (JSON shape and per-track span nesting), then exit; a violation is a non-zero exit")
 	)
 	flag.Parse()
+	// Which flags were given explicitly matters: cut flags do not apply
+	// to an import's conversion, and defaults mean "reproduce the source
+	// exactly" when re-recording a trace.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fail := func(code int, err error) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
 
 	if *checkTL != "" {
 		data, err := os.ReadFile(*checkTL)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		spans, tracks, err := telemetry.ValidateChromeTrace(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", *checkTL, err)
-			os.Exit(1)
+			fail(1, fmt.Errorf("%s: %w", *checkTL, err))
 		}
 		fmt.Printf("timeline OK: %d spans across %d tracks, spans nest within every track\n", spans, tracks)
 		return
@@ -157,132 +163,121 @@ func main() {
 			err = traceimport.WriteFixture(format, path)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		fmt.Printf("wrote synthetic %s fixture to %s\n", format, path)
 		fmt.Printf("import with: skybyte-trace -import %s:%s -record %s.trc\n", format, path, path)
 		return
 	}
 
-	if *impSpec != "" && *record != "" {
+	choice, err := sel.Choice()
+	if err != nil {
+		fail(2, err)
+	}
+	if choice.Flag == selector.Import && *record != "" {
 		// Convert an external trace straight to a .trc: the records
 		// pass through verbatim (no cut), with provenance meta sealed
-		// into the file. Cut flags would be silently meaningless here,
-		// so refuse them — record the full conversion, then re-record
-		// the .trc with -workload-file and the desired cut.
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		// into the file, and nothing is registered. Cut flags would be
+		// silently meaningless here, so refuse them — record the full
+		// conversion, then re-record the .trc with -workload-file and
+		// the desired cut.
 		for _, f := range []string{"n", "record-instr", "nthreads", "seed", "thread"} {
 			if explicit[f] {
-				fmt.Fprintf(os.Stderr, "-import -record writes the full conversion verbatim; -%s does not apply (record first, then re-record the .trc with -workload-file and your cut)\n", f)
-				os.Exit(2)
+				fail(2, fmt.Errorf("-import -record writes the full conversion verbatim; -%s does not apply (record first, then re-record the .trc with -workload-file and your cut)", f))
 			}
 		}
-		if err := recordImport(*impSpec, *record); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := recordImport(choice.Value, *record); err != nil {
+			fail(1, err)
 		}
 		return
 	}
-
-	if *arrFile != "" || *arrName != "" {
-		var a skybyte.Arrival
-		var err error
-		if *arrFile != "" {
-			a, err = skybyte.ArrivalFromFile(*arrFile)
-		} else {
-			a, err = skybyte.ArrivalByName(*arrName)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *record != "" {
-			fmt.Fprintln(os.Stderr, "-record captures workload streams; an arrival spec paces them but generates no records")
-			os.Exit(2)
-		}
-		analyzeArrival(a, *n, *seed)
-		return
+	if *dump > 0 && *nthreads > 1 {
+		fail(2, fmt.Errorf("-dump prints one stream's records; it cannot be combined with -nthreads %d", *nthreads))
 	}
 
-	if *mixFile != "" || *mixName != "" {
-		var m skybyte.Mix
-		var err error
-		if *mixFile != "" {
-			m, err = skybyte.MixFromFile(*mixFile)
-		} else {
-			m, err = skybyte.MixByName(*mixName)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *record != "" {
-			fmt.Fprintln(os.Stderr, "-record captures one workload's streams; record each tenant's workload separately")
-			os.Exit(2)
-		}
-		analyzeMix(m, *n, *seed, *parallel)
-		return
-	}
-
-	var w skybyte.Workload
-	var err error
-	switch {
-	case *impSpec != "":
-		// Analyse an import without recording it: the converted trace
-		// registers as a workload and flows through the same summary.
-		w, err = skybyte.ImportTrace(*impSpec)
-	case *wfile != "":
-		w, err = skybyte.WorkloadFromFile(*wfile)
-	default:
-		w, err = skybyte.WorkloadByName(*workload)
-	}
+	spec, err := sel.Resolve()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(2, err)
 	}
-
-	if *record != "" {
-		// Which cut flags were given explicitly matters for trace
-		// re-recording: defaults mean "reproduce the source exactly".
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if err := recordTrace(w, *record, *nthreads, *n, *recInstr, *seed, explicit); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if spec.Workload == "" && (*record != "" || *dump > 0) {
+		fail(2, fmt.Errorf("-record and -dump take one workload's streams; record or dump each member workload of a mix or arrival spec on its own"))
 	}
-
-	var sums []summary
-	if *nthreads > 1 {
-		// Fan the independent streams across a bounded worker pool;
-		// results print in thread order regardless of completion order.
-		workers := *parallel
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+	// The selector resolved the spec's names and members, so the lookups
+	// below cannot fail.
+	switch {
+	case spec.Arrival != "":
+		a, _ := skybyte.ArrivalByName(spec.Arrival)
+		analyzeArrival(a, *n, *seed)
+	case spec.Mix != "":
+		m, _ := skybyte.MixByName(spec.Mix)
+		groups, _ := m.Groups(0)
+		reportMix(m, groups, analyzeGroups(groups, allThreads(groups), *seed, *n, 0, *parallel), *n)
+	default:
+		w, _ := skybyte.WorkloadByName(spec.Workload)
+		if *record != "" {
+			if err := recordTrace(w, *record, *nthreads, *n, *recInstr, *seed, explicit); err != nil {
+				fail(1, err)
+			}
+			return
 		}
-		sums = make([]summary, *nthreads)
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for t := 0; t < *nthreads; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				sums[t] = analyze(w, t, *seed, *n, 0)
-				<-sem
-			}(t)
+		// A workload is the one-group case of a mix: its -nthreads
+		// streams, or the single stream -thread.
+		groups := []tenant.Group{{Name: w.Name, Workload: w, Threads: *nthreads}}
+		jobs := allThreads(groups)
+		if *nthreads <= 1 {
+			jobs = []job{{group: 0, thread: *thread}}
 		}
-		wg.Wait()
-	} else {
-		sums = []summary{analyze(w, *thread, *seed, *n, *dump)}
+		reportWorkload(w, analyzeGroups(groups, jobs, *seed, *n, *dump, *parallel), *n, *nthreads > 1)
 	}
+}
 
+// job is one stream to analyse: thread of groups[group].
+type job struct{ group, thread int }
+
+// allThreads lists every stream of groups, group by group in thread
+// order.
+func allThreads(groups []tenant.Group) []job {
+	var jobs []job
+	for g, grp := range groups {
+		for k := 0; k < grp.Threads; k++ {
+			jobs = append(jobs, job{g, k})
+		}
+	}
+	return jobs
+}
+
+// analyzeGroups drains n records of every job's stream across a bounded
+// worker pool of parallel goroutines (0 = GOMAXPROCS) and returns the
+// summaries in job order, whatever the completion order. Streams are
+// independent deterministic generators, so they analyse concurrently.
+func analyzeGroups(groups []tenant.Group, jobs []job, seed uint64, n, dump, parallel int) []summary {
+	workers := parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sums := make([]summary, len(jobs))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for ji, j := range jobs {
+		wg.Add(1)
+		go func(ji int, j job) {
+			defer wg.Done()
+			sem <- struct{}{}
+			sums[ji] = analyze(groups[j.group].Workload, j.thread, seed, n, dump)
+			<-sem
+		}(ji, j)
+	}
+	wg.Wait()
+	return sums
+}
+
+// reportWorkload prints one workload's stream summary: a per-thread
+// table when several streams were analysed, then the aggregate against
+// Table I and the Fig. 5/6 style line-usage distribution.
+func reportWorkload(w skybyte.Workload, sums []summary, n int, perThread bool) {
 	fmt.Printf("\nworkload %s (%s, paper footprint %.2fGB, paper MPKI %.1f)\n",
 		w.Name, w.Suite, w.PaperFootprintGB, w.PaperMPKI)
-	if *nthreads > 1 {
+	if perThread {
 		fmt.Printf("%-8s %12s %12s %10s %8s\n", "thread", "instrs", "mem ops", "stores", "pages")
 		for _, s := range sums {
 			fmt.Printf("%-8d %12d %12d %10d %8d\n", s.thread, s.instrs, s.memOps(), s.kinds[trace.Store], len(s.pages))
@@ -310,7 +305,7 @@ func main() {
 	}
 
 	memOps := kinds[trace.Load] + kinds[trace.LoadDep] + kinds[trace.Store]
-	fmt.Printf("instructions     %d (%d records/thread, %d threads)\n", instrs, *n, len(sums))
+	fmt.Printf("instructions     %d (%d records/thread, %d threads)\n", instrs, n, len(sums))
 	fmt.Printf("memory ops       %d (%.1f per 100 instr)\n", memOps, 100*float64(memOps)/float64(instrs))
 	totalLoads := kinds[trace.Load] + kinds[trace.LoadDep]
 	depFrac := 0.0
@@ -325,69 +320,25 @@ func main() {
 	// Spatial sparsity: the Fig. 5/6 style line-usage distribution.
 	var dist stats.Distribution
 	for _, mask := range pageLines {
-		dist.Add(float64(popcount(mask)) / float64(mem.LinesPerPage))
+		dist.Add(float64(bits.OnesCount64(mask)) / float64(mem.LinesPerPage))
 	}
 	fmt.Printf("line usage/page  mean %.1f%% of 64 lines; %.0f%% of pages use <=25%% of lines\n",
 		100*dist.Mean(), 100*dist.FractionAtOrBelow(0.25))
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-// analyzeMix summarises every tenant's streams of a multi-tenant mix:
-// one aggregate row per tenant (its Threads streams at its thread
-// count), so the interference study's inputs can be inspected before a
-// simulation runs. Streams are analysed across a bounded worker pool;
-// rows print in tenant order.
-func analyzeMix(m skybyte.Mix, n int, seed uint64, parallel int) {
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type job struct{ tenant, thread int }
-	var jobs []job
-	specs := make([]skybyte.Workload, len(m.Tenants))
-	for ti, td := range m.Tenants {
-		w, err := skybyte.WorkloadByName(td.Workload)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		specs[ti] = w
-		for k := 0; k < td.Threads; k++ {
-			jobs = append(jobs, job{ti, k})
-		}
-	}
-	sums := make([]summary, len(jobs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for ji, j := range jobs {
-		wg.Add(1)
-		go func(ji int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			sums[ji] = analyze(specs[j.tenant], j.thread, seed, n, 0)
-			<-sem
-		}(ji, j)
-	}
-	wg.Wait()
-
+// reportMix prints one aggregate row per tenant of a multi-tenant mix
+// (its streams at its thread count, sums in allThreads order), so the
+// interference study's inputs can be inspected before a simulation
+// runs.
+func reportMix(m skybyte.Mix, groups []tenant.Group, sums []summary, n int) {
 	fmt.Printf("\nmix %s (%d tenants, %d threads, %d records/thread)\n",
 		m.Name, len(m.Tenants), m.TotalThreads(), n)
 	fmt.Printf("%-10s %-12s %8s %12s %12s %10s %8s %10s\n",
 		"tenant", "workload", "threads", "instrs", "mem ops", "stores", "pages", "write%")
-	cursor := 0
-	for _, td := range m.Tenants {
+	for _, g := range groups {
 		var instrs, memOps, stores uint64
 		pages := map[uint64]bool{}
-		for k := 0; k < td.Threads; k++ {
-			s := sums[cursor]
-			cursor++
+		for _, s := range sums[:g.Threads] {
 			instrs += s.instrs
 			memOps += s.memOps()
 			stores += s.kinds[trace.Store]
@@ -395,16 +346,13 @@ func analyzeMix(m skybyte.Mix, n int, seed uint64, parallel int) {
 				pages[p] = true
 			}
 		}
-		name := td.Name
-		if name == "" {
-			name = td.Workload
-		}
+		sums = sums[g.Threads:]
 		wr := 0.0
 		if memOps > 0 {
 			wr = float64(stores) / float64(memOps)
 		}
 		fmt.Printf("%-10s %-12s %8d %12d %12d %10d %8d %9.1f%%\n",
-			name, td.Workload, td.Threads, instrs, memOps, stores, len(pages), 100*wr)
+			g.Name, g.Workload.Name, g.Threads, instrs, memOps, stores, len(pages), 100*wr)
 	}
 }
 
@@ -412,21 +360,10 @@ func analyzeMix(m skybyte.Mix, n int, seed uint64, parallel int) {
 // process parameters (rate, analytic CV, schedule shape) next to
 // statistics measured from n sampled interarrival gaps of the cohort's
 // first gate, so the traffic an open-loop run will offer can be
-// inspected before any simulation.
+// inspected before any simulation. The selector has resolved the
+// cohorts' members, so TotalThreads cannot fail.
 func analyzeArrival(a skybyte.Arrival, n int, seed uint64) {
-	if err := a.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := a.Resolve(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	threads, err := a.TotalThreads()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	threads, _ := a.TotalThreads()
 	fmt.Printf("\narrival %s (%d cohorts, %d threads, %d gaps sampled/cohort)\n",
 		a.Name, len(a.Cohorts), threads, n)
 	fmt.Printf("%-10s %-12s %8s %-8s %-14s %8s %10s %12s %12s %8s %8s\n",

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"skybyte/internal/dram"
 	"skybyte/internal/flash"
 	"skybyte/internal/ftl"
@@ -303,17 +305,6 @@ func (c *Controller) indexLatency() sim.Time {
 	return cacheIndexLatency
 }
 
-// EstimateReadDelay is Algorithm 1: the queue-sum latency estimate for a
-// read of lpa, plus whether GC traffic is draining on its channel (which
-// forces an immediate context-switch hint).
-func (c *Controller) EstimateReadDelay(lpa uint64) (est sim.Time, gcActive bool) {
-	ch, ok := c.fl.ChannelOf(lpa)
-	if !ok {
-		return 0, false
-	}
-	return c.arr.EstimateDelay(ch), c.fl.GCActive(ch)
-}
-
 // MemRd serves a cacheline read at device byte offset off. Exactly one of
 // respond / hint is eventually called: hint (if non-nil and the trigger
 // policy fires) signals SkyByte-Delay and no data will follow.
@@ -384,7 +375,8 @@ func (c *Controller) missRead(lpa, off uint64, t0, idxLat sim.Time, record bool,
 	// predicted completion. For merged requests it is the remaining time
 	// of the fetch already in flight.
 	if hint != nil && c.cfg.HintEnabled {
-		_, gc := c.EstimateReadDelay(lpa)
+		ch, ok := c.fl.ChannelOf(lpa)
+		gc := ok && c.fl.GCActive(ch)
 		remaining := fs.expectedDone - t0
 		if gc || remaining > c.cfg.HintThreshold {
 			hint(remaining)
@@ -505,20 +497,12 @@ func (c *Controller) frameLine(f *PageFrame, lineIdx uint) []byte {
 // free (dirty lines live in the log); in Base-CSSD a dirty page writes back
 // to flash — the write-amplification source §II-C identifies.
 func (c *Controller) evictFrame(v PageFrame) {
-	if c.cfg.WriteLogEnabled || !v.Dirty {
+	if c.cfg.WriteLogEnabled || !v.Dirty() {
 		return
 	}
-	c.noteWriteLocality(popcount64(v.DirtyMsk))
+	c.noteWriteLocality(bits.OnesCount64(v.DirtyMsk))
 	c.Traffic.HostPrograms++
 	c.fl.Write(v.LPA, v.Data, nil)
-}
-
-func popcount64(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 func (c *Controller) noteWriteLocality(dirtyLines int) {
@@ -852,7 +836,6 @@ func (c *Controller) AbortMigration(lpa uint64) {
 	if f := c.cache.Peek(lpa); f != nil {
 		f.Migrating = false
 		f.Nominated = false
-		f.AccCount = 0
 	}
 }
 

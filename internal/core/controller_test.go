@@ -372,7 +372,7 @@ func TestAbortMigrationUnpins(t *testing.T) {
 	r.c.MarkMigrating(3)
 	r.c.AbortMigration(3)
 	f := r.c.cache.Peek(3)
-	if f == nil || f.Migrating || f.AccCount != 0 {
+	if f == nil || f.Migrating || f.Nominated {
 		t.Fatal("abort did not unpin/reset")
 	}
 }

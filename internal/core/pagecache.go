@@ -21,10 +21,8 @@ import (
 type PageFrame struct {
 	LPA       uint64
 	Valid     bool
-	Dirty     bool   // any line dirtied while resident (Base-CSSD flush needs this)
 	Accessed  uint64 // bitmask of lines touched while resident
 	DirtyMsk  uint64 // bitmask of lines dirtied while resident
-	AccCount  uint32 // accesses while resident (migration hotness, §III-C)
 	Migrating bool   // promotion in progress; frame pinned
 	Nominated bool   // already offered as a promotion candidate
 	// InsertedAt is the simulated time the frame was filled; promotion
@@ -156,7 +154,7 @@ func (pc *PageCache) Insert(lpa uint64) (victim PageFrame, f *PageFrame, ok bool
 	if fr.Valid {
 		victim = *fr
 		pc.Stats.Evictions++
-		if fr.Dirty {
+		if fr.Dirty() {
 			pc.Stats.DirtyEvs++
 		}
 		pc.noteLocality(fr)
@@ -194,18 +192,19 @@ func (pc *PageCache) noteLocality(f *PageFrame) {
 	}
 }
 
+// Dirty reports whether any line was dirtied while resident (Base-CSSD
+// flush needs this).
+func (f *PageFrame) Dirty() bool { return f.DirtyMsk != 0 }
+
 // TouchRead marks a line of a resident frame as accessed.
 func (f *PageFrame) TouchRead(lineIdx uint) {
 	f.Accessed |= 1 << lineIdx
-	f.AccCount++
 }
 
 // TouchWrite marks a line as written (and accessed).
 func (f *PageFrame) TouchWrite(lineIdx uint, data []byte) {
 	f.Accessed |= 1 << lineIdx
 	f.DirtyMsk |= 1 << lineIdx
-	f.Dirty = true
-	f.AccCount++
 	if f.Data != nil && data != nil {
 		copy(f.Data[int(lineIdx)*mem.LineBytes:], data[:mem.LineBytes])
 	}

@@ -60,20 +60,20 @@ func TestPageFrameTouchMasksAndData(t *testing.T) {
 	pc := NewPageCache(4*mem.PageBytes, 4, true)
 	_, f, _ := pc.Insert(9)
 	f.TouchRead(3)
+	if f.Dirty() {
+		t.Fatal("a read-only frame reports dirty")
+	}
 	payload := make([]byte, mem.LineBytes)
 	payload[0] = 0x5A
 	f.TouchWrite(10, payload)
 	if f.Accessed != (1<<3)|(1<<10) {
 		t.Fatalf("accessed mask %b", f.Accessed)
 	}
-	if f.DirtyMsk != 1<<10 || !f.Dirty {
+	if f.DirtyMsk != 1<<10 || !f.Dirty() {
 		t.Fatalf("dirty mask %b", f.DirtyMsk)
 	}
 	if f.Data[10*mem.LineBytes] != 0x5A {
 		t.Fatal("payload not copied into frame")
-	}
-	if f.AccCount != 2 {
-		t.Fatalf("AccCount = %d", f.AccCount)
 	}
 }
 

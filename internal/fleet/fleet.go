@@ -6,13 +6,13 @@
 //
 //   - striped: page i lives on device i mod K — the interleave that
 //     spreads sequential streams perfectly and is the fleet default.
-//   - capacity: a deterministic hash of the page maps into
-//     capacity-weight ranges, so heterogeneous devices absorb load in
-//     proportion to their share of the fleet's capacity.
+//   - capacity: a deterministic hash of the page maps into equal
+//     per-device ranges, so placement depends on the page number alone
+//     and spreads without striped's lpa-mod-K correlation.
 //   - hotcold: pages start on the cold tier (striped across the cold
-//     devices); a page whose access count crosses HotThreshold migrates
-//     to the hot tier, and the simulator charges the transfer through
-//     the normal link and flash paths.
+//     devices); a page whose access count reaches the hot threshold
+//     migrates to the hot tier, and the simulator charges the transfer
+//     through the normal link and flash paths.
 //
 // Every policy is a pure function of (config, access history): two
 // placers built from the same Config observing the same access sequence
@@ -92,55 +92,16 @@ type Config struct {
 	Devices int
 	// Policy selects the placement algorithm ("" = Striped).
 	Policy Policy
-	// Weights are the relative capacity weights of the Capacity policy,
-	// one per device (nil = equal). Ignored by the other policies.
-	Weights []float64
-	// HotDevices is the size of the HotCold hot tier — the leading
-	// devices pages migrate to once hot (0 = max(1, Devices/4); must
-	// stay below Devices so a cold tier exists).
-	HotDevices int
-	// HotThreshold is the access count that promotes a page to the hot
-	// tier (0 = 8, matching the scaled machine's promotion threshold).
-	HotThreshold uint32
 }
 
-// Fingerprint returns the config's stable identity string, e.g.
-// "striped/k=4". It names exactly the decisions the placer can make, so
-// two configs with equal fingerprints place every access sequence
-// identically.
-func (c Config) Fingerprint() string {
-	p := c.Policy
-	if p == "" {
-		p = Striped
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/k=%d", p, c.Devices)
-	if p == Capacity && len(c.Weights) > 0 {
-		fmt.Fprintf(&b, "/w=%v", c.Weights)
-	}
-	if p == HotCold {
-		fmt.Fprintf(&b, "/hot=%d:%d", c.hotDevices(), c.hotThreshold())
-	}
-	return b.String()
-}
-
-func (c Config) hotDevices() int {
-	if c.HotDevices > 0 {
-		return c.HotDevices
-	}
-	h := c.Devices / 4
-	if h < 1 {
-		h = 1
-	}
-	return h
-}
-
-func (c Config) hotThreshold() uint32 {
-	if c.HotThreshold > 0 {
-		return c.HotThreshold
-	}
-	return 8
-}
+// The HotCold tier shape: the hot tier is the leading
+// max(1, K/hotTierDivisor) devices, and a cold-tier page migrates there
+// on its hotThreshold-th access (matching the scaled machine's
+// promotion threshold).
+const (
+	hotTierDivisor = 4
+	hotThreshold   = 8
+)
 
 // Migration reports one hot/cold tier promotion: page LPA leaves device
 // From for device To. The caller (the system) simulates the transfer;
@@ -160,7 +121,6 @@ type Placer struct {
 	cfg    Config
 	policy Policy
 	hotDev int
-	hotThr uint32
 
 	owner   map[uint64]uint16 // lpa -> owning device (recorded at first touch)
 	heat    map[uint64]uint32 // HotCold: access counts of cold-tier pages
@@ -169,10 +129,8 @@ type Placer struct {
 	bounds  []uint64          // Capacity: cumulative weight thresholds over the hash range
 }
 
-// NewPlacer builds a placement layer. The config must pass Validate;
-// additionally the Capacity weights, if given, must match the device
-// count and be positive, and the HotCold hot tier must leave at least
-// one cold device.
+// NewPlacer builds a placement layer. The config must pass Validate,
+// and a HotCold fleet needs a cold tier beside its hot one (K >= 2).
 func NewPlacer(cfg Config) (*Placer, error) {
 	if err := Validate(cfg.Devices, string(cfg.Policy)); err != nil {
 		return nil, err
@@ -181,39 +139,21 @@ func NewPlacer(cfg Config) (*Placer, error) {
 	p := &Placer{
 		cfg:    cfg,
 		policy: policy,
-		hotDev: cfg.hotDevices(),
-		hotThr: cfg.hotThreshold(),
+		hotDev: max(1, cfg.Devices/hotTierDivisor),
 		owner:  make(map[uint64]uint16),
 		pages:  make([]uint64, cfg.Devices),
 	}
 	switch policy {
 	case Capacity:
-		w := cfg.Weights
-		if w == nil {
-			w = make([]float64, cfg.Devices)
-			for i := range w {
-				w[i] = 1
-			}
-		}
-		if len(w) != cfg.Devices {
-			return nil, fmt.Errorf("fleet: capacity placement needs %d weights, got %d", cfg.Devices, len(w))
-		}
-		var total float64
-		for i, x := range w {
-			if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, fmt.Errorf("fleet: capacity weight %d must be positive and finite, got %v", i, x)
-			}
-			total += x
-		}
+		// Equal-weight ranges over the hash space; the last bound
+		// covers the whole range exactly.
 		p.bounds = make([]uint64, cfg.Devices)
-		var cum float64
-		for i, x := range w {
-			cum += x
-			// The last bound must cover the whole hash range exactly.
+		total := float64(cfg.Devices)
+		for i := range p.bounds {
 			if i == cfg.Devices-1 {
 				p.bounds[i] = math.MaxUint64
 			} else {
-				p.bounds[i] = uint64(cum / total * float64(math.MaxUint64))
+				p.bounds[i] = uint64(float64(i+1) / total * float64(math.MaxUint64))
 			}
 		}
 	case HotCold:
@@ -231,9 +171,6 @@ func (p *Placer) Devices() int { return p.cfg.Devices }
 
 // Policy returns the resolved placement policy.
 func (p *Placer) Policy() Policy { return p.policy }
-
-// Fingerprint returns the placer's config identity.
-func (p *Placer) Fingerprint() string { return p.cfg.Fingerprint() }
 
 // Device returns the device owning lpa, recording first-touch ownership
 // so the per-device page accounting stays exact.
@@ -281,7 +218,7 @@ func (p *Placer) NoteAccess(lpa uint64) (m Migration, ok bool) {
 		return Migration{}, false // already hot
 	}
 	p.heat[lpa]++
-	if p.heat[lpa] < p.hotThr {
+	if p.heat[lpa] < hotThreshold {
 		return Migration{}, false
 	}
 	delete(p.heat, lpa)

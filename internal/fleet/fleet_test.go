@@ -77,9 +77,10 @@ func TestStripedPlacement(t *testing.T) {
 }
 
 func TestCapacityPlacement(t *testing.T) {
-	// 3:1 weights over two devices — device 0 should own about three
-	// quarters of a large uniform page population.
-	p, err := NewPlacer(Config{Devices: 2, Policy: Capacity, Weights: []float64{3, 1}})
+	// Equal ranges over four devices — each should own about a quarter
+	// of a large uniform page population.
+	cfg := Config{Devices: 4, Policy: Capacity}
+	p, err := NewPlacer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +88,20 @@ func TestCapacityPlacement(t *testing.T) {
 	for lpa := uint64(0); lpa < n; lpa++ {
 		p.Device(lpa)
 	}
-	share := float64(p.Pages(0)) / n
-	if share < 0.72 || share > 0.78 {
-		t.Fatalf("device 0 share = %.3f, want ~0.75", share)
+	var sum uint64
+	for d := 0; d < 4; d++ {
+		if share := float64(p.Pages(d)) / n; share < 0.23 || share > 0.27 {
+			t.Fatalf("device %d share = %.3f, want ~0.25", d, share)
+		}
+		sum += p.Pages(d)
 	}
-	if p.Pages(0)+p.Pages(1) != n {
-		t.Fatalf("pages sum %d+%d != %d", p.Pages(0), p.Pages(1), n)
+	if sum != n {
+		t.Fatalf("pages sum %d != %d", sum, n)
 	}
 
 	// Placement is a pure function of the page number: a second placer
 	// from the same config agrees on every page, in any probe order.
-	q, err := NewPlacer(Config{Devices: 2, Policy: Capacity, Weights: []float64{3, 1}})
+	q, err := NewPlacer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,30 +112,20 @@ func TestCapacityPlacement(t *testing.T) {
 	}
 }
 
-func TestCapacityWeightValidation(t *testing.T) {
-	if _, err := NewPlacer(Config{Devices: 3, Policy: Capacity, Weights: []float64{1, 2}}); err == nil {
-		t.Fatal("accepted weight count mismatch")
-	}
-	if _, err := NewPlacer(Config{Devices: 2, Policy: Capacity, Weights: []float64{1, -1}}); err == nil {
-		t.Fatal("accepted negative weight")
-	}
-}
-
 func TestHotColdMigration(t *testing.T) {
-	cfg := Config{Devices: 4, Policy: HotCold, HotThreshold: 3}
-	p, err := NewPlacer(cfg)
+	p, err := NewPlacer(Config{Devices: 4, Policy: HotCold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Default hot tier for K=4 is one device; cold pages stripe across
+	// The hot tier for K=4 is one device; cold pages stripe across
 	// devices 1..3.
 	const lpa = 5 // cold home: 1 + 5%3 = 3
 	if got := p.Device(lpa); got != 3 {
 		t.Fatalf("cold home of %d = %d, want 3", lpa, got)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < hotThreshold-1; i++ {
 		if _, ok := p.NoteAccess(lpa); ok {
-			t.Fatalf("migrated after %d accesses, threshold 3", i+1)
+			t.Fatalf("migrated after %d accesses, threshold %d", i+1, hotThreshold)
 		}
 	}
 	m, ok := p.NoteAccess(lpa)
@@ -157,26 +151,15 @@ func TestHotColdMigration(t *testing.T) {
 }
 
 func TestHotColdNeedsColdTier(t *testing.T) {
-	if _, err := NewPlacer(Config{Devices: 2, Policy: HotCold, HotDevices: 2}); err == nil {
-		t.Fatal("accepted hot tier covering the whole fleet")
+	if _, err := NewPlacer(Config{Devices: 1, Policy: HotCold}); err == nil {
+		t.Fatal("accepted a one-device hotcold fleet, whose hot tier is the whole fleet")
 	}
-}
-
-func TestFingerprint(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Devices: 4}, "striped/k=4"},
-		{Config{Devices: 4, Policy: Striped}, "striped/k=4"},
-		{Config{Devices: 2, Policy: Capacity}, "capacity/k=2"},
-		{Config{Devices: 2, Policy: Capacity, Weights: []float64{3, 1}}, "capacity/k=2/w=[3 1]"},
-		{Config{Devices: 8, Policy: HotCold}, "hotcold/k=8/hot=2:8"},
-		{Config{Devices: 8, Policy: HotCold, HotDevices: 3, HotThreshold: 5}, "hotcold/k=8/hot=3:5"},
+	// The hot tier is max(1, K/4) devices: K=8 has hot devices 0 and 1.
+	p, err := NewPlacer(Config{Devices: 8, Policy: HotCold})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := c.cfg.Fingerprint(); got != c.want {
-			t.Errorf("Fingerprint(%+v) = %q, want %q", c.cfg, got, c.want)
-		}
+	if got := p.Device(0); got != 2 {
+		t.Fatalf("cold home of page 0 = %d, want 2 (the first cold device)", got)
 	}
 }
