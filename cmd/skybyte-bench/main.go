@@ -17,7 +17,7 @@
 //	skybyte-bench -figure figfleet -devices 1,4 -placement striped,hotcold
 //	skybyte-bench -workload-file my.json          # file workload joins the campaign
 //	skybyte-bench -workload-file my.json -workloads my-name -figure fig14
-//	skybyte-bench -config              # print the Table II configurations
+//	skybyte-bench -config              # print the 1/64 and 1/1 (Table II) machines
 //
 // With -cache-dir, executed design points persist in a
 // content-addressed result store: a repeated invocation recalls them
@@ -88,7 +88,7 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "simulations in flight at once (0 = GOMAXPROCS, 1 = sequential; tables are identical either way)")
 		progress    = flag.Bool("progress", false, "report batch progress as runs complete")
 		verbose     = flag.Bool("v", false, "log each simulation as it completes")
-		showCfg     = flag.Bool("config", false, "print the Table II configurations and exit")
+		showCfg     = flag.Bool("config", false, "print the 1/64 machine and the 1/1 (Table II) machine and exit")
 		cacheDir    = flag.String("cache-dir", "", "persist results in a content-addressed store rooted here; cached design points are recalled, not re-simulated")
 		shard       = flag.String("shard", "", "execute only slice i of n (format i/n, 0-based) of the campaign into -cache-dir; render later with -from-cache")
 		fromCache   = flag.Bool("from-cache", false, "render exclusively from -cache-dir: a missing design point is an error, never a re-simulation")
@@ -335,14 +335,12 @@ func validFigure(id string) bool {
 func printConfigs() {
 	for _, c := range []struct {
 		name string
-		cfg  skybyte.Config
-	}{{"ScaledConfig (1/64, used by benches)", skybyte.ScaledConfig()}, {"PaperConfig (Table II capacities; FTL 0.75/0.15/0.18, migration threshold 8 vs 32)", skybyte.PaperConfig()}} {
-		cfg := c.cfg
+		n    int
+	}{{"1/64 scale (skybyte.ScaledConfig, used by benches)", 64}, {"1/1 scale (Table II capacities; FTL 0.75/0.15/0.18, migration threshold 8 vs 32)", 1}} {
+		cfg := skybyte.ConfigAt(c.n)
 		fmt.Printf("%s:\n", c.name)
-		fmt.Printf("  CPU        %d cores, %d-entry ROB, %d MSHRs; L1 %s/%dw L2 %s/%dw LLC %s/%dw\n",
+		fmt.Printf("  CPU        %d cores, %d-entry ROB, %d MSHRs; LLC %s/%dw\n",
 			cfg.Cores, cfg.CPU.ROB, cfg.CPU.MLP,
-			stats.FormatGB(uint64(cfg.L1Bytes)), cfg.L1Ways,
-			stats.FormatGB(uint64(cfg.L2Bytes)), cfg.L2Ways,
 			stats.FormatGB(uint64(cfg.LLCBytes)), cfg.LLCWays)
 		fmt.Printf("  flash      %s (%d ch x %d chips x %d dies x %d blk x %d pg), tR=%v tProg=%v tBERS=%v\n",
 			stats.FormatGB(cfg.Geometry.Bytes()), cfg.Geometry.Channels, cfg.Geometry.ChipsPerChan,

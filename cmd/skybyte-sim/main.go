@@ -7,6 +7,7 @@
 //
 //	skybyte-sim -workload ycsb -variant SkyByte-Full -threads 24 -instr 16000
 //	skybyte-sim -workload srad -variant Base-CSSD -cs-threshold 10us
+//	skybyte-sim -scale 1/16 -workload bc -variants Base-CSSD,SkyByte-Full
 //	skybyte-sim -workload-file my-workload.json -variant SkyByte-Full
 //	skybyte-sim -workload-file recorded.trc -variants Base-CSSD,SkyByte-Full
 //	skybyte-sim -mix graph-vs-log -variant SkyByte-Full       # multi-tenant run
@@ -65,7 +66,7 @@ func main() {
 		policy    = flag.String("policy", "", "scheduling policy: RR, RANDOM, FAIRNESS (artifact knob t_policy; unset keeps the machine's)")
 		cacheMB   = flag.Int("ssd-dram-mb", 0, "override total SSD DRAM size in MiB (artifact knob ssd_cache_size_byte)")
 		logKB     = flag.Int("write-log-kb", 0, "override write log size in KiB")
-		paper     = flag.Bool("paper-scale", false, "use Table II capacities verbatim instead of the 1/64 scaled machine")
+		scale     = flag.String("scale", "1/64", "machine scale 1/n of Table II (n a power of two from 1 to 64): capacities, LLC and generated workload footprints all scale with n; 1/1 is Table II (recorded traces run only at 1/64)")
 		telDur    = flag.Duration("telemetry", 0, "sample in-simulator probes (write-log occupancy, queue depths, per-class p99, ...) every this much simulated time; the time-series ride in the result (0 = off, zero cost)")
 		timeline  = flag.String("timeline", "", "with -telemetry: also record the request-lifecycle timeline and write it to this file as Chrome trace-event JSON (load in Perfetto or chrome://tracing)")
 		cacheDir  = flag.String("cache-dir", "", "persist results in the content-addressed store rooted here; identical runs are recalled, not re-simulated")
@@ -148,10 +149,11 @@ func main() {
 		}
 	}
 
-	base := skybyte.ScaledConfig()
-	if *paper {
-		base = skybyte.PaperConfig()
+	n, err := system.ParseScale(*scale)
+	if err != nil {
+		fail(err)
 	}
+	base := skybyte.ConfigAt(n)
 	// The runner keys every run by its workload source and the machine
 	// it builds (DESIGN.md §2.1): an edited file re-keys exactly the runs
 	// that use it, and default knobs share skybyte-bench's store entries.
@@ -193,13 +195,30 @@ func main() {
 	// -cache-dir the runner simply has no store.
 	spec.Variant, spec.Devices, spec.Placement, spec.Mutate = skybyte.Variant(*variant), *devices, *placement, knobs
 
+	// Every design point's machine, and the solo workload sized for it,
+	// must be valid before anything simulates.
+	if len(variantList) == 0 {
+		variantList = []system.Variant{spec.Variant}
+	}
+	for _, v := range variantList {
+		cfg := machine(base, spec, v)
+		if err := cfg.Validate(); err != nil {
+			fail(err)
+		}
+		if spec.Workload != "" {
+			w, _ := skybyte.WorkloadByName(spec.Workload)
+			if _, err := w.ForDevice(cfg.Geometry.Bytes()); err != nil {
+				fail(err)
+			}
+		}
+	}
+
 	if *variants != "" {
 		compareVariants(newRunner(*parallel), base, spec, variantList, *threads, *instr, shardI, shardN, *shardSpec != "")
 		return
 	}
 
-	cfg := base.WithVariant(spec.Variant)
-	knobs(&cfg)
+	cfg := machine(base, spec, spec.Variant)
 	// The selector resolved the spec's names and members, so the lookups
 	// below cannot fail.
 	var head string
@@ -218,6 +237,7 @@ func main() {
 			mix.Name, len(mix.Tenants), n, cfg.Cores, cfg.Name)
 	default:
 		w, _ := skybyte.WorkloadByName(spec.Workload)
+		w, _ = w.ForDevice(cfg.Geometry.Bytes())
 		spec = sized(base, spec, *threads, *instr)
 		head = fmt.Sprintf("workload        %s (%s footprint, paper MPKI %.1f)\nvariant         %s, %d threads on %d cores",
 			w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI, cfg.Name, spec.Threads, cfg.Cores)
@@ -390,14 +410,20 @@ func emitTelemetry(res *skybyte.Result, timelinePath string) {
 	}
 }
 
+// machine is the config design point v of spec runs on: base at variant
+// v with the CLI knobs (spec.Mutate) applied.
+func machine(base skybyte.Config, spec runner.Spec, v system.Variant) skybyte.Config {
+	cfg := base.WithVariant(v)
+	spec.Mutate(&cfg)
+	return cfg
+}
+
 // sized sets a workload spec's thread count (threads, or 0 for the
 // paper default of the machine the spec builds) and its budget of
 // instrPerThread instructions per thread.
 func sized(base skybyte.Config, spec runner.Spec, threads int, instrPerThread uint64) runner.Spec {
 	if threads == 0 {
-		cfg := base.WithVariant(spec.Variant)
-		spec.Mutate(&cfg)
-		threads = runner.ThreadsFor(cfg)
+		threads = runner.ThreadsFor(machine(base, spec, spec.Variant))
 	}
 	spec.Threads, spec.TotalInstr = threads, instrPerThread*uint64(threads)
 	return spec

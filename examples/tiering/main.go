@@ -37,14 +37,9 @@ func main() {
 	fmt.Println("SSD DRAM sizing (exec time, SkyByte-Full vs Base-CSSD):")
 	fmt.Printf("  %-10s %-14s %-14s\n", "SSD DRAM", "Base-CSSD", "SkyByte-Full")
 	for _, mb := range []int{2, 4, 8, 16} {
-		resize := func(c skybyte.Config) skybyte.Config {
-			c.SSDDRAMBytes = mb << 20
-			c.WriteLogBytes = c.SSDDRAMBytes / 8
-			c.PromotedMaxBytes = 4 * c.SSDDRAMBytes
-			return c
-		}
-		b := skybyte.Run(resize(skybyte.ScaledConfig().WithVariant(skybyte.BaseCSSD)), w, 8, totalInstr/8, 5)
-		f := skybyte.Run(resize(skybyte.ScaledConfig().WithVariant(skybyte.SkyByteFull)), w, 24, totalInstr/24, 5)
+		cfg := skybyte.ScaledConfig().WithSSDDRAM(mb << 20)
+		b := skybyte.Run(cfg.WithVariant(skybyte.BaseCSSD), w, 8, totalInstr/8, 5)
+		f := skybyte.Run(cfg.WithVariant(skybyte.SkyByteFull), w, 24, totalInstr/24, 5)
 		fmt.Printf("  %-10s %-14v %-14v\n", fmt.Sprintf("%dMB", mb), b.ExecTime, f.ExecTime)
 	}
 	fmt.Println("\nSkyByte's cacheline-granular log makes a small SSD DRAM behave like a")

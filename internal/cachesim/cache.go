@@ -63,8 +63,8 @@ type Cache struct {
 	tags  []uint64 // sets*ways; tag==0 slot may still be valid, see valid
 	valid []bool
 	dirty []bool
-	lru   []uint32 // recency stamp per way
-	clock uint32
+	lru   []uint64 // recency stamp per way
+	clock uint64   // 64 bits: a 32-bit clock wraps within long runs
 
 	Stats Stats
 }
@@ -101,7 +101,7 @@ func New(cfg Config) *Cache {
 		tags:     make([]uint64, sets*cfg.Ways),
 		valid:    make([]bool, sets*cfg.Ways),
 		dirty:    make([]bool, sets*cfg.Ways),
-		lru:      make([]uint32, sets*cfg.Ways),
+		lru:      make([]uint64, sets*cfg.Ways),
 	}
 	return c
 }
@@ -196,7 +196,7 @@ func (c *Cache) Fill(a mem.Addr, dirty bool) Victim {
 		}
 	}
 	victimWay := -1
-	var oldest uint32 = ^uint32(0)
+	var oldest uint64 = ^uint64(0)
 	for w := 0; w < c.ways; w++ {
 		i := base + w
 		if !c.valid[i] {

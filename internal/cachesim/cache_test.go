@@ -27,6 +27,24 @@ func TestMissThenFillThenHit(t *testing.T) {
 	}
 }
 
+// TestLRUClockPastUint32: the recency clock keeps ordering lines after
+// 2^32 touches. Started just below 2^32, the line touched after the
+// crossing is the newest and must survive the next eviction.
+func TestLRUClockPastUint32(t *testing.T) {
+	c := small()
+	c.clock = 1<<32 - 2
+	a0, a1, a2 := mem.Addr(0), mem.Addr(256), mem.Addr(512)
+	c.Fill(a0, false) // stamp 2^32-1
+	c.Fill(a1, false) // stamp 2^32: the most recent line
+	v := c.Fill(a2, false)
+	if !v.Valid || v.Addr != a0 {
+		t.Fatalf("victim = %+v, want the older line %#x", v, a0)
+	}
+	if !c.Lookup(a1) {
+		t.Fatal("the most recently filled line was evicted")
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := small() // 4 sets => set stride 64*4 = 256
 	// Three lines mapping to the same set (stride = sets*line = 256).

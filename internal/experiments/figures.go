@@ -169,9 +169,8 @@ func (h *Harness) locality(p *Plan, id string, read bool) func() Table {
 			n := n
 			footprint := int(spec.FootprintBytes())
 			run := p.Add(solo(spec.Name, system.BaseCSSD, h.Opt.SweepInstr, 0), func(c *system.Config) {
+				*c = c.WithSSDDRAM(footprint / n)
 				c.TrackLocality = true
-				c.SSDDRAMBytes = footprint / n
-				c.WriteLogBytes = c.SSDDRAMBytes / 8
 			})
 			cells = append(cells, cell{spec.Name, n, run})
 		}
@@ -684,14 +683,10 @@ func (h *Harness) fig21(p *Plan) func() Table {
 	}
 }
 
-// sizeMutation rescales the SSD DRAM, keeping the paper's ratios: the log
-// is 1/8 of SSD DRAM, the promotion budget 4x SSD DRAM (§VI-F).
+// sizeMutation resizes the SSD DRAM, keeping the paper's ratios to it
+// (Config.WithSSDDRAM, §VI-F).
 func sizeMutation(bytes int) mutate {
-	return func(c *system.Config) {
-		c.SSDDRAMBytes = bytes
-		c.WriteLogBytes = bytes / 8
-		c.PromotedMaxBytes = 4 * bytes
-	}
+	return func(c *system.Config) { *c = c.WithSSDDRAM(bytes) }
 }
 
 // fig22Timings are Table IV's NAND classes.

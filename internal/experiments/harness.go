@@ -207,6 +207,9 @@ func (h *Harness) specs() []workloads.Spec {
 	var out []workloads.Spec
 	for _, name := range h.Opt.Workloads {
 		s, err := workloads.ByName(name)
+		if err == nil {
+			s, err = s.ForDevice(h.Opt.BaseConfig.Geometry.Bytes())
+		}
 		if err != nil {
 			panic(err)
 		}

@@ -43,11 +43,6 @@ type Geometry struct {
 	PagesPerBlock  int
 }
 
-// PaperGeometry is Table II's organisation: 16 channels, 8 chips/channel,
-// 8 dies/chip, 1 plane/die, 128 blocks/plane, 256 pages/block, 4 KB pages
-// (128 GB total).
-var PaperGeometry = Geometry{Channels: 16, ChipsPerChan: 8, DiesPerChip: 8, PlanesPerDie: 1, BlocksPerPlane: 128, PagesPerBlock: 256}
-
 // TotalBlocks returns the number of erase blocks.
 func (g Geometry) TotalBlocks() int {
 	return g.Channels * g.ChipsPerChan * g.DiesPerChip * g.PlanesPerDie * g.BlocksPerPlane

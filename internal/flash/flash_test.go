@@ -23,9 +23,6 @@ func TestGeometryMath(t *testing.T) {
 	if g.Bytes() != 64*mem.PageBytes {
 		t.Fatalf("Bytes = %d", g.Bytes())
 	}
-	if PaperGeometry.Bytes() != 128*mem.GiB {
-		t.Fatalf("paper geometry = %d bytes, want 128GiB", PaperGeometry.Bytes())
-	}
 }
 
 func TestAddressingRoundTrip(t *testing.T) {

@@ -224,7 +224,8 @@ func (r *Runner) Key(spec Spec) string {
 }
 
 // resolve builds the config spec runs on (variant, then Mutate, then the
-// fleet axis), resolves a solo spec's Threads against it, and keys it.
+// fleet axis), validates it, resolves a solo spec's Threads against it,
+// and keys it. An invalid machine keys cfg=invalid and never simulates.
 func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
 	cfg := r.base.WithVariant(spec.Variant)
 	if spec.Mutate != nil {
@@ -232,6 +233,9 @@ func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
 	}
 	if err := applyFleet(&cfg, spec); err != nil {
 		return spec, cfg, spec.Key() + "|cfg=invalid", err
+	}
+	if err := cfg.Validate(); err != nil {
+		return spec, cfg, spec.Key() + "|cfg=invalid", fmt.Errorf("runner: %w", err)
 	}
 	if spec.Mix == "" && spec.Arrival == "" && spec.Threads == 0 {
 		spec.Threads = ThreadsFor(cfg)
@@ -314,7 +318,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]*system.Result, er
 // config: resolve the thread population, wire a fresh System, populate
 // it, and drive every thread stream to retirement.
 func (r *Runner) execute(spec Spec, cfg system.Config, key string) (*system.Result, error) {
-	populate, err := r.population(spec)
+	populate, err := r.population(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -334,8 +338,10 @@ func (r *Runner) execute(spec Spec, cfg system.Config, key string) (*system.Resu
 // Result and replay path are those of a bare AddThread loop. A mix or
 // an arrival spec declares its own thread layout through the shared
 // tenant layout; Spec.Threads, if set, must agree with it (a layout's
-// thread counts are part of its definition, not a per-run knob).
-func (r *Runner) population(spec Spec) (func(*system.System) error, error) {
+// thread counts are part of its definition, not a per-run knob). A solo
+// workload is sized for cfg's devices here (workloads.Spec.ForDevice);
+// the tenant layout sizes mixes and arrival cohorts the same way.
+func (r *Runner) population(spec Spec, cfg system.Config) (func(*system.System) error, error) {
 	switch {
 	case spec.Mix != "" && spec.Arrival != "":
 		return nil, fmt.Errorf("runner: spec sets both mix %q and arrival spec %q; they are mutually exclusive", spec.Mix, spec.Arrival)
@@ -372,6 +378,9 @@ func (r *Runner) population(spec Spec) (func(*system.System) error, error) {
 	}
 	w, err := workloads.ByName(spec.Workload)
 	if err != nil {
+		return nil, err
+	}
+	if w, err = w.ForDevice(cfg.Geometry.Bytes()); err != nil {
 		return nil, err
 	}
 	per := spec.TotalInstr / uint64(spec.Threads)

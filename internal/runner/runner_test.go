@@ -540,3 +540,24 @@ func TestParseShard(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidMachineRejectedBeforeSimulating: a design point whose SSD
+// DRAM leaves its data cache less than one set errors, naming both
+// sizes, and nothing simulates.
+func TestInvalidMachineRejectedBeforeSimulating(t *testing.T) {
+	r := testRunner(1)
+	execs := 0
+	r.OnEvent = func(Event) { execs++ }
+	s := spec("srad", system.SkyByteW)
+	s.Mutate = func(c *system.Config) { c.WriteLogBytes = 8 << 20 }
+	_, err := r.Run(context.Background(), s)
+	if err == nil || !strings.Contains(err.Error(), "8.00MB of SSD DRAM beside a 8.00MB write log") {
+		t.Fatalf("err = %v, want the log-fills-DRAM machine rejected naming both sizes", err)
+	}
+	if !strings.HasSuffix(r.Key(s), "|cfg=invalid") {
+		t.Fatalf("invalid machine keyed %q", r.Key(s))
+	}
+	if execs != 0 {
+		t.Fatalf("an invalid machine executed %d simulations", execs)
+	}
+}

@@ -182,7 +182,7 @@ func TestFingerprintIdentity(t *testing.T) {
 	if Fingerprint(cfg, 1) == Fingerprint(cfg, 2) {
 		t.Fatal("seed not folded into the campaign fingerprint")
 	}
-	if Fingerprint(cfg, 1) == Fingerprint(system.PaperConfig(), 1) {
+	if Fingerprint(cfg, 1) == Fingerprint(system.ConfigAt(16), 1) {
 		t.Fatal("config not folded into the campaign fingerprint")
 	}
 }

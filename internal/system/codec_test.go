@@ -135,8 +135,8 @@ func TestConfigFingerprint(t *testing.T) {
 	if tweaked.Fingerprint() == base.Fingerprint() {
 		t.Error("changing WriteLogBytes did not change the fingerprint")
 	}
-	if PaperConfig().Fingerprint() == base.Fingerprint() {
-		t.Error("PaperConfig and ScaledConfig share a fingerprint")
+	if ConfigAt(1).Fingerprint() == base.Fingerprint() {
+		t.Error("ConfigAt(1) and ScaledConfig share a fingerprint")
 	}
 }
 

@@ -7,6 +7,7 @@ package system
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"skybyte/internal/core"
@@ -19,6 +20,7 @@ import (
 	"skybyte/internal/mem"
 	"skybyte/internal/osched"
 	"skybyte/internal/sim"
+	"skybyte/internal/stats"
 )
 
 // Variant names a design point from the paper's evaluation.
@@ -110,21 +112,23 @@ const (
 	// warmupFrac is the leading fraction of each thread's instructions
 	// excluded from the measured statistics.
 	warmupFrac = 0.1
+	// l1Bytes/l1Ways and l2Bytes/l2Ways size each core's private caches.
+	// They do not scale with the machine (DESIGN.md §1).
+	l1Bytes = 16 * mem.KiB
+	l1Ways  = 8
+	l2Bytes = 64 * mem.KiB
+	l2Ways  = 16
 )
 
 // Config is the full-system configuration: the Table II values a caller
-// may vary, plus the artifact's knobs. Start from ScaledConfig or
-// PaperConfig and apply WithVariant.
+// may vary, plus the artifact's knobs. Start from ConfigAt (or
+// ScaledConfig) and apply WithVariant.
 type Config struct {
 	Name string
 
 	// CPU side.
 	Cores    int
 	CPU      cpu.Config
-	L1Bytes  int
-	L1Ways   int
-	L2Bytes  int
-	L2Ways   int
 	LLCBytes int
 	LLCWays  int
 
@@ -188,42 +192,49 @@ type Config struct {
 	TelemetryTimeline bool
 }
 
-// ScaledConfig is the evaluation configuration at 1/64 of Table II's
-// capacities (same ratios throughout; see DESIGN.md §1), sized so a full
-// variant sweep runs in seconds.
-func ScaledConfig() Config {
-	return Config{
+// MaxScale is the largest n ConfigAt accepts: 1/64 of Table II, the
+// machine every campaign runs.
+const MaxScale = 64
+
+// ConfigAt is the evaluation machine at 1/n of Table II's capacities, n
+// a power of two from 1 to MaxScale. One sizing rule (DESIGN.md §1) sets
+// every capacity: the LLC is 16 MiB/n, flash has 512/n blocks per plane
+// over a fixed 256 dies, and SSD DRAM is 512 MiB/n (WithSSDDRAM sizes the
+// write log and promotion budget from it). Everything else — core
+// count, L1/L2, die count, FTL thresholds, promotion threshold — is the
+// same at every n, so ConfigAt(1) has Table II's capacities but not all
+// of its other values. ConfigAt panics on any other n; ParseScale
+// validates user input.
+func ConfigAt(n int) Config {
+	if err := checkScale(n); err != nil {
+		panic(err)
+	}
+	c := Config{
 		Cores:    8,
 		CPU:      cpu.DefaultConfig(),
-		L1Bytes:  16 * mem.KiB,
-		L1Ways:   8,
-		L2Bytes:  64 * mem.KiB,
-		L2Ways:   16,
-		LLCBytes: 256 * mem.KiB,
+		LLCBytes: 16 * mem.MiB / n,
 		LLCWays:  16,
 
 		Link:     cxl.DefaultConfig(),
 		HostDRAM: dram.HostDDR5(),
 		SSDDRAM:  dram.SSDLPDDR4(),
 
-		// 2 GB flash: 16 channels x 4 chips x 4 dies x 8 blocks x 256
-		// pages x 4 KB. Capacity scales 1/64 from Table II but the die
-		// count only 1/4 (256 vs 1024), keeping per-die program pressure
-		// within reach of the paper's device (see DESIGN.md §1).
-		Geometry: flash.Geometry{Channels: 16, ChipsPerChan: 4, DiesPerChip: 4, PlanesPerDie: 1, BlocksPerPlane: 8, PagesPerBlock: 256},
+		// 16 channels x 4 chips x 4 dies x 512/n blocks x 256 pages x 4 KB
+		// (2 GB at 1/64, 128 GB at 1/1). Capacity scales with n; the die
+		// count stays 256 (Table II: 1024), keeping per-die program
+		// pressure within reach of the paper's device at 1/64 (see
+		// DESIGN.md §1).
+		Geometry: flash.Geometry{Channels: 16, ChipsPerChan: 4, DiesPerChip: 4, PlanesPerDie: 1, BlocksPerPlane: 512 / n, PagesPerBlock: 256},
 		Timing:   flash.TimingULL,
 		FTL:      ftl.Config{UsableRatio: 0.75, GCTriggerFree: 0.15, GCReplenishFree: 0.18},
 
-		SSDDRAMBytes:  8 * mem.MiB,
-		WriteLogBytes: 1 * mem.MiB,
-		CacheWays:     16,
+		CacheWays: 16,
 
 		HintThreshold: 2 * sim.Microsecond,
 
 		Policy:        osched.PolicyCFS,
 		CtxSwitchCost: 2 * sim.Microsecond,
 
-		PromotedMaxBytes: 32 * mem.MiB,
 		// Hotness knobs scale with run length: the paper replays >=100M
 		// instructions per thread with threshold 32; scaled campaigns run
 		// tens of thousands, so pages earn promotion sooner.
@@ -233,29 +244,53 @@ func ScaledConfig() Config {
 		PreconditionRewrit: 0.25,
 		Seed:               1,
 	}
+	return c.WithSSDDRAM(512 * mem.MiB / n)
 }
 
-// PaperConfig has Table II's capacities (128 GB flash, 512 MB SSD DRAM,
-// 64 MB write log, 2 GB promotion budget, 16 MB LLC) but keeps two
-// ScaledConfig settings that differ from the paper: the FTL exposes 75%
-// of flash and collects garbage from 15% free blocks back to 18%
-// (Table II: GC at 80% utilisation), and the promotion threshold is 8
-// (paper: 32). Simulating at this scale is slow — the artifact quotes
-// 3 days on 32 cores — so benches use ScaledConfig; PaperConfig exists
-// for spot validation and documentation.
-func PaperConfig() Config {
-	c := ScaledConfig()
-	c.L1Bytes = 32 * mem.KiB
-	c.L1Ways = 8
-	c.L2Bytes = 512 * mem.KiB
-	c.L2Ways = 32
-	c.LLCBytes = 16 * mem.MiB
-	c.LLCWays = 16
-	c.Geometry = flash.PaperGeometry
-	c.SSDDRAMBytes = 512 * mem.MiB
-	c.WriteLogBytes = 64 * mem.MiB
-	c.PromotedMaxBytes = 2 * mem.GiB
+// ScaledConfig is ConfigAt(MaxScale): the 1/64 machine every campaign
+// runs, sized so a full variant sweep runs in seconds.
+func ScaledConfig() Config { return ConfigAt(MaxScale) }
+
+// ParseScale parses a machine scale written "1/n" (n a power of two
+// from 1 to MaxScale) and returns n.
+func ParseScale(s string) (int, error) {
+	num, den, ok := strings.Cut(s, "/")
+	n, err := strconv.Atoi(den)
+	if !ok || num != "1" || err != nil {
+		return 0, fmt.Errorf("system: scale %q is not of the form 1/n", s)
+	}
+	if err := checkScale(n); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+func checkScale(n int) error {
+	if n < 1 || n > MaxScale || n&(n-1) != 0 {
+		return fmt.Errorf("system: scale 1/%d: n must be a power of two from 1 to %d", n, MaxScale)
+	}
+	return nil
+}
+
+// WithSSDDRAM sizes the SSD DRAM to bytes and keeps §VI-F's ratios to
+// it: the write log is 1/8 of it and the host promotion budget 4x.
+func (c Config) WithSSDDRAM(bytes int) Config {
+	c.SSDDRAMBytes = bytes
+	c.WriteLogBytes = bytes / 8
+	c.PromotedMaxBytes = 4 * bytes
 	return c
+}
+
+// Validate reports a configuration no machine can be built from: an SSD
+// DRAM whose data cache — what the write log, when enabled, leaves of
+// it — cannot hold one full set of CacheWays pages.
+func (c Config) Validate() error {
+	if cache, set := c.controllerConfig().CacheBytes, c.CacheWays*mem.PageBytes; cache < set {
+		return fmt.Errorf("system: %s of SSD DRAM beside a %s write log leaves %s for the data cache, less than one %d-way set (%s)",
+			stats.FormatGB(uint64(c.SSDDRAMBytes)), stats.FormatGB(uint64(c.WriteLogBytes)),
+			stats.FormatGB(uint64(max(cache, 0))), c.CacheWays, stats.FormatGB(uint64(set)))
+	}
+	return nil
 }
 
 // WithVariant applies a design point's feature toggles.

@@ -55,7 +55,7 @@ var goldenPoints = []goldenPoint{
 // runGolden simulates p the way skybyte-sim does at its defaults (seed
 // 1, the variant's paper thread count) but without the runner, so the
 // Result carries no cache key and its bytes depend on the model alone.
-func runGolden(t *testing.T, p goldenPoint) *system.Result {
+func runGolden(t testing.TB, p goldenPoint) *system.Result {
 	t.Helper()
 	w, err := workloads.ByName(p.workload)
 	if err != nil {

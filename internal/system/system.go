@@ -359,10 +359,14 @@ type device struct {
 // New wires a system from cfg. The returned System is independent of
 // every other instance and safe to Run on its own goroutine.
 //
-// An invalid fleet configuration (Config.Devices/Placement) panics, the
-// same contract as WithVariant on an unknown variant: callers taking
-// external input validate first with fleet.Validate or fleet.ParsePolicy.
+// A config that fails Validate, or an invalid fleet configuration
+// (Config.Devices/Placement), panics, the same contract as WithVariant on
+// an unknown variant: callers taking external input validate first with
+// Config.Validate and fleet.Validate or fleet.ParsePolicy.
 func New(cfg Config) *System {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	s := &System{cfg: cfg, promoted: make(map[uint64][]byte), parts: make([]tenantPart, 1)}
 	s.link = cxl.New(&s.Eng, cfg.Link)
 	s.hostDRAM = dram.New(&s.Eng, cfg.HostDRAM)
@@ -397,8 +401,8 @@ func New(cfg Config) *System {
 	s.sched = osched.New(&s.Eng, osched.NewPolicy(cfg.Policy, policySeed), cfg.CtxSwitchCost)
 	s.llc = cachesim.New(cachesim.Config{Name: "llc", SizeBytes: cfg.LLCBytes, Ways: cfg.LLCWays})
 	for i := 0; i < cfg.Cores; i++ {
-		l1 := cachesim.New(cachesim.Config{Name: "l1", SizeBytes: cfg.L1Bytes, Ways: cfg.L1Ways})
-		l2 := cachesim.New(cachesim.Config{Name: "l2", SizeBytes: cfg.L2Bytes, Ways: cfg.L2Ways})
+		l1 := cachesim.New(cachesim.Config{Name: "l1", SizeBytes: l1Bytes, Ways: l1Ways})
+		l2 := cachesim.New(cachesim.Config{Name: "l2", SizeBytes: l2Bytes, Ways: l2Ways})
 		c := cpu.New(&s.Eng, i, cfg.CPU, l1, l2, s.llc, s, s.sched)
 		c.OnThreadFinished = s.onThreadFinished
 		s.cores = append(s.cores, c)
@@ -437,6 +441,9 @@ func (s *System) initPromotionPool() {
 	s.pool = migrate.NewPool(pages)
 	s.plb = migrate.NewPLB(plbEntries)
 }
+
+// Config returns the configuration the system was wired from.
+func (s *System) Config() Config { return s.cfg }
 
 // Controller exposes the SSD controller (traffic counters, compaction and
 // locality statistics). In a fleet run this is device 0's controller;

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"skybyte/internal/mem"
@@ -8,6 +9,7 @@ import (
 	"skybyte/internal/sim"
 	"skybyte/internal/stats"
 	"skybyte/internal/trace"
+	"skybyte/internal/workloads"
 )
 
 // synthStream emits a simple data-intensive loop: one memory access to a
@@ -240,21 +242,121 @@ func TestSchedulingPolicies(t *testing.T) {
 	}
 }
 
+// TestTable2ConfigsSane: ConfigAt(1) has Table II's capacities, and every
+// accepted scale keeps the 1/64 machine's capacity ratios under one rule.
 func TestTable2ConfigsSane(t *testing.T) {
-	p := PaperConfig()
-	if p.Geometry.Bytes() != 128*mem.GiB {
-		t.Fatalf("paper flash = %d", p.Geometry.Bytes())
-	}
-	if p.SSDDRAMBytes != 512*mem.MiB || p.WriteLogBytes != 64*mem.MiB {
-		t.Fatal("paper SSD DRAM split wrong")
+	p := ConfigAt(1)
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"flash", p.Geometry.Bytes(), 128 * mem.GiB},
+		{"SSD DRAM", uint64(p.SSDDRAMBytes), 512 * mem.MiB},
+		{"write log", uint64(p.WriteLogBytes), 64 * mem.MiB},
+		{"promotion budget", uint64(p.PromotedMaxBytes), 2 * mem.GiB},
+		{"LLC", uint64(p.LLCBytes), 16 * mem.MiB},
+	} {
+		if c.got != c.want {
+			t.Errorf("ConfigAt(1) %s = %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 	sc := ScaledConfig()
-	// Ratio preservation: flash:ssdDRAM and promoted:ssdDRAM.
-	if sc.Geometry.Bytes()/uint64(sc.SSDDRAMBytes) != p.Geometry.Bytes()/uint64(p.SSDDRAMBytes) {
-		t.Fatal("flash:DRAM ratio not preserved by scaling")
+	if sc.Fingerprint() != ConfigAt(MaxScale).Fingerprint() {
+		t.Fatal("ScaledConfig is not ConfigAt(MaxScale)")
 	}
-	if sc.PromotedMaxBytes/sc.SSDDRAMBytes != p.PromotedMaxBytes/p.SSDDRAMBytes {
-		t.Fatal("promoted:DRAM ratio not preserved")
+	if got := sc.Geometry.Bytes(); got != workloads.RefFlashBytes {
+		t.Fatalf("1/64 flash = %d bytes, workloads size footprints for %d", got, workloads.RefFlashBytes)
+	}
+	dies := func(c Config) int { return c.Geometry.Channels * c.Geometry.ChipsPerChan * c.Geometry.DiesPerChip }
+	for n := 1; n <= MaxScale; n *= 2 {
+		c := ConfigAt(n)
+		k := uint64(MaxScale / n)
+		for _, r := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"flash", c.Geometry.Bytes(), k * sc.Geometry.Bytes()},
+			{"SSD DRAM", uint64(c.SSDDRAMBytes), k * uint64(sc.SSDDRAMBytes)},
+			{"write log", uint64(c.WriteLogBytes), k * uint64(sc.WriteLogBytes)},
+			{"promotion budget", uint64(c.PromotedMaxBytes), k * uint64(sc.PromotedMaxBytes)},
+			{"LLC", uint64(c.LLCBytes), k * uint64(sc.LLCBytes)},
+		} {
+			if r.got != r.want {
+				t.Errorf("ConfigAt(%d) %s = %d bytes, want %d (%dx the 1/64 machine)", n, r.name, r.got, r.want, k)
+			}
+		}
+		if dies(c) != dies(sc) {
+			t.Errorf("ConfigAt(%d) has %d dies, want the fixed %d", n, dies(c), dies(sc))
+		}
+		if err := c.WithVariant(SkyByteFull).Validate(); err != nil {
+			t.Errorf("ConfigAt(%d): %v", n, err)
+		}
+	}
+}
+
+// TestParseScale: the scale is written 1/n, n a power of two from 1 to
+// 64; anything else is rejected.
+func TestParseScale(t *testing.T) {
+	for s, want := range map[string]int{"1/1": 1, "1/16": 16, "1/64": 64} {
+		if n, err := ParseScale(s); err != nil || n != want {
+			t.Errorf("ParseScale(%q) = %d, %v; want %d", s, n, err, want)
+		}
+	}
+	for _, s := range []string{"1/3", "1/128", "1/0", "2/64", "64", "", "1/-4", "1/x"} {
+		if n, err := ParseScale(s); err == nil {
+			t.Errorf("ParseScale(%q) = %d, want an error", s, n)
+		}
+	}
+}
+
+// TestValidateRejectsCacheBelowOneSet: an SSD DRAM whose data cache (what
+// the write log leaves) cannot hold one CacheWays-page set is rejected by
+// Validate and by New, naming both sizes.
+func TestValidateRejectsCacheBelowOneSet(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"log fills the DRAM", func() Config {
+			c := ScaledConfig().WithVariant(SkyByteW)
+			c.WriteLogBytes = 8 * mem.MiB
+			return c
+		}()},
+		{"1 MiB DRAM beside a 1 MiB log", func() Config {
+			c := ScaledConfig().WithVariant(SkyByteW)
+			c.SSDDRAMBytes = 1 * mem.MiB
+			return c
+		}()},
+	} {
+		err := c.cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted a data cache below one set", c.name)
+			continue
+		}
+		for _, size := range []string{stats.FormatGB(uint64(c.cfg.SSDDRAMBytes)), stats.FormatGB(uint64(c.cfg.WriteLogBytes))} {
+			if !strings.Contains(err.Error(), size) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, size)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New built the machine", c.name)
+				}
+			}()
+			New(c.cfg)
+		}()
+	}
+	// The same sizes are fine without the log, and one set exactly fits.
+	ok := ScaledConfig().WithVariant(BaseCSSD)
+	ok.SSDDRAMBytes = 1 * mem.MiB
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Base-CSSD on 1 MiB of SSD DRAM: %v", err)
+	}
+	ok = ScaledConfig().WithVariant(SkyByteW)
+	ok.WriteLogBytes = ok.SSDDRAMBytes - ok.CacheWays*mem.PageBytes
+	if err := ok.Validate(); err != nil {
+		t.Errorf("a data cache of exactly one set: %v", err)
 	}
 }
 

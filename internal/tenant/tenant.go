@@ -236,15 +236,22 @@ func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
 // cumulative footprint of the groups before it, so co-located groups
 // contend for the link, the SSD DRAM, the write log, the flash dies,
 // and the scheduler — the interference under study — but never alias
-// each other's data. The combined footprint must fit the device's
-// logical space; otherwise Layout errors and leaves sys untouched.
+// each other's data. Each group's workload is first sized for the
+// machine's devices (workloads.Spec.ForDevice). The combined footprint
+// must fit the device's logical space; otherwise, or when a workload
+// cannot run on the machine, Layout errors and leaves sys untouched.
 func Layout(sys *system.System, groups []Group, seed uint64) ([]*osched.Thread, error) {
 	infos := make([]system.TenantInfo, len(groups))
+	flash := sys.Config().Geometry.Bytes()
 	var pages uint64
 	total := 0
 	for i, g := range groups {
-		infos[i] = system.TenantInfo{Name: g.Name, Workload: g.Workload.Name, Threads: g.Threads}
-		pages += g.Workload.FootprintPages
+		w, err := g.Workload.ForDevice(flash)
+		if err != nil {
+			return nil, err
+		}
+		infos[i] = system.TenantInfo{Name: g.Name, Workload: w.Name, Threads: g.Threads}
+		pages += w.FootprintPages
 		total += g.Threads
 	}
 	if logical := sys.FTL().LogicalPages(); pages > logical {
@@ -254,11 +261,12 @@ func Layout(sys *system.System, groups []Group, seed uint64) ([]*osched.Thread, 
 	threads := make([]*osched.Thread, 0, total)
 	var base uint64 // cumulative arena offset, in pages
 	for i, g := range groups {
+		w, _ := g.Workload.ForDevice(flash) // vetted above
 		delta := mem.Addr(base) * mem.PageBytes
 		for k := 0; k < g.Threads; k++ {
-			threads = append(threads, sys.AddThreadFor(i, &trace.Offset{Src: g.Workload.Stream(k, seed), Delta: delta}, g.Per))
+			threads = append(threads, sys.AddThreadFor(i, &trace.Offset{Src: w.Stream(k, seed), Delta: delta}, g.Per))
 		}
-		base += g.Workload.FootprintPages
+		base += w.FootprintPages
 	}
 	return threads, nil
 }

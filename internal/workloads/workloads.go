@@ -16,7 +16,11 @@
 package workloads
 
 import (
+	"fmt"
+	"math/bits"
+
 	"skybyte/internal/mem"
+	"skybyte/internal/stats"
 	"skybyte/internal/trace"
 )
 
@@ -28,7 +32,8 @@ type Spec struct {
 	// Suite is the benchmark's origin (paper suite, "extra", "custom",
 	// or "trace").
 	Suite string
-	// FootprintPages is the CXL-resident data footprint at 1/64 scale.
+	// FootprintPages is the CXL-resident data footprint at 1/64 scale;
+	// ForDevice sizes it for any other machine.
 	FootprintPages uint64
 	// WriteRatio is Table I's fraction of memory accesses that are writes.
 	WriteRatio float64
@@ -53,6 +58,38 @@ type Spec struct {
 
 // FootprintBytes returns the scaled footprint in bytes.
 func (s Spec) FootprintBytes() uint64 { return s.FootprintPages * mem.PageBytes }
+
+// RefFlashBytes is the per-device flash capacity of the 1/64 machine
+// (system.ScaledConfig), the device FootprintPages is sized for.
+const RefFlashBytes = 2 * mem.GiB
+
+// ForDevice returns s sized for a machine whose devices hold flashBytes
+// of flash each — the one footprint rule of DESIGN.md §1: a generated
+// workload's footprint is FootprintPages x flashBytes / RefFlashBytes,
+// so footprints scale with the machine's capacities. A trace-backed
+// workload replays literal addresses, so it runs only on the 1/64
+// device and errors on any other. On the 1/64 device s is returned as
+// is. s must carry its 1/64 footprint, as every registry lookup returns
+// it: sizing a sized spec scales it twice.
+func (s Spec) ForDevice(flashBytes uint64) (Spec, error) {
+	if flashBytes == RefFlashBytes {
+		return s, nil
+	}
+	if s.Trace != nil {
+		return s, fmt.Errorf("workloads: %q replays recorded addresses, so it runs only on the 1/64 machine (%s of flash per device, not %s)",
+			s.Name, stats.FormatGB(RefFlashBytes), stats.FormatGB(flashBytes))
+	}
+	hi, lo := bits.Mul64(s.FootprintPages, flashBytes)
+	var pages uint64
+	if hi < RefFlashBytes {
+		pages, _ = bits.Div64(hi, lo, RefFlashBytes)
+	}
+	if pages == 0 {
+		return s, fmt.Errorf("workloads: %q cannot be sized for a device of %s of flash", s.Name, stats.FormatGB(flashBytes))
+	}
+	s.FootprintPages = pages
+	return s, nil
+}
 
 // Table1 lists the seven benchmarks in the paper's order. Footprints are
 // Table I divided by the 64x capacity scaling (≥8 GB → ≥128 MB).

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"skybyte/internal/mem"
@@ -158,4 +160,64 @@ func TestUnknownWorkloadPanics(t *testing.T) {
 		}
 	}()
 	Spec{Name: "bogus", FootprintPages: 10}.Stream(0, 1)
+}
+
+// TestForDevice: the one footprint rule. On the 1/64 device a workload is
+// returned as is, without allocating; on a device of k times its flash
+// every generated footprint is k times larger and the stream stays in
+// the larger arena; a recorded trace runs only on the 1/64 device.
+func TestForDevice(t *testing.T) {
+	specs := append(Table1(), Extras()...)
+	for _, s := range specs {
+		same, err := s.ForDevice(RefFlashBytes)
+		if err != nil || same.FootprintPages != s.FootprintPages {
+			t.Fatalf("%s on the 1/64 device: %d pages, %v", s.Name, same.FootprintPages, err)
+		}
+		big, err := s.ForDevice(4 * RefFlashBytes)
+		if err != nil || big.FootprintPages != 4*s.FootprintPages {
+			t.Fatalf("%s on a 4x device: %d pages, %v; want %d", s.Name, big.FootprintPages, err, 4*s.FootprintPages)
+		}
+		end := mem.CXLBase + mem.Addr(big.FootprintBytes())
+		beyond := false
+		for _, r := range sample(t, big, 1, 20000) {
+			if r.Kind == trace.Compute {
+				continue
+			}
+			if r.Addr < mem.CXLBase || r.Addr >= end {
+				t.Fatalf("%s: address %#x outside the 4x arena", s.Name, r.Addr)
+			}
+			beyond = beyond || r.Addr >= mem.CXLBase+mem.Addr(s.FootprintBytes())
+		}
+		if !beyond {
+			t.Errorf("%s on a 4x device never left the 1/64 arena", s.Name)
+		}
+	}
+	s := Table1()[0]
+	if n := testing.AllocsPerRun(100, func() { s, _ = s.ForDevice(RefFlashBytes) }); n != 0 {
+		t.Errorf("ForDevice on the 1/64 device allocates %.0f times", n)
+	}
+	if _, err := s.ForDevice(0); err == nil {
+		t.Error("a device without flash accepted")
+	}
+
+	tr := &trace.Trace{Meta: trace.Meta{Workload: "bc", FootprintPages: s.FootprintPages}}
+	tr.Threads = append(tr.Threads, trace.RecordStream(s.Stream(0, 1), 100))
+	data, err := trace.EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := SpecFromTrace(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.ForDevice(RefFlashBytes); err != nil {
+		t.Fatalf("trace on the 1/64 device: %v", err)
+	}
+	if _, err := ts.ForDevice(4 * RefFlashBytes); err == nil || !strings.Contains(err.Error(), "only on the 1/64 machine") {
+		t.Fatalf("trace on a 4x device: err = %v, want it rejected", err)
+	}
 }

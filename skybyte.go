@@ -50,7 +50,7 @@ import (
 )
 
 // Config is the full-system configuration (Table II plus the artifact's
-// knobs). Obtain one from ScaledConfig or PaperConfig, then apply
+// knobs). Obtain one from ScaledConfig or ConfigAt, then apply
 // WithVariant.
 type Config = system.Config
 
@@ -111,13 +111,14 @@ type Stream = trace.Stream
 type Record = trace.Record
 
 // ScaledConfig returns the evaluation machine at 1/64 of Table II's
-// capacities (identical ratios; see DESIGN.md §1).
+// capacities (identical ratios; see DESIGN.md §1). It is ConfigAt(64).
 func ScaledConfig() Config { return system.ScaledConfig() }
 
-// PaperConfig returns Table II's capacities (128 GB flash, 512 MB SSD
-// DRAM) with ScaledConfig's FTL thresholds (0.75/0.15/0.18) and
-// promotion threshold (8, paper 32); see system.PaperConfig.
-func PaperConfig() Config { return system.PaperConfig() }
+// ConfigAt returns the machine at 1/n of Table II's capacities (n a
+// power of two from 1 to 64) under the one scale rule of DESIGN.md §1;
+// ConfigAt(1) has Table II's capacities. Run, RunMix and RunArrival size
+// generated workload footprints to the machine.
+func ConfigAt(n int) Config { return system.ConfigAt(n) }
 
 // Workloads returns the seven Table I benchmarks.
 func Workloads() []Workload { return workloads.Table1() }
@@ -176,8 +177,16 @@ func ImportFormats() []string { return traceimport.Formats() }
 func NewSystem(cfg Config) *System { return system.New(cfg) }
 
 // Run executes one workload on one configuration: threads streams of
-// instrPerThread instructions each, all seeded deterministically.
+// instrPerThread instructions each, all seeded deterministically, with
+// w's footprint sized for cfg's devices (Workload.ForDevice). Like
+// NewSystem, it panics on a config that fails Config.Validate, and it
+// panics on a workload the machine cannot run (a recorded trace off the
+// 1/64 machine).
 func Run(cfg Config, w Workload, threads int, instrPerThread uint64, seed uint64) *Result {
+	w, err := w.ForDevice(cfg.Geometry.Bytes())
+	if err != nil {
+		panic(err)
+	}
 	sys := system.New(cfg)
 	for i := 0; i < threads; i++ {
 		sys.AddThread(w.Stream(i, seed), instrPerThread)
