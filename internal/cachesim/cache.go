@@ -1,11 +1,11 @@
 // Package cachesim implements the tag-only set-associative caches used for
 // the CPU hierarchy (per-core L1/L2 and the shared LLC of Table II).
 //
-// Caches are write-back with configurable allocation policy. Stores use
-// "write-validate" (no fetch on store miss) by default, mirroring the
-// paper's model in which CXL writes never block the pipeline (§III-A: "as
-// writes are buffered in the write log, they do not need to trigger context
-// switch"); see DESIGN.md §1 for the discussion.
+// Caches are write-back. The CPU model stores with "write-validate" (no
+// fetch on store miss), mirroring the paper's model in which CXL writes
+// never block the pipeline (§III-A: "as writes are buffered in the write
+// log, they do not need to trigger context switch"); see DESIGN.md §1 for
+// the discussion.
 package cachesim
 
 import (
@@ -51,23 +51,28 @@ func (s Stats) MissRate() float64 {
 func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
 
 // Cache is a set-associative, true-LRU, tag-only cache.
+//
+// Each way holds one key, tag<<2 | dirty<<1 | 1; the key 0 is an invalid
+// way. A set keeps its valid lines first, most recent at index 0 and least
+// recent last, with its invalid ways trailing. So a probe stops at the
+// first 0, a hit moves its key to the front, and the victim of a fill into
+// a full set is always the last way: recency is an order, not a stamp.
 type Cache struct {
-	cfg      Config
-	sets     int
 	ways     int
-	lineMask mem.Addr
 	setMask  uint64
 	shift    uint
 	setShift uint // log2(sets), precomputed off the probe path
 
-	tags  []uint64 // sets*ways; tag==0 slot may still be valid, see valid
-	valid []bool
-	dirty []bool
-	lru   []uint64 // recency stamp per way
-	clock uint64   // 64 bits: a 32-bit clock wraps within long runs
+	keys []uint64 // sets*ways, each set in recency order
 
 	Stats Stats
 }
+
+const (
+	validBit = 1
+	dirtyBit = 2
+	tagShift = 2
+)
 
 // New builds a cache. Size must be a multiple of ways*lineBytes and the set
 // count must be a power of two.
@@ -86,32 +91,55 @@ func New(cfg Config) *Cache {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
+	shift := uint(log2(cfg.LineBytes))
+	setShift := uint(log2(sets))
+	if shift+setShift < tagShift {
+		// The key's two flag bits come out of the address bits the line
+		// offset and set index already consume.
+		panic(fmt.Sprintf("cachesim: %s: %d-byte lines in %d sets leave no room for the flag bits", cfg.Name, cfg.LineBytes, sets))
 	}
-	c := &Cache{
-		cfg:      cfg,
-		sets:     sets,
+	return &Cache{
 		ways:     cfg.Ways,
-		lineMask: mem.Addr(cfg.LineBytes - 1),
 		setMask:  uint64(sets - 1),
 		shift:    shift,
-		setShift: uint(log2(sets)),
-		tags:     make([]uint64, sets*cfg.Ways),
-		valid:    make([]bool, sets*cfg.Ways),
-		dirty:    make([]bool, sets*cfg.Ways),
-		lru:      make([]uint64, sets*cfg.Ways),
+		setShift: setShift,
+		keys:     make([]uint64, sets*cfg.Ways),
 	}
-	return c
 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) index(a mem.Addr) (set int, tag uint64) {
+// set returns the ways of a's set and a's key with the dirty bit clear.
+func (c *Cache) set(a mem.Addr) (set []uint64, key uint64) {
 	ln := uint64(a) >> c.shift
-	return int(ln & c.setMask), ln >> c.setShift
+	base := int(ln&c.setMask) * c.ways
+	return c.keys[base : base+c.ways : base+c.ways], ln>>c.setShift<<tagShift | validBit
+}
+
+// find returns the way holding key (dirty bit ignored), or -1.
+func find(set []uint64, key uint64) int {
+	for w, k := range set {
+		if k&^dirtyBit == key {
+			return w
+		}
+		if k == 0 {
+			break
+		}
+	}
+	return -1
+}
+
+// touch moves way w to the front of the set, ORing in dirty.
+func touch(set []uint64, w int, dirty bool) {
+	k := set[w]
+	if dirty {
+		k |= dirtyBit
+	}
+	if w > 0 {
+		copy(set[1:w+1], set[:w])
+	}
+	set[0] = k
 }
 
 func log2(n int) int {
@@ -124,14 +152,8 @@ func log2(n int) int {
 
 // Lookup probes the cache without changing replacement state or stats.
 func (c *Cache) Lookup(a mem.Addr) bool {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
+	set, key := c.set(a)
+	return find(set, key) >= 0
 }
 
 // Access performs a demand access. If the line is present it is touched
@@ -139,115 +161,67 @@ func (c *Cache) Lookup(a mem.Addr) bool {
 // is NOT allocated — callers decide whether and when to Fill (after the next
 // level responds).
 func (c *Cache) Access(a mem.Addr, write bool) (hit bool) {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.clock++
-			c.lru[i] = c.clock
-			if write {
-				c.dirty[i] = true
-			}
-			c.Stats.Hits++
-			return true
-		}
+	set, key := c.set(a)
+	if w := find(set, key); w >= 0 {
+		touch(set, w, write)
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	return false
 }
 
-// Update touches the line if present (refreshing recency and optionally
-// dirtying it) without recording demand statistics — used when victims
-// cascade down the hierarchy, which must not perturb miss-rate accounting.
-func (c *Cache) Update(a mem.Addr, dirty bool) bool {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.clock++
-			c.lru[i] = c.clock
-			if dirty {
-				c.dirty[i] = true
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// Fill allocates the line (after a miss was serviced), marking it dirty if
-// the triggering access was a write. It returns the victim line, which is
-// valid if an occupied way was evicted.
+// Fill allocates the line, marking it dirty if the triggering access was a
+// write, and returns the victim line, which is valid if an occupied way was
+// evicted. A line already present (a raced fill, or a victim cascading into
+// a level that still holds it) is only touched and dirtied: it records no
+// demand statistics and evicts nothing.
 func (c *Cache) Fill(a mem.Addr, dirty bool) Victim {
-	set, tag := c.index(a)
-	base := set * c.ways
-	// Already present (raced fill): just update.
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.clock++
-			c.lru[i] = c.clock
-			if dirty {
-				c.dirty[i] = true
-			}
-			return Victim{}
-		}
+	set, key := c.set(a)
+	if w := find(set, key); w >= 0 {
+		touch(set, w, dirty)
+		return Victim{}
 	}
-	victimWay := -1
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victimWay = w
-			break
-		}
-		if c.lru[i] <= oldest {
-			oldest = c.lru[i]
-			victimWay = w
-		}
-	}
-	i := base + victimWay
 	var v Victim
-	if c.valid[i] {
-		v = Victim{Addr: c.lineAddr(set, c.tags[i]), Dirty: c.dirty[i], Valid: true}
+	if old := set[len(set)-1]; old != 0 {
+		v = Victim{Addr: c.lineAddr(a, old), Dirty: old&dirtyBit != 0, Valid: true}
 		c.Stats.Evictions++
-		if c.dirty[i] {
+		if v.Dirty {
 			c.Stats.DirtyEvs++
 		}
 	}
-	c.clock++
-	c.tags[i] = tag
-	c.valid[i] = true
-	c.dirty[i] = dirty
-	c.lru[i] = c.clock
+	if dirty {
+		key |= dirtyBit
+	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = key
 	return v
 }
 
-func (c *Cache) lineAddr(set int, tag uint64) mem.Addr {
-	return mem.Addr((tag<<c.setShift|uint64(set))<<c.shift) | 0
+// lineAddr rebuilds the line address of key, which lives in a's set.
+func (c *Cache) lineAddr(a mem.Addr, key uint64) mem.Addr {
+	set := uint64(a) >> c.shift & c.setMask
+	return mem.Addr((key>>tagShift<<c.setShift | set) << c.shift)
 }
 
 // Invalidate drops the line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(a mem.Addr) (wasPresent, wasDirty bool) {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.valid[i] = false
-			return true, c.dirty[i]
-		}
+	set, key := c.set(a)
+	w := find(set, key)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	k := set[w]
+	copy(set[w:], set[w+1:])
+	set[len(set)-1] = 0
+	return true, k&dirtyBit != 0
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
+	for _, k := range c.keys {
+		if k != 0 {
 			n++
 		}
 	}

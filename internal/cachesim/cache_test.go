@@ -27,15 +27,13 @@ func TestMissThenFillThenHit(t *testing.T) {
 	}
 }
 
-// TestLRUClockPastUint32: the recency clock keeps ordering lines after
-// 2^32 touches. Started just below 2^32, the line touched after the
-// crossing is the newest and must survive the next eviction.
-func TestLRUClockPastUint32(t *testing.T) {
+// TestNewestLineSurvivesEviction: filling a third line into a full
+// two-way set evicts the oldest fill and keeps the newest one resident.
+func TestNewestLineSurvivesEviction(t *testing.T) {
 	c := small()
-	c.clock = 1<<32 - 2
 	a0, a1, a2 := mem.Addr(0), mem.Addr(256), mem.Addr(512)
-	c.Fill(a0, false) // stamp 2^32-1
-	c.Fill(a1, false) // stamp 2^32: the most recent line
+	c.Fill(a0, false)
+	c.Fill(a1, false) // the most recent line
 	v := c.Fill(a2, false)
 	if !v.Valid || v.Addr != a0 {
 		t.Fatalf("victim = %+v, want the older line %#x", v, a0)
@@ -128,56 +126,171 @@ func TestPageGranularCache(t *testing.T) {
 	}
 }
 
-// Property: against a reference model (map + per-set LRU list), the cache
-// agrees on hit/miss for random access sequences.
-func TestAgainstReferenceModel(t *testing.T) {
-	f := func(seed uint64) bool {
-		c := New(Config{Name: "ref", SizeBytes: 16 * 64, Ways: 4}) // 4 sets
-		type refLine struct {
-			addr  mem.Addr
-			stamp int
+// refCache is a test-local true-LRU model: each set holds its lines with
+// the stamp of their last touch, and a fill into a full set evicts the
+// line with the oldest stamp.
+type refCache struct {
+	ways, sets int
+	shift      uint
+	stamp      uint64
+	lines      map[int][]refLine // set -> resident lines, unordered
+	stats      Stats
+}
+
+type refLine struct {
+	addr  mem.Addr // line address
+	dirty bool
+	stamp uint64
+}
+
+func newRefCache(cfg Config) *refCache {
+	r := &refCache{ways: cfg.Ways, sets: cfg.SizeBytes / cfg.LineBytes / cfg.Ways, lines: map[int][]refLine{}}
+	for 1<<r.shift < cfg.LineBytes {
+		r.shift++
+	}
+	return r
+}
+
+func (r *refCache) find(a mem.Addr) (set, i int) {
+	ln := uint64(a) >> r.shift
+	set = int(ln % uint64(r.sets))
+	for i, l := range r.lines[set] {
+		if l.addr == mem.Addr(ln<<r.shift) {
+			return set, i
 		}
-		ref := map[int][]refLine{} // set -> lines, unbounded order
-		stamp := 0
-		rng := trace.NewRNG(seed)
-		for op := 0; op < 3000; op++ {
-			a := mem.Addr(rng.Uint64n(64)) * 64 // 64 distinct lines
-			set := int(uint64(a) >> 6 & 3)
-			// Reference lookup.
-			refHit := false
-			lines := ref[set]
-			for i := range lines {
-				if lines[i].addr == a {
-					refHit = true
-					stamp++
-					lines[i].stamp = stamp
-					break
-				}
+	}
+	return set, -1
+}
+
+func (r *refCache) touch(set, i int, dirty bool) {
+	r.stamp++
+	l := &r.lines[set][i]
+	l.stamp = r.stamp
+	l.dirty = l.dirty || dirty
+}
+
+func (r *refCache) access(a mem.Addr, write bool) bool {
+	set, i := r.find(a)
+	if i < 0 {
+		r.stats.Misses++
+		return false
+	}
+	r.touch(set, i, write)
+	r.stats.Hits++
+	return true
+}
+
+func (r *refCache) fill(a mem.Addr, dirty bool) Victim {
+	set, i := r.find(a)
+	if i >= 0 {
+		r.touch(set, i, dirty)
+		return Victim{}
+	}
+	var v Victim
+	lines := r.lines[set]
+	if len(lines) == r.ways {
+		old := 0
+		for j := range lines {
+			if lines[j].stamp < lines[old].stamp {
+				old = j
 			}
-			hit := c.Access(a, false)
-			if hit != refHit {
-				return false
-			}
-			if !hit {
-				c.Fill(a, false)
-				stamp++
-				if len(lines) == 4 {
-					// Evict LRU from reference.
-					lruI := 0
-					for i := range lines {
-						if lines[i].stamp < lines[lruI].stamp {
-							lruI = i
+		}
+		v = Victim{Addr: lines[old].addr, Dirty: lines[old].dirty, Valid: true}
+		r.stats.Evictions++
+		if v.Dirty {
+			r.stats.DirtyEvs++
+		}
+		lines = append(lines[:old], lines[old+1:]...)
+	}
+	r.stamp++
+	line := mem.Addr(uint64(a) >> r.shift << r.shift)
+	r.lines[set] = append(lines, refLine{addr: line, dirty: dirty, stamp: r.stamp})
+	return v
+}
+
+func (r *refCache) invalidate(a mem.Addr) (present, dirty bool) {
+	set, i := r.find(a)
+	if i < 0 {
+		return false, false
+	}
+	l := r.lines[set][i]
+	r.lines[set] = append(r.lines[set][:i], r.lines[set][i+1:]...)
+	return true, l.dirty
+}
+
+func (r *refCache) occupancy() int {
+	n := 0
+	for _, l := range r.lines {
+		n += len(l)
+	}
+	return n
+}
+
+// Property: against a true-LRU reference model, random sequences of
+// loads, stores, fills (raced fills of resident lines included),
+// invalidations and lookups agree on every hit/miss, every victim, the
+// stats and the occupancy after every op — on 8-way and 16-way line
+// caches and on a 16-way, 4 KiB-line cache shaped like the AstriFlash
+// page cache.
+func TestAgainstReferenceModel(t *testing.T) {
+	geometries := []Config{
+		{Name: "l1", SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64},
+		{Name: "llc", SizeBytes: 8 * 16 * 64, Ways: 16, LineBytes: 64},
+		{Name: "astri", SizeBytes: 4 * 16 * mem.PageBytes, Ways: 16, LineBytes: mem.PageBytes},
+	}
+	for _, cfg := range geometries {
+		t.Run(cfg.Name, func(t *testing.T) {
+			lines := uint64(cfg.SizeBytes/cfg.LineBytes) * 3 // ~3x capacity in play
+			f := func(seed uint64) bool {
+				c, ref := New(cfg), newRefCache(cfg)
+				rng := trace.NewRNG(seed)
+				for op := 0; op < 4000; op++ {
+					a := mem.Addr(rng.Uint64n(lines)*uint64(cfg.LineBytes) + rng.Uint64n(uint64(cfg.LineBytes)))
+					switch k := rng.Intn(10); {
+					case k < 5: // demand load or store, filled on a miss
+						write := rng.Bool(0.3)
+						hit := c.Access(a, write)
+						if want := ref.access(a, write); hit != want {
+							t.Logf("op %d: Access(%#x, %v) = %v, want %v", op, a, write, hit, want)
+							return false
+						}
+						if !hit {
+							dirty := write && rng.Bool(0.5)
+							if v, want := c.Fill(a, dirty), ref.fill(a, dirty); v != want {
+								t.Logf("op %d: Fill(%#x) victim = %+v, want %+v", op, a, v, want)
+								return false
+							}
+						}
+					case k < 7: // fill without a preceding access: may race a resident line
+						dirty := rng.Bool(0.3)
+						if v, want := c.Fill(a, dirty), ref.fill(a, dirty); v != want {
+							t.Logf("op %d: Fill(%#x, %v) victim = %+v, want %+v", op, a, dirty, v, want)
+							return false
+						}
+					case k < 8:
+						p, d := c.Invalidate(a)
+						if wp, wd := ref.invalidate(a); p != wp || d != wd {
+							t.Logf("op %d: Invalidate(%#x) = %v,%v, want %v,%v", op, a, p, d, wp, wd)
+							return false
+						}
+					default:
+						_, i := ref.find(a)
+						if got := c.Lookup(a); got != (i >= 0) {
+							t.Logf("op %d: Lookup(%#x) = %v, want %v", op, a, got, i >= 0)
+							return false
 						}
 					}
-					lines = append(lines[:lruI], lines[lruI+1:]...)
+					if c.Stats != ref.stats || c.Occupancy() != ref.occupancy() {
+						t.Logf("op %d: stats %+v occupancy %d, want %+v %d", op, c.Stats, c.Occupancy(), ref.stats, ref.occupancy())
+						return false
+					}
 				}
-				ref[set] = append(lines, refLine{addr: a, stamp: stamp})
+				return true
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -569,7 +569,7 @@ func (c *Core) load(a mem.Addr, idx uint64) {
 }
 
 // store dirties the line where it hits; a full miss allocates in L1
-// without fetching (write-validate — see package comment).
+// without fetching (write-validate — see the cachesim package comment).
 func (c *Core) store(a mem.Addr) {
 	if c.l1.Access(a, true) {
 		c.Stats.L1Hits++
@@ -597,9 +597,6 @@ func (c *Core) installL1(a mem.Addr, dirty bool) {
 }
 
 func (c *Core) installL2(a mem.Addr, dirty bool) {
-	if c.l2.Update(a, dirty) {
-		return
-	}
 	v := c.l2.Fill(a, dirty)
 	if v.Valid && v.Dirty {
 		c.installLLC(v.Addr, true)
@@ -607,9 +604,6 @@ func (c *Core) installL2(a mem.Addr, dirty bool) {
 }
 
 func (c *Core) installLLC(a mem.Addr, dirty bool) {
-	if c.llc.Update(a, dirty) {
-		return
-	}
 	v := c.llc.Fill(a, dirty)
 	if v.Valid && v.Dirty {
 		c.issueWriteback(v.Addr)

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -36,7 +37,7 @@ func bucketOf(d sim.Time) int {
 	if ns < 1 {
 		ns = 1
 	}
-	exp := 63 - leadingZeros(uint64(ns))
+	exp := 63 - bits.LeadingZeros64(uint64(ns))
 	if exp >= maxExp {
 		return bucketCount - 1
 	}
@@ -45,18 +46,6 @@ func bucketOf(d sim.Time) int {
 		frac = int((uint64(ns) - 1<<uint(exp)) * subBuckets >> uint(exp))
 	}
 	return exp*subBuckets + frac
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketLow returns the lower bound latency of bucket i.

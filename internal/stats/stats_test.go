@@ -342,3 +342,38 @@ func TestRatio(t *testing.T) {
 		t.Fatal("Ratio broken")
 	}
 }
+
+// TestBucketOfEdges pins the histogram bucket at every power-of-two
+// boundary up to maxExp: 2^k opens octave k at sub-bucket 0, 2^k−1 is the
+// last sub-bucket of octave k−1, and 2^k+1 shares 2^k's bucket once an
+// octave is wider than its sub-buckets. Sub-nanosecond latencies land in
+// bucket 0 and everything from 2^maxExp ns on saturates the last bucket.
+func TestBucketOfEdges(t *testing.T) {
+	last := bucketCount - 1
+	type row struct {
+		ns   int64
+		want int
+	}
+	rows := []row{{0, 0}, {1, 0}, {3, 12}, {7, 22}, {5, 18}, {9, 25}}
+	for k := 1; k <= maxExp; k++ {
+		lo, mid, hi := 8*k-1, 8*k, 8*k
+		if k == maxExp {
+			lo, mid, hi = last, last, last
+		}
+		switch {
+		case k >= 4:
+			rows = append(rows, row{1<<k - 1, lo}, row{1 << k, mid}, row{1<<k + 1, hi})
+		default: // octaves 0–3 are too narrow to split 2^k+1 from 2^k
+			rows = append(rows, row{1 << k, mid})
+		}
+	}
+	rows = append(rows, row{1<<maxExp + 1, last}, row{1 << 40, last}, row{math.MaxInt64 / int64(sim.Nanosecond), last})
+	for _, r := range rows {
+		if got := bucketOf(sim.Time(r.ns) * sim.Nanosecond); got != r.want {
+			t.Errorf("bucketOf(%d ns) = %d, want %d", r.ns, got, r.want)
+		}
+	}
+	if got := bucketOf(sim.Nanosecond / 2); got != 0 {
+		t.Errorf("bucketOf(0.5 ns) = %d, want 0", got)
+	}
+}
