@@ -195,19 +195,16 @@ func main() {
 	// -cache-dir the runner simply has no store.
 	spec.Variant, spec.Devices, spec.Placement, spec.Mutate = skybyte.Variant(*variant), *devices, *placement, knobs
 
-	// Every design point's machine, and the solo workload sized for it,
-	// must be valid before anything simulates.
+	// A solo workload must fit every design point's machine before
+	// anything simulates; Runner.Check rejects an invalid machine or
+	// budget before each run.
 	if len(variantList) == 0 {
 		variantList = []system.Variant{spec.Variant}
 	}
-	for _, v := range variantList {
-		cfg := machine(base, spec, v)
-		if err := cfg.Validate(); err != nil {
-			fail(err)
-		}
-		if spec.Workload != "" {
-			w, _ := skybyte.WorkloadByName(spec.Workload)
-			if _, err := w.ForDevice(cfg.Geometry.Bytes()); err != nil {
+	if spec.Workload != "" {
+		w, _ := skybyte.WorkloadByName(spec.Workload)
+		for _, v := range variantList {
+			if _, err := w.ForDevice(machine(base, spec, v).Geometry.Bytes()); err != nil {
 				fail(err)
 			}
 		}
@@ -243,8 +240,12 @@ func main() {
 			w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI, cfg.Name, spec.Threads, cfg.Cores)
 	}
 
+	r := newRunner(1)
+	if err := r.Check(spec); err != nil {
+		fail(err)
+	}
 	start := time.Now()
-	res, err := newRunner(1).Run(context.Background(), spec)
+	res, err := r.Run(context.Background(), spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -443,6 +444,10 @@ func compareVariants(r *runner.Runner, base skybyte.Config, template runner.Spec
 	for i, v := range vs {
 		template.Variant = v
 		specs[i] = sized(base, template, threads, instrPerThread)
+		if err := r.Check(specs[i]); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	run := specs
 	if sharded {

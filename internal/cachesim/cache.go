@@ -37,15 +37,6 @@ type Stats struct {
 	DirtyEvs  uint64
 }
 
-// MissRate returns misses/(hits+misses).
-func (s Stats) MissRate() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(t)
-}
-
 // Accesses returns the total lookup count (hits + misses) — the
 // denominator a windowed hit-ratio probe differences between samples.
 func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
@@ -106,9 +97,6 @@ func New(cfg Config) *Cache {
 		keys:     make([]uint64, sets*cfg.Ways),
 	}
 }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 // set returns the ways of a's set and a's key with the dirty bit clear.
 func (c *Cache) set(a mem.Addr) (set []uint64, key uint64) {

@@ -310,17 +310,6 @@ func TestOccupancyBound(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("zero stats miss rate")
-	}
-	s.Hits, s.Misses = 3, 1
-	if s.MissRate() != 0.25 {
-		t.Fatal("miss rate")
-	}
-}
-
 func BenchmarkAccessHit(b *testing.B) {
 	c := New(Config{Name: "bench", SizeBytes: 32 * mem.KiB, Ways: 8})
 	c.Fill(0x1000, false)

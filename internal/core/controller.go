@@ -129,7 +129,6 @@ type fetchWaiter struct {
 type fetchState struct {
 	next         *fetchState
 	lpa          uint64
-	issuedAt     sim.Time
 	expectedDone sim.Time
 	waiters      []fetchWaiter
 	prefetch     bool
@@ -193,7 +192,6 @@ type Controller struct {
 	active  int
 	fetches map[uint64]*fetchState
 	heat    map[uint64]heatEntry // persistent per-flash-page access heat
-	pinned  map[uint64]bool      // §IV data persistence: never promoted
 
 	fetchFree *fetchState
 	respFree  *respEvt
@@ -220,6 +218,10 @@ type Controller struct {
 	tenantLog []TenantLogStats
 	// Compaction summarises background log compaction activity.
 	Compaction CompactionStats
+	// ReadLocality records the fraction of lines accessed per page while
+	// it was cached (Fig. 5), booked when the page leaves the data cache:
+	// on eviction and on promotion.
+	ReadLocality stats.Distribution
 	// WriteLocality records the fraction of dirty lines per page flushed to
 	// flash (Fig. 6): Base-CSSD dirty evictions and SkyByte compactions.
 	WriteLocality stats.Distribution
@@ -236,11 +238,9 @@ func New(eng *sim.Engine, cfg Config, arr *flash.Array, fl *ftl.FTL, d *dram.DRA
 		eng: eng, cfg: cfg, arr: arr, fl: fl, dram: d,
 		fetches: make(map[uint64]*fetchState),
 		heat:    make(map[uint64]heatEntry),
-		pinned:  make(map[uint64]bool),
 	}
 	c.onCompactWrite = c.compactOpDone
 	c.cache = NewPageCache(cfg.CacheBytes, cfg.CacheWays, cfg.TrackData)
-	c.cache.TrackLocality = cfg.TrackLocality
 	if cfg.WriteLogEnabled {
 		half := cfg.WriteLogBytes / 2 / mem.LineBytes
 		if half < 1 {
@@ -275,7 +275,7 @@ func (c *Controller) respondAt(t sim.Time, respond func(ReadMeta), meta ReadMeta
 
 // getFetch pops a pooled fetch state, binding its flash-completion
 // callback on first allocation.
-func (c *Controller) getFetch(lpa uint64, issuedAt sim.Time) *fetchState {
+func (c *Controller) getFetch(lpa uint64) *fetchState {
 	fs := c.fetchFree
 	if fs == nil {
 		fs = &fetchState{}
@@ -284,7 +284,7 @@ func (c *Controller) getFetch(lpa uint64, issuedAt sim.Time) *fetchState {
 		c.fetchFree = fs.next
 		fs.next = nil
 	}
-	fs.lpa, fs.issuedAt, fs.expectedDone, fs.prefetch = lpa, issuedAt, 0, false
+	fs.lpa, fs.expectedDone, fs.prefetch = lpa, 0, false
 	return fs
 }
 
@@ -363,12 +363,7 @@ func (c *Controller) logLookup(lineNo uint64) ([]byte, bool) {
 }
 
 func (c *Controller) missRead(lpa, off uint64, t0, idxLat sim.Time, record bool, respond func(ReadMeta), hint func(sim.Time)) {
-	fs, inFlight := c.fetches[lpa]
-	if !inFlight {
-		fs = c.getFetch(lpa, t0)
-		c.fetches[lpa] = fs
-		c.startFetch(fs, false)
-	}
+	fs := c.fetch(lpa)
 	// Trigger policy (Algorithm 1 plus the immediate-on-GC rule): the
 	// controller sums the latency of the work queued ahead of the fetch —
 	// with the die-parallel service model that sum is the fetch's
@@ -386,6 +381,18 @@ func (c *Controller) missRead(lpa, off uint64, t0, idxLat sim.Time, record bool,
 	fs.waiters = append(fs.waiters, fetchWaiter{t0: t0, idxLat: idxLat, off: off, record: record, respond: respond})
 }
 
+// fetch returns lpa's in-flight page fetch, starting a demand fetch
+// from flash when none is outstanding.
+func (c *Controller) fetch(lpa uint64) *fetchState {
+	fs, inFlight := c.fetches[lpa]
+	if !inFlight {
+		fs = c.getFetch(lpa)
+		c.fetches[lpa] = fs
+		c.startFetch(fs, false)
+	}
+	return fs
+}
+
 func (c *Controller) startFetch(fs *fetchState, prefetch bool) {
 	fs.prefetch = prefetch
 	if prefetch {
@@ -399,7 +406,7 @@ func (c *Controller) startFetch(fs *fetchState, prefetch bool) {
 		next := fs.lpa + 1
 		if next < c.fl.LogicalPages() && c.cache.Peek(next) == nil {
 			if _, busy := c.fetches[next]; !busy {
-				nfs := c.getFetch(next, c.eng.Now())
+				nfs := c.getFetch(next)
 				c.fetches[next] = nfs
 				c.startFetch(nfs, true)
 			}
@@ -419,6 +426,7 @@ func (c *Controller) fetchDone(fs *fetchState, flashData []byte) {
 	victim, f, ok := c.cache.Insert(fs.lpa)
 	if ok {
 		if victim.Valid {
+			c.noteReadLocality(victim.Accessed)
 			c.evictFrame(victim)
 		}
 		f.InsertedAt = int64(c.eng.Now())
@@ -505,6 +513,12 @@ func (c *Controller) evictFrame(v PageFrame) {
 	c.fl.Write(v.LPA, v.Data, nil)
 }
 
+func (c *Controller) noteReadLocality(accessed uint64) {
+	if c.cfg.TrackLocality {
+		c.ReadLocality.Add(float64(bits.OnesCount64(accessed)) / float64(mem.LinesPerPage))
+	}
+}
+
 func (c *Controller) noteWriteLocality(dirtyLines int) {
 	if c.cfg.TrackLocality {
 		c.WriteLocality.Add(float64(dirtyLines) / float64(mem.LinesPerPage))
@@ -549,12 +563,7 @@ func (c *Controller) MemWr(off uint64, data []byte, record bool, tenant int, acc
 		}
 		// Write miss: fetch the page first (RMW), then dirty the line.
 		c.tenantAcct(tenant).RMWFetches++
-		fs, inFlight := c.fetches[lpa]
-		if !inFlight {
-			fs = c.getFetch(lpa, c.eng.Now())
-			c.fetches[lpa] = fs
-			c.startFetch(fs, false)
-		}
+		fs := c.fetch(lpa)
 		fs.waiters = append(fs.waiters, fetchWaiter{
 			t0: c.eng.Now(), idxLat: cacheIndexLatency, off: off,
 			record: record, isWrite: true, data: cloneLine(data), accept: accepted,
@@ -747,23 +756,8 @@ func (c *Controller) bumpHeat(lpa uint64) uint32 {
 // re-earn hotness).
 func (c *Controller) ResetHeat(lpa uint64) { delete(c.heat, lpa) }
 
-// PinPage marks a page persistent (§IV "Data persistence support"): it
-// will never be nominated for promotion to volatile host DRAM, so clwb'd
-// lines are guaranteed to reach the battery-backed SSD DRAM and stay under
-// the device's power-fail domain.
-func (c *Controller) PinPage(lpa uint64) { c.pinned[lpa] = true }
-
-// UnpinPage releases a persistence pin.
-func (c *Controller) UnpinPage(lpa uint64) { delete(c.pinned, lpa) }
-
-// Pinned reports whether the page is pinned to the device.
-func (c *Controller) Pinned(lpa uint64) bool { return c.pinned[lpa] }
-
 func (c *Controller) maybePromote(f *PageFrame) {
 	if !c.cfg.MigrationEnabled || f.Migrating || f.Nominated || c.OnPromoteCandidate == nil {
-		return
-	}
-	if c.pinned[f.LPA] {
 		return
 	}
 	if c.heat[f.LPA].count < c.cfg.MigrationThreshold {
@@ -785,12 +779,7 @@ func (c *Controller) FetchPage(lpa uint64, done func()) {
 		done()
 		return
 	}
-	fs, inFlight := c.fetches[lpa]
-	if !inFlight {
-		fs = c.getFetch(lpa, c.eng.Now())
-		c.fetches[lpa] = fs
-		c.startFetch(fs, false)
-	}
+	fs := c.fetch(lpa)
 	fs.waiters = append(fs.waiters, fetchWaiter{t0: c.eng.Now(), off: lpa << mem.PageShift, pageOnly: true, accept: done})
 }
 
@@ -806,8 +795,9 @@ func (c *Controller) MarkMigrating(lpa uint64) bool {
 }
 
 // FinishMigration completes a promotion: it returns the page's current
-// content (frame merged with any logged lines), drops the frame, voids the
-// log index entries, and trims the stale flash mapping.
+// content (frame merged with any logged lines), drops the frame (booking
+// its read locality), voids the log index entries, and trims the stale
+// flash mapping.
 func (c *Controller) FinishMigration(lpa uint64) (data []byte, ok bool) {
 	f := c.cache.Peek(lpa)
 	if f == nil {
@@ -818,7 +808,8 @@ func (c *Controller) FinishMigration(lpa uint64) (data []byte, ok bool) {
 		data = make([]byte, mem.PageBytes)
 		copy(data, f.Data)
 	}
-	c.cache.Drop(lpa)
+	was, _ := c.cache.Drop(lpa)
+	c.noteReadLocality(was.Accessed)
 	if c.cfg.WriteLogEnabled {
 		c.activeLog().InvalidatePage(lpa)
 		if c.compacting {
@@ -828,15 +819,6 @@ func (c *Controller) FinishMigration(lpa uint64) (data []byte, ok bool) {
 	c.fl.Trim(lpa)
 	c.ResetHeat(lpa)
 	return data, true
-}
-
-// AbortMigration unpins a page whose promotion was declined (e.g. the PLB
-// was full).
-func (c *Controller) AbortMigration(lpa uint64) {
-	if f := c.cache.Peek(lpa); f != nil {
-		f.Migrating = false
-		f.Nominated = false
-	}
 }
 
 // WritePage programs a full page through the FTL, bypassing the write log —

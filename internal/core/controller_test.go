@@ -361,22 +361,6 @@ func TestMigrationCandidateAndCompletion(t *testing.T) {
 	}
 }
 
-func TestAbortMigrationUnpins(t *testing.T) {
-	cfg := testConfig(true)
-	cfg.MigrationEnabled = true
-	cfg.MigrationThreshold = 2
-	cfg.MigrationMinResidency = 0
-	r := newRig(cfg)
-	r.readSync(t, off(3, 0))
-	r.readSync(t, off(3, 1))
-	r.c.MarkMigrating(3)
-	r.c.AbortMigration(3)
-	f := r.c.cache.Peek(3)
-	if f == nil || f.Migrating || f.Nominated {
-		t.Fatal("abort did not unpin/reset")
-	}
-}
-
 // The strongest oracle: random cacheline reads/writes through the full
 // controller (write log, compaction, cache evictions, FTL GC underneath)
 // must always return the newest written data.
@@ -476,7 +460,7 @@ func TestLocalityTracking(t *testing.T) {
 			r.readSync(t, off(p, l))
 		}
 	}
-	d := r.c.cache.ReadLocality
+	d := r.c.ReadLocality
 	if len(d.Samples) == 0 {
 		t.Fatal("no read locality samples")
 	}
@@ -487,32 +471,26 @@ func TestLocalityTracking(t *testing.T) {
 	}
 }
 
-func TestPinnedPageNeverNominated(t *testing.T) {
-	cfg := testConfig(true)
-	cfg.MigrationEnabled = true
-	cfg.MigrationThreshold = 2
-	cfg.MigrationMinResidency = 0
+// A promoted page leaves the data cache through FinishMigration, not
+// eviction; its frame still books one read-locality sample.
+func TestMigrationBooksReadLocality(t *testing.T) {
+	cfg := testConfig(false)
+	cfg.TrackLocality = true
 	r := newRig(cfg)
-	fired := 0
-	r.c.OnPromoteCandidate = func(uint64) { fired++ }
-	// Pin page 6 (§IV data persistence) and hammer it.
-	r.c.PinPage(6)
-	if !r.c.Pinned(6) {
-		t.Fatal("pin not recorded")
+	for l := uint64(0); l < 16; l++ {
+		r.readSync(t, off(9, l))
 	}
-	for i := 0; i < 20; i++ {
-		r.readSync(t, off(6, uint64(i%8)))
+	if len(r.c.ReadLocality.Samples) != 0 {
+		t.Fatal("locality booked while the page is still cached")
 	}
-	if fired != 0 {
-		t.Fatal("pinned page was nominated for promotion")
+	if !r.c.MarkMigrating(9) {
+		t.Fatal("MarkMigrating failed for resident page")
 	}
-	// Unpin: the next accesses may nominate it.
-	r.c.UnpinPage(6)
-	for i := 0; i < 20; i++ {
-		r.readSync(t, off(6, uint64(i%8)))
+	if _, ok := r.c.FinishMigration(9); !ok {
+		t.Fatal("FinishMigration failed")
 	}
-	if fired == 0 {
-		t.Fatal("unpinned hot page never nominated")
+	if got := r.c.ReadLocality.Samples; len(got) != 1 || got[0] != 0.25 {
+		t.Fatalf("read locality = %v, want one 16/64 = 0.25 sample", got)
 	}
 }
 

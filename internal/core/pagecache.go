@@ -8,12 +8,7 @@
 // RMW cache with prefetch and device-side MSHRs).
 package core
 
-import (
-	"math/bits"
-
-	"skybyte/internal/mem"
-	"skybyte/internal/stats"
-)
+import "skybyte/internal/mem"
 
 // PageFrame is one resident page of the SSD DRAM data cache. The 64-bit
 // line masks directly support the paper's Figs. 5–6 locality analysis and
@@ -52,13 +47,6 @@ type PageCache struct {
 	track      bool
 
 	Stats PageCacheStats
-
-	// ReadLocality / WriteLocality collect the per-page line-usage ratios
-	// of Figs. 5–6 when enabled: on eviction, the fraction of lines
-	// accessed; on flush, the fraction dirty.
-	TrackLocality bool
-	ReadLocality  stats.Distribution
-	WriteLocality stats.Distribution
 }
 
 // NewPageCache builds a cache of sizeBytes with the given associativity
@@ -157,7 +145,6 @@ func (pc *PageCache) Insert(lpa uint64) (victim PageFrame, f *PageFrame, ok bool
 		if fr.Dirty() {
 			pc.Stats.DirtyEvs++
 		}
-		pc.noteLocality(fr)
 	}
 	pc.clock++
 	*fr = PageFrame{LPA: lpa, Valid: true, lru: pc.clock}
@@ -177,19 +164,8 @@ func (pc *PageCache) Drop(lpa uint64) (was PageFrame, present bool) {
 		return PageFrame{}, false
 	}
 	was = *f
-	pc.noteLocality(f)
 	*f = PageFrame{}
 	return was, true
-}
-
-func (pc *PageCache) noteLocality(f *PageFrame) {
-	if !pc.TrackLocality {
-		return
-	}
-	pc.ReadLocality.Add(float64(bits.OnesCount64(f.Accessed)) / float64(mem.LinesPerPage))
-	if f.DirtyMsk != 0 {
-		pc.WriteLocality.Add(float64(bits.OnesCount64(f.DirtyMsk)) / float64(mem.LinesPerPage))
-	}
 }
 
 // Dirty reports whether any line was dirtied while resident (Base-CSSD

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -93,19 +94,20 @@ func TestPageCacheDrop(t *testing.T) {
 }
 
 func TestPageCacheLocalitySamples(t *testing.T) {
+	// The victim Insert returns carries the lines touched while it was
+	// resident: the controller books Fig. 5's read locality from it.
 	pc := NewPageCache(2*mem.PageBytes, 2, false)
-	pc.TrackLocality = true
 	_, f, _ := pc.Insert(0)
 	for i := uint(0); i < 16; i++ {
 		f.TouchRead(i)
 	}
 	pc.Insert(2)
-	pc.Insert(4) // evicts page 0 (16/64 lines touched)
-	if len(pc.ReadLocality.Samples) == 0 {
-		t.Fatal("no locality sample on eviction")
+	victim, _, _ := pc.Insert(4) // evicts page 0 (16/64 lines touched)
+	if !victim.Valid || victim.LPA != 0 {
+		t.Fatalf("victim = page %d (valid %v), want page 0", victim.LPA, victim.Valid)
 	}
-	if got := pc.ReadLocality.Samples[0]; got != 0.25 {
-		t.Fatalf("sample = %v, want 0.25", got)
+	if got := bits.OnesCount64(victim.Accessed); got != 16 {
+		t.Fatalf("victim touched %d lines, want 16", got)
 	}
 }
 

@@ -276,9 +276,6 @@ func (c *Core) getWB(a mem.Addr, tenant int, record bool) *wbReq {
 	return w
 }
 
-// Now returns the core-local clock (>= engine time).
-func (c *Core) Now() sim.Time { return c.time }
-
 // Start begins execution; the core pulls its first thread from the
 // scheduler (free initial dispatch).
 func (c *Core) Start() {

@@ -1,56 +1,10 @@
-// Package cxl models the CXL.mem transport between the host and the SSD:
-// message vocabulary (MemRd/MemWr requests, MemData responses, and the
-// No-Data-Response opcodes of Fig. 8 including SkyByte-Delay), plus a
-// bandwidth- and latency-accurate link model for the PCIe 5.0 x4 interface
-// of Table II (16 GB/s per direction, 40 ns protocol latency round trip).
+// Package cxl models the CXL.mem transport between the host and the SSD: a
+// bandwidth- and latency-accurate link for the PCIe 5.0 x4 interface of
+// Table II (16 GB/s per direction, 40 ns protocol latency round trip) that
+// moves header-only and data-carrying messages in each direction.
 package cxl
 
 import "skybyte/internal/sim"
-
-// Opcode identifies a CXL.mem message type. The NDR opcodes follow Fig. 8:
-// SkyByte claims one of the reserved encodings (111b) for SkyByte-Delay.
-type Opcode uint8
-
-// Message opcodes.
-const (
-	MemRd   Opcode = iota // master-to-slave read request
-	MemWr                 // master-to-slave write (writeback) request
-	MemData               // slave-to-master data response
-	Cmp                   // NDR 000b: plain completion
-	// SkyByteDelay is the paper's new NDR opcode (encoding 111b): the
-	// request will suffer a long access delay; the host should context
-	// switch instead of waiting (§III-A C2).
-	SkyByteDelay
-)
-
-// String names the opcode.
-func (o Opcode) String() string {
-	switch o {
-	case MemRd:
-		return "MemRd"
-	case MemWr:
-		return "MemWr"
-	case MemData:
-		return "MemData"
-	case Cmp:
-		return "Cmp"
-	case SkyByteDelay:
-		return "SkyByte-Delay"
-	}
-	return "?"
-}
-
-// NDREncoding returns the 3-bit opcode encoding of Fig. 8 for NDR messages.
-func NDREncoding(o Opcode) uint8 {
-	switch o {
-	case Cmp:
-		return 0b000
-	case SkyByteDelay:
-		return 0b111
-	default:
-		return 0b101 // reserved
-	}
-}
 
 // Wire sizes used for bandwidth shaping: a header-only message (requests
 // without data, NDR responses) and a data-carrying message (64 B payload
@@ -150,26 +104,4 @@ func (l *Link) RxBacklog(now sim.Time) sim.Time {
 		return l.rxFree - now
 	}
 	return 0
-}
-
-// RoundTripLatency returns the unloaded protocol round trip.
-func (l *Link) RoundTripLatency() sim.Time { return 2 * l.cfg.LatencyEachWay }
-
-// Utilization returns (tx, rx) busy fractions since t=0.
-func (l *Link) Utilization() (tx, rx float64) {
-	el := l.eng.Now()
-	if el == 0 {
-		return 0, 0
-	}
-	return float64(l.stats.BusyTx) / float64(el), float64(l.stats.BusyRx) / float64(el)
-}
-
-// DeliveredBytesPerSecond returns the achieved device-to-host goodput,
-// the "SSD bandwidth utilization" line of Fig. 15.
-func (l *Link) DeliveredBytesPerSecond() float64 {
-	el := l.eng.Now().Seconds()
-	if el == 0 {
-		return 0
-	}
-	return float64(l.stats.ToHostBytes+l.stats.ToDeviceBytes) / el
 }

@@ -138,12 +138,3 @@ func (d *DRAM) accessTime(ch, lines int) sim.Time {
 func (d *DRAM) UnloadedLatency() sim.Time {
 	return d.cfg.FixedLatency + d.cfg.ServicePer64
 }
-
-// Utilization returns the busy fraction of all channels since t=0.
-func (d *DRAM) Utilization() float64 {
-	el := d.eng.Now()
-	if el == 0 {
-		return 0
-	}
-	return float64(d.stats.BusyTime) / float64(int64(el)*int64(d.cfg.Channels))
-}

@@ -166,9 +166,6 @@ func NewPlacer(cfg Config) (*Placer, error) {
 	return p, nil
 }
 
-// Devices returns the fleet size.
-func (p *Placer) Devices() int { return p.cfg.Devices }
-
 // Policy returns the resolved placement policy.
 func (p *Placer) Policy() Policy { return p.policy }
 

@@ -41,14 +41,6 @@ type Stats struct {
 	GCInvocations uint64
 }
 
-// WriteAmplification returns (user+GC programs)/user programs.
-func (s Stats) WriteAmplification() float64 {
-	if s.UserPrograms == 0 {
-		return 0
-	}
-	return float64(s.UserPrograms+s.GCPrograms) / float64(s.UserPrograms)
-}
-
 type blockState uint8
 
 const (
@@ -202,10 +194,7 @@ func (f *FTL) channelWritable(ch int) bool {
 func (f *FTL) writeTo(ch int, lpa uint64, data []byte, done func(), gc bool) {
 	ppa := f.allocPage(ch)
 	f.invalidate(lpa)
-	f.l2p[lpa] = int64(ppa)
-	f.p2l[ppa] = int64(lpa)
-	b := f.geo.BlockOfPPA(ppa)
-	f.blocks[b].valid++
+	f.mapPage(lpa, ppa)
 	if gc {
 		f.stats.GCPrograms++
 	} else {
@@ -213,6 +202,13 @@ func (f *FTL) writeTo(ch int, lpa uint64, data []byte, done func(), gc bool) {
 	}
 	f.arr.Program(ppa, data, done)
 	f.maybeGC(ch)
+}
+
+// mapPage points unmapped lpa at the freshly allocated ppa.
+func (f *FTL) mapPage(lpa, ppa uint64) {
+	f.l2p[lpa] = int64(ppa)
+	f.p2l[ppa] = int64(lpa)
+	f.blocks[f.geo.BlockOfPPA(ppa)].valid++
 }
 
 func (f *FTL) invalidate(lpa uint64) {
@@ -420,9 +416,7 @@ func (f *FTL) Precondition(fillRatio, rewriteRatio float64, seed uint64) {
 		f.nextChan = (f.nextChan + 1) % f.geo.Channels
 		ppa := f.allocPage(ch)
 		f.invalidate(lpa)
-		f.l2p[lpa] = int64(ppa)
-		f.p2l[ppa] = int64(lpa)
-		f.blocks[f.geo.BlockOfPPA(ppa)].valid++
+		f.mapPage(lpa, ppa)
 	}
 	rng := trace.NewRNG(seed)
 	rewrites := uint64(rewriteRatio * float64(n))
@@ -437,9 +431,7 @@ func (f *FTL) Precondition(fillRatio, rewriteRatio float64, seed uint64) {
 		// Metadata-only rewrite; may perform metadata GC if space is tight.
 		ppa := f.allocPageQuiet(ch)
 		f.invalidate(lpa)
-		f.l2p[lpa] = int64(ppa)
-		f.p2l[ppa] = int64(lpa)
-		f.blocks[f.geo.BlockOfPPA(ppa)].valid++
+		f.mapPage(lpa, ppa)
 	}
 }
 
@@ -467,10 +459,7 @@ func (f *FTL) allocPageQuiet(ch int) uint64 {
 		f.blocks[victim].nextPage = 0
 		f.freeBlocks[ch] = append(f.freeBlocks[ch], uint32(victim))
 		for _, lpa := range moved {
-			ppa := f.allocPageQuiet(ch)
-			f.l2p[lpa] = int64(ppa)
-			f.p2l[ppa] = int64(lpa)
-			f.blocks[f.geo.BlockOfPPA(ppa)].valid++
+			f.mapPage(lpa, f.allocPageQuiet(ch))
 		}
 	}
 	return f.allocPage(ch)

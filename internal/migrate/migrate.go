@@ -13,7 +13,7 @@
 // 4 KB blocks.
 package migrate
 
-import "skybyte/internal/sim"
+import "slices"
 
 // PLB bounds concurrent migrations, like the 64-entry Promotion Look-aside
 // Buffer in the host bridge.
@@ -66,7 +66,6 @@ type Pool struct {
 
 type poolNode struct {
 	lpa        uint64
-	lastTouch  sim.Time
 	prev, next *poolNode
 }
 
@@ -81,9 +80,6 @@ func NewPool(capacityPages int) *Pool {
 // Len returns the resident page count.
 func (p *Pool) Len() int { return len(p.nodes) }
 
-// Capacity returns the page capacity.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // Full reports whether an Add requires a demotion first.
 func (p *Pool) Full() bool { return len(p.nodes) >= p.capacity }
 
@@ -92,28 +88,28 @@ func (p *Pool) Contains(lpa uint64) bool { return p.nodes[lpa] != nil }
 
 // Add inserts lpa as most-recently-used. It panics if full — the caller
 // must demote first (Coldest/Remove).
-func (p *Pool) Add(lpa uint64, now sim.Time) {
+func (p *Pool) Add(lpa uint64) {
 	if p.Full() {
 		panic("migrate: pool full; demote first")
 	}
-	if p.nodes[lpa] != nil {
-		p.Touch(lpa, now)
+	if p.Touch(lpa) {
 		return
 	}
-	n := &poolNode{lpa: lpa, lastTouch: now}
+	n := &poolNode{lpa: lpa}
 	p.nodes[lpa] = n
 	p.pushFront(n)
 }
 
-// Touch refreshes recency on access.
-func (p *Pool) Touch(lpa uint64, now sim.Time) {
+// Touch refreshes lpa's recency on access and reports whether lpa is
+// resident; an absent lpa is left absent.
+func (p *Pool) Touch(lpa uint64) bool {
 	n := p.nodes[lpa]
 	if n == nil {
-		return
+		return false
 	}
-	n.lastTouch = now
 	p.unlink(n)
 	p.pushFront(n)
+	return true
 }
 
 // Coldest returns the least-recently-used page, ok=false when empty.
@@ -166,15 +162,13 @@ func (p *Pool) unlink(n *poolNode) {
 // per-access tracking this reacts at scan granularity and forgets history,
 // reproducing the accuracy gap of §VI-H.
 type TPPSampler struct {
-	Interval  sim.Time
 	Threshold uint32
 	counts    map[uint64]uint32
-	lastScan  sim.Time
 }
 
-// NewTPPSampler builds a sampler.
-func NewTPPSampler(interval sim.Time, threshold uint32) *TPPSampler {
-	return &TPPSampler{Interval: interval, Threshold: threshold, counts: make(map[uint64]uint32)}
+// NewTPPSampler builds a sampler; the caller scans it periodically.
+func NewTPPSampler(threshold uint32) *TPPSampler {
+	return &TPPSampler{Threshold: threshold, counts: make(map[uint64]uint32)}
 }
 
 // Note records one access to a CXL page.
@@ -182,7 +176,7 @@ func (s *TPPSampler) Note(lpa uint64) { s.counts[lpa]++ }
 
 // Scan returns promotion candidates (deterministically ordered by lpa) and
 // resets the sampling window.
-func (s *TPPSampler) Scan(now sim.Time) []uint64 {
+func (s *TPPSampler) Scan() []uint64 {
 	var out []uint64
 	for lpa, c := range s.counts {
 		if c >= s.Threshold {
@@ -190,17 +184,6 @@ func (s *TPPSampler) Scan(now sim.Time) []uint64 {
 		}
 	}
 	s.counts = make(map[uint64]uint32)
-	s.lastScan = now
-	sortU64(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortU64(s []uint64) {
-	// Insertion sort: candidate lists are short; avoids importing sort for
-	// a deterministic order.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

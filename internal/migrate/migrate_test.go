@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"skybyte/internal/sim"
 	"skybyte/internal/trace"
 )
 
@@ -33,14 +32,16 @@ func TestPLBBounds(t *testing.T) {
 
 func TestPoolLRUOrder(t *testing.T) {
 	p := NewPool(3)
-	p.Add(10, 1)
-	p.Add(20, 2)
-	p.Add(30, 3)
+	p.Add(10)
+	p.Add(20)
+	p.Add(30)
 	if !p.Full() {
 		t.Fatal("pool should be full")
 	}
 	// Touch 10: 20 becomes coldest.
-	p.Touch(10, 4)
+	if !p.Touch(10) || p.Touch(40) || p.Contains(40) {
+		t.Fatal("Touch must report residency and leave an absent page absent")
+	}
 	lpa, ok := p.Coldest()
 	if !ok || lpa != 20 {
 		t.Fatalf("coldest = %d, want 20", lpa)
@@ -57,13 +58,13 @@ func TestPoolLRUOrder(t *testing.T) {
 
 func TestPoolAddWhenFullPanics(t *testing.T) {
 	p := NewPool(1)
-	p.Add(1, 1)
+	p.Add(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Add on full pool should panic")
 		}
 	}()
-	p.Add(2, 2)
+	p.Add(2)
 }
 
 func TestPoolEmptyColdest(t *testing.T) {
@@ -80,14 +81,12 @@ func TestPoolAgainstModel(t *testing.T) {
 		rng := trace.NewRNG(seed)
 		p := NewPool(8)
 		var model []uint64 // MRU at front
-		now := sim.Time(0)
 		for op := 0; op < 2000; op++ {
-			now++
 			lpa := rng.Uint64n(16)
 			switch rng.Intn(3) {
 			case 0: // add (demoting if full)
 				if idx := indexOf(model, lpa); idx >= 0 {
-					p.Touch(lpa, now)
+					p.Touch(lpa)
 					model = append(model[:idx], model[idx+1:]...)
 					model = append([]uint64{lpa}, model...)
 					continue
@@ -100,11 +99,14 @@ func TestPoolAgainstModel(t *testing.T) {
 					p.Remove(cold)
 					model = model[:len(model)-1]
 				}
-				p.Add(lpa, now)
+				p.Add(lpa)
 				model = append([]uint64{lpa}, model...)
 			case 1: // touch
-				p.Touch(lpa, now)
-				if idx := indexOf(model, lpa); idx >= 0 {
+				idx := indexOf(model, lpa)
+				if p.Touch(lpa) != (idx >= 0) {
+					return false
+				}
+				if idx >= 0 {
 					model = append(model[:idx], model[idx+1:]...)
 					model = append([]uint64{lpa}, model...)
 				}
@@ -135,28 +137,28 @@ func indexOf(s []uint64, v uint64) int {
 }
 
 func TestTPPSamplerThresholdAndReset(t *testing.T) {
-	s := NewTPPSampler(100*sim.Microsecond, 3)
+	s := NewTPPSampler(3)
 	s.Note(5)
 	s.Note(5)
 	s.Note(5)
 	s.Note(7)
-	got := s.Scan(100 * sim.Microsecond)
+	got := s.Scan()
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("candidates = %v, want [5]", got)
 	}
 	// Window reset: old counts must not carry over.
 	s.Note(5)
-	if got := s.Scan(200 * sim.Microsecond); len(got) != 0 {
+	if got := s.Scan(); len(got) != 0 {
 		t.Fatalf("stale counts leaked: %v", got)
 	}
 }
 
 func TestTPPSamplerDeterministicOrder(t *testing.T) {
-	s := NewTPPSampler(sim.Microsecond, 1)
+	s := NewTPPSampler(1)
 	for _, lpa := range []uint64{9, 3, 7, 1} {
 		s.Note(lpa)
 	}
-	got := s.Scan(0)
+	got := s.Scan()
 	want := []uint64{1, 3, 7, 9}
 	for i := range want {
 		if got[i] != want[i] {

@@ -104,7 +104,6 @@ func ParsePolicy(name string) (PolicyKind, error) {
 
 // Policy is a run-queue ordering discipline.
 type Policy interface {
-	Name() PolicyKind
 	Enqueue(t *Thread)
 	// Pick removes and returns the next runnable thread, or nil.
 	Pick() *Thread
@@ -126,7 +125,6 @@ func NewPolicy(kind PolicyKind, seed uint64) Policy {
 
 type rrPolicy struct{ q []*Thread }
 
-func (p *rrPolicy) Name() PolicyKind  { return PolicyRR }
 func (p *rrPolicy) Enqueue(t *Thread) { p.q = append(p.q, t) }
 func (p *rrPolicy) Len() int          { return len(p.q) }
 func (p *rrPolicy) Pick() (t *Thread) {
@@ -144,7 +142,6 @@ type randomPolicy struct {
 	rng *trace.RNG
 }
 
-func (p *randomPolicy) Name() PolicyKind  { return PolicyRandom }
 func (p *randomPolicy) Enqueue(t *Thread) { p.q = append(p.q, t) }
 func (p *randomPolicy) Len() int          { return len(p.q) }
 func (p *randomPolicy) Pick() *Thread {
@@ -162,7 +159,6 @@ func (p *randomPolicy) Pick() *Thread {
 // (VRuntime), ties broken by thread ID for determinism.
 type cfsPolicy struct{ h cfsHeap }
 
-func (p *cfsPolicy) Name() PolicyKind  { return PolicyCFS }
 func (p *cfsPolicy) Enqueue(t *Thread) { heap.Push(&p.h, t) }
 func (p *cfsPolicy) Len() int          { return len(p.h) }
 func (p *cfsPolicy) Pick() *Thread {
@@ -204,9 +200,6 @@ type Scheduler struct {
 func New(eng *sim.Engine, policy Policy, switchCost sim.Time) *Scheduler {
 	return &Scheduler{eng: eng, policy: policy, SwitchCost: switchCost}
 }
-
-// Policy returns the active policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
 
 // Runnable returns the run-queue length.
 func (s *Scheduler) Runnable() int { return s.policy.Len() }

@@ -223,9 +223,18 @@ func (r *Runner) Key(spec Spec) string {
 	return key
 }
 
+// Check returns the error Run would report for spec before simulating
+// anything: an invalid machine or fleet axis, or a budget that gives a
+// thread no instructions. Names that do not resolve are reported by Run.
+func (r *Runner) Check(spec Spec) error {
+	_, _, _, err := r.resolve(spec)
+	return err
+}
+
 // resolve builds the config spec runs on (variant, then Mutate, then the
 // fleet axis), validates it, resolves a solo spec's Threads against it,
-// and keys it. An invalid machine keys cfg=invalid and never simulates.
+// and keys it. An invalid machine keys cfg=invalid and never simulates;
+// neither does a spec whose budget leaves a thread no instructions.
 func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
 	cfg := r.base.WithVariant(spec.Variant)
 	if spec.Mutate != nil {
@@ -240,7 +249,47 @@ func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
 	if spec.Mix == "" && spec.Arrival == "" && spec.Threads == 0 {
 		spec.Threads = ThreadsFor(cfg)
 	}
-	return spec, cfg, spec.Key() + "|cfg=" + cfg.Fingerprint()[:16], nil
+	key := spec.Key() + "|cfg=" + cfg.Fingerprint()[:16]
+	return spec, cfg, key, checkBudget(spec)
+}
+
+// checkBudget rejects a spec that gives some thread no instructions: a
+// negative thread count, or a per-thread budget of 0 — a solo run's
+// TotalInstr/Threads, a mix tenant's PerThreadInstr, or an arrival
+// run's TotalInstr over its threads. A mix or arrival name that does
+// not resolve passes here; population reports it.
+func checkBudget(spec Spec) error {
+	if spec.Threads < 0 {
+		return fmt.Errorf("runner: spec asks for %d threads; want 0 (the default) or more", spec.Threads)
+	}
+	threads, per := spec.Threads, uint64(0)
+	switch {
+	case spec.Arrival != "":
+		a, err := arrival.ByName(spec.Arrival)
+		if err != nil {
+			return nil
+		}
+		if threads, err = a.TotalThreads(); err != nil || threads == 0 {
+			return nil
+		}
+		per = spec.TotalInstr / uint64(threads)
+	case spec.Mix != "":
+		m, err := tenant.ByName(spec.Mix)
+		if err != nil {
+			return nil
+		}
+		threads, per = m.TotalThreads(), spec.TotalInstr
+		for i := range m.Tenants {
+			per = min(per, m.PerThreadInstr(i, spec.TotalInstr))
+		}
+	default:
+		per = spec.TotalInstr / uint64(threads)
+	}
+	if per == 0 {
+		return fmt.Errorf("runner: a budget of %d instructions over %d threads leaves a thread none; raise the budget or run fewer threads",
+			spec.TotalInstr, threads)
+	}
+	return nil
 }
 
 // applyFleet validates a spec's fleet axis and threads it, placement

@@ -561,3 +561,33 @@ func TestInvalidMachineRejectedBeforeSimulating(t *testing.T) {
 		t.Fatalf("an invalid machine executed %d simulations", execs)
 	}
 }
+
+// TestBudgetWithoutInstructionsRejected: a spec whose budget gives some
+// thread no instructions — a negative thread count, a zero budget, or
+// a budget too small to split across a mix or arrival spec's threads —
+// errors before anything simulates, and nothing reaches the store.
+func TestBudgetWithoutInstructionsRejected(t *testing.T) {
+	r := testRunner(1)
+	st := &countingStore{MemStore: NewMemStore()}
+	r.Store = st
+	execs := 0
+	r.OnEvent = func(Event) { execs++ }
+	negative := spec("bc", system.BaseCSSD)
+	negative.Threads = -1
+	zero := spec("bc", system.BaseCSSD)
+	zero.TotalInstr = 0
+	for _, s := range []Spec{
+		negative,
+		zero,
+		{Mix: "graph-vs-log", Variant: system.BaseCSSD, TotalInstr: 1},
+		{Arrival: "open-burst", Variant: system.BaseCSSD, TotalInstr: 1},
+	} {
+		res, err := r.Run(context.Background(), s)
+		if err == nil || res != nil {
+			t.Errorf("%s: ran (err %v), want a budget rejection", s.Key(), err)
+		}
+	}
+	if execs != 0 || st.gets != 0 || st.puts != 0 {
+		t.Fatalf("rejected specs executed %d simulations, %d store gets, %d puts", execs, st.gets, st.puts)
+	}
+}

@@ -165,27 +165,6 @@ func (e *Engine) AfterH(d Time, h HandlerID, a0 uint64, p1, p2 any) {
 	e.AtH(e.now+d, h, a0, p1, p2)
 }
 
-// AtBatch schedules every fn at the same instant t, preserving slice order.
-// Because the batch shares one timestamp and sequence numbers ascend, each
-// record takes the calendar tail-append fast path (or a straight heap push
-// beyond the horizon) — there is no per-event sift or list walk.
-func (e *Engine) AtBatch(t Time, fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	for _, fn := range fns {
-		ev := e.alloc()
-		ev.at = t
-		e.seq++
-		ev.seq = e.seq
-		ev.fn = fn
-		e.schedule(ev)
-	}
-}
-
 // schedule routes a ready record into the calendar ring or the far heap.
 func (e *Engine) schedule(ev *Event) {
 	if e.calCount == 0 {
@@ -259,26 +238,6 @@ func (e *Engine) popNext() *Event {
 	return cal
 }
 
-// peekAt reports the timestamp of the earliest pending record.
-func (e *Engine) peekAt() (Time, bool) {
-	if e.calCount == 0 {
-		if len(e.heap) == 0 {
-			return 0, false
-		}
-		return e.heap[0].at, true
-	}
-	idx := int(e.base>>bucketShift) & bucketMask
-	for e.buckets[idx].head == nil {
-		idx = (idx + 1) & bucketMask
-		e.base += bucketWidth
-	}
-	at := e.buckets[idx].head.at
-	if len(e.heap) > 0 && e.heap[0].at < at {
-		at = e.heap[0].at
-	}
-	return at, true
-}
-
 // Step executes the single earliest pending event and reports whether one
 // existed.
 func (e *Engine) Step() bool {
@@ -302,21 +261,6 @@ func (e *Engine) Step() bool {
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline (if it has not already passed it).
-func (e *Engine) RunUntil(deadline Time) {
-	for {
-		at, ok := e.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 }
 

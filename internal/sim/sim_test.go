@@ -43,9 +43,6 @@ func TestMaxMin(t *testing.T) {
 	if Max(3, 5) != 5 || Max(5, 3) != 5 {
 		t.Error("Max broken")
 	}
-	if Min(3, 5) != 3 || Min(5, 3) != 3 {
-		t.Error("Min broken")
-	}
 }
 
 func TestEngineOrdering(t *testing.T) {
@@ -111,28 +108,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	e.At(50, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.At(10, func() { fired++ })
-	e.At(20, func() { fired++ })
-	e.At(30, func() { fired++ })
-	e.RunUntil(20)
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-	if e.Now() != 20 {
-		t.Fatalf("Now = %v, want 20", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.RunUntil(100)
-	if fired != 3 || e.Now() != 100 {
-		t.Fatalf("after final RunUntil: fired=%d now=%v", fired, e.Now())
-	}
 }
 
 // Property: for any set of scheduled times, the engine fires events in
@@ -201,29 +176,6 @@ func init() {
 		s := p1.(*[]uint64)
 		*s = append(*s, a0)
 	})
-}
-
-// TestEngineAtBatchFIFO: a batch scheduled at one instant fires in
-// slice order, interleaved FIFO with events scheduled around it.
-func TestEngineAtBatchFIFO(t *testing.T) {
-	var e Engine
-	var got []int
-	e.At(42, func() { got = append(got, 0) })
-	e.AtBatch(42, []func(){
-		func() { got = append(got, 1) },
-		func() { got = append(got, 2) },
-		func() { got = append(got, 3) },
-	})
-	e.At(42, func() { got = append(got, 4) })
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("batch tie-break not FIFO: %v", got)
-		}
-	}
-	if len(got) != 5 {
-		t.Fatalf("fired %d of 5", len(got))
-	}
 }
 
 // TestEngineTypedHandlerFIFO: typed (AtH) and closure (At) events at

@@ -64,11 +64,3 @@ func Max(a, b Time) Time {
 	}
 	return b
 }
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -148,10 +148,6 @@ func (a *AMAT) AddAccess(parts [amatComponentCount]sim.Time) {
 	a.Accesses++
 }
 
-// Add accumulates time into one component without counting a new access
-// (used when a single access has components recorded at different points).
-func (a *AMAT) Add(c AMATComponent, d sim.Time) { a.Time[c] += d }
-
 // Mean returns the average access time in picoseconds.
 func (a *AMAT) Mean() sim.Time {
 	if a.Accesses == 0 {

@@ -118,21 +118,6 @@ func (h *LatencyHist) FractionBelow(d sim.Time) float64 {
 	return float64(below) / float64(h.count)
 }
 
-// CDFPoints returns (latency, cumulative fraction) pairs for non-empty
-// buckets, suitable for plotting Fig. 3-style distributions.
-func (h *LatencyHist) CDFPoints() []CDFPoint {
-	var out []CDFPoint
-	var cum uint64
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		out = append(out, CDFPoint{Value: float64(bucketLow(i)) / float64(sim.Nanosecond), Cum: float64(cum) / float64(h.count)})
-	}
-	return out
-}
-
 // Reset clears all samples.
 func (h *LatencyHist) Reset() { *h = LatencyHist{} }
 

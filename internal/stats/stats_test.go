@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -107,20 +108,21 @@ func TestLatencyHistPercentiles(t *testing.T) {
 }
 
 func TestLatencyHistCDFMonotone(t *testing.T) {
-	f := func(samples []uint32) bool {
+	f := func(samples []uint32, probes []uint32) bool {
 		var h LatencyHist
 		for _, s := range samples {
 			h.Observe(sim.Time(s) * sim.Nanosecond)
 		}
-		pts := h.CDFPoints()
-		prevV, prevC := -1.0, 0.0
-		for _, p := range pts {
-			if p.Value <= prevV || p.Cum < prevC {
+		slices.Sort(probes)
+		prev := 0.0
+		for _, p := range probes {
+			c := h.FractionBelow(sim.Time(p) * sim.Nanosecond)
+			if c < prev || c > 1 {
 				return false
 			}
-			prevV, prevC = p.Value, p.Cum
+			prev = c
 		}
-		if len(samples) > 0 && len(pts) > 0 && math.Abs(pts[len(pts)-1].Cum-1.0) > 1e-9 {
+		if len(samples) > 0 && h.FractionBelow(h.Max()+1) != 1 {
 			return false
 		}
 		return true

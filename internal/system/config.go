@@ -13,7 +13,6 @@ import (
 	"skybyte/internal/core"
 	"skybyte/internal/cpu"
 	"skybyte/internal/cxl"
-	"skybyte/internal/dram"
 	"skybyte/internal/flash"
 	"skybyte/internal/fleet"
 	"skybyte/internal/ftl"
@@ -132,10 +131,8 @@ type Config struct {
 	LLCBytes int
 	LLCWays  int
 
-	// Interconnect and memories.
-	Link     cxl.Config
-	HostDRAM dram.Config
-	SSDDRAM  dram.Config
+	// Interconnect.
+	Link cxl.Config
 
 	// SSD.
 	Geometry flash.Geometry
@@ -215,9 +212,7 @@ func ConfigAt(n int) Config {
 		LLCBytes: 16 * mem.MiB / n,
 		LLCWays:  16,
 
-		Link:     cxl.DefaultConfig(),
-		HostDRAM: dram.HostDDR5(),
-		SSDDRAM:  dram.SSDLPDDR4(),
+		Link: cxl.DefaultConfig(),
 
 		// 16 channels x 4 chips x 4 dies x 512/n blocks x 256 pages x 4 KB
 		// (2 GB at 1/64, 128 GB at 1/1). Capacity scales with n; the die

@@ -250,7 +250,7 @@ func (s *System) collect() *Result {
 	}
 	if s.cfg.TrackLocality {
 		ctrl := s.devs[0].ctrl
-		r.ReadLocality = ctrl.Cache().ReadLocality.CDF()
+		r.ReadLocality = ctrl.ReadLocality.CDF()
 		r.WriteLocality = ctrl.WriteLocality.CDF()
 	}
 	s.collectOpenLoop(r)

@@ -61,8 +61,8 @@ type System struct {
 	threads  []*osched.Thread
 	finished int
 
-	// Tiering state.
-	promoted  map[uint64][]byte // lpa -> host copy (payload nil unless tracking)
+	// Tiering state. The pool is the one record of which pages are
+	// promoted to host DRAM (nil unless a promotion mode is on).
 	pool      *migrate.Pool
 	plb       *migrate.PLB
 	tpp       *migrate.TPPSampler
@@ -145,7 +145,7 @@ func (s *System) getReadTxn() *readTxn {
 		sys := x.s
 		// Re-check at device arrival: the page may have been promoted
 		// while the request was in flight (the PLB forwards such cases).
-		if _, ok := sys.promoted[x.lpa]; ok {
+		if sys.pool != nil && sys.pool.Contains(x.lpa) {
 			sys.sendToHost(x.lpa, cxl.HeaderBytes, x.hostFwd)
 			return
 		}
@@ -233,7 +233,7 @@ func (s *System) getWriteTxn() *writeTxn {
 	x = &writeTxn{s: s}
 	x.atDevice = func() {
 		sys := x.s
-		if _, ok := sys.promoted[x.lpa]; ok {
+		if sys.pool != nil && sys.pool.Contains(x.lpa) {
 			a, tenant, record, accepted := x.a, x.tenant, x.record, x.accepted
 			sys.putWriteTxn(x)
 			sys.hostWrite(a, tenant, record, accepted)
@@ -367,9 +367,9 @@ func New(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, promoted: make(map[uint64][]byte), parts: make([]tenantPart, 1)}
+	s := &System{cfg: cfg, parts: make([]tenantPart, 1)}
 	s.link = cxl.New(&s.Eng, cfg.Link)
-	s.hostDRAM = dram.New(&s.Eng, cfg.HostDRAM)
+	s.hostDRAM = dram.New(&s.Eng, dram.HostDDR5())
 
 	nDev := cfg.Devices
 	if nDev < 1 {
@@ -385,7 +385,7 @@ func New(cfg Config) *System {
 	s.devs = make([]*device, nDev)
 	for i := range s.devs {
 		d := &device{}
-		d.ssdDRAM = dram.New(&s.Eng, cfg.SSDDRAM)
+		d.ssdDRAM = dram.New(&s.Eng, dram.SSDLPDDR4())
 		d.arr = flash.New(&s.Eng, cfg.Geometry, cfg.Timing)
 		d.fl = ftl.New(&s.Eng, d.arr, cfg.FTL)
 		// Each device preconditions under its own seed so fleet members
@@ -416,7 +416,7 @@ func New(cfg Config) *System {
 		}
 	case MigrationTPP:
 		s.initPromotionPool()
-		s.tpp = migrate.NewTPPSampler(tppScanInterval, tppThreshold)
+		s.tpp = migrate.NewTPPSampler(tppThreshold)
 	case MigrationAstri:
 		s.astri = cachesim.New(cachesim.Config{
 			Name: "astri", SizeBytes: cfg.PromotedMaxBytes,
@@ -736,8 +736,7 @@ func (s *System) Read(req *cpu.ReadReq) {
 		return
 	}
 	lpa := cxlPage(a)
-	if _, ok := s.promoted[lpa]; ok {
-		s.pool.Touch(lpa, s.Eng.Now())
+	if s.pool != nil && s.pool.Touch(lpa) {
 		s.hostRead(req, a)
 		return
 	}
@@ -766,8 +765,7 @@ func (s *System) Write(a mem.Addr, coreID, tenant int, record bool, accepted fun
 		return
 	}
 	lpa := cxlPage(a)
-	if _, ok := s.promoted[lpa]; ok {
-		s.pool.Touch(lpa, s.Eng.Now())
+	if s.pool != nil && s.pool.Touch(lpa) {
 		s.hostWrite(a, tenant, record, accepted)
 		return
 	}
@@ -834,16 +832,14 @@ func (s *System) drainPromotions() {
 }
 
 func (s *System) completePromotion(lpa uint64) {
-	data, ok := s.ctrlFor(lpa).FinishMigration(lpa)
-	if !ok {
+	if _, ok := s.ctrlFor(lpa).FinishMigration(lpa); !ok {
 		s.plb.Complete(lpa)
 		return
 	}
 	if s.pool.Full() {
 		s.demoteColdest()
 	}
-	s.promoted[lpa] = data
-	s.pool.Add(lpa, s.Eng.Now())
+	s.pool.Add(lpa)
 	s.plb.Complete(lpa)
 	s.migr.Promotions++
 	// PTE update, then a TLB shootdown interrupts every core.
@@ -855,18 +851,16 @@ func (s *System) completePromotion(lpa uint64) {
 }
 
 // demoteColdest evicts the LRU promoted page back to the SSD through the
-// normal write path (a full-page copy).
+// normal write path (a full-page copy; the system tracks no payload).
 func (s *System) demoteColdest() {
 	lpa, ok := s.pool.Coldest()
 	if !ok {
 		return
 	}
-	data := s.promoted[lpa]
 	s.pool.Remove(lpa)
-	delete(s.promoted, lpa)
 	s.migr.Demotions++
 	s.sendToDevice(lpa, mem.LinesPerPage*cxl.DataBytes, func() {
-		s.ctrlFor(lpa).WritePage(lpa, data, nil)
+		s.ctrlFor(lpa).WritePage(lpa, nil, nil)
 	})
 }
 
@@ -876,8 +870,8 @@ func (s *System) tppScan() {
 	if s.allDone() {
 		return
 	}
-	for _, lpa := range s.tpp.Scan(s.Eng.Now()) {
-		if _, ok := s.promoted[lpa]; ok {
+	for _, lpa := range s.tpp.Scan() {
+		if s.pool.Contains(lpa) {
 			continue
 		}
 		if !s.plb.TryBegin(lpa) {

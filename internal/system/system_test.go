@@ -177,8 +177,8 @@ func TestMigrationRespectsPoolCapacity(t *testing.T) {
 	if r.Migration.Promotions > 8 && r.Migration.Demotions == 0 {
 		t.Fatal("pool overflow without demotions")
 	}
-	if len(s.promoted) > 8 {
-		t.Fatalf("promoted pages %d exceed pool capacity 8", len(s.promoted))
+	if s.pool.Len() > 8 {
+		t.Fatalf("promoted pages %d exceed pool capacity 8", s.pool.Len())
 	}
 }
 

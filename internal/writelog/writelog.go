@@ -117,12 +117,6 @@ func New(capacityLines int, trackData bool) *Log {
 	return l
 }
 
-// Capacity returns the log size in cachelines.
-func (l *Log) Capacity() int { return l.capacity }
-
-// CapacityBytes returns the log size in bytes.
-func (l *Log) CapacityBytes() int { return l.capacity * mem.LineBytes }
-
 // Len returns the number of appended (not yet compacted) entries,
 // including superseded duplicates.
 func (l *Log) Len() int { return l.len }

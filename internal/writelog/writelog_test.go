@@ -193,9 +193,6 @@ func TestCapacityValidation(t *testing.T) {
 			New(bad, false)
 		}()
 	}
-	if New(64, false).CapacityBytes() != 64*64 {
-		t.Fatal("CapacityBytes")
-	}
 }
 
 // Property: the log agrees with a model map on containment and newest data
