@@ -206,6 +206,19 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 }
 
+// setupSink keeps BenchmarkSystemSetup's machine live past New.
+var setupSink *system.System
+
+// BenchmarkSystemSetup measures wiring one design point: system.New,
+// which builds and preconditions the FTL, with nothing simulated.
+func BenchmarkSystemSetup(b *testing.B) {
+	cfg := system.ScaledConfig().WithVariant(system.SkyByteFull)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		setupSink = system.New(cfg)
+	}
+}
+
 // BenchmarkCampaignThroughput measures the whole-sweep wall-clock of the
 // plan/execute campaign runner at parallelism 1 vs GOMAXPROCS, reporting
 // simulation runs per wall second. The sub-benchmarks share options but

@@ -1,6 +1,6 @@
-// Command benchgate is the CI perf-regression gate. It runs the two
-// gated throughput benchmarks (BenchmarkSimulatorThroughput and
-// BenchmarkCampaignThroughput/store=cold) -count times via `go test`,
+// Command benchgate is the CI perf-regression gate. It runs the three
+// gated benchmarks (BenchmarkSimulatorThroughput, BenchmarkSystemSetup
+// and BenchmarkCampaignThroughput/store=cold) -count times via `go test`,
 // aggregates each (min ns/op — shared-host noise only adds time — and
 // median allocs/op), and compares against the pinned snapshot (by
 // default the highest-numbered BENCH_<n>.json in the working directory:
@@ -47,9 +47,10 @@ import (
 // invocation each: -bench matches per slash-separated level, and a
 // parent benchmark given a sub-level pattern is only enumerated, not
 // timed — so a combined pattern would silently drop the sub-bench-free
-// SimulatorThroughput.
+// SimulatorThroughput and SystemSetup.
 var benchPatterns = []string{
 	"^BenchmarkSimulatorThroughput$",
+	"^BenchmarkSystemSetup$",
 	"^BenchmarkCampaignThroughput$/^store=cold$",
 }
 

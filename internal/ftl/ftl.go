@@ -55,7 +55,30 @@ type blockMeta struct {
 	nextPage int32 // next programmable page offset when open
 }
 
-const unmapped = int64(-1)
+// slot is one mapping-table entry: a page number plus one, so the zeroed
+// memory make returns is already the all-unmapped table.
+type slot uint32
+
+const unmapped slot = 0
+
+// maxPages is the most physical pages a geometry may have: every page
+// number plus one then fits a slot, below its all-ones value.
+const maxPages = 1<<32 - 2
+
+// toSlot encodes a page number.
+func toSlot(page uint64) slot { return slot(page + 1) }
+
+// page decodes s; ok is false for an unmapped slot.
+func (s slot) page() (page uint64, ok bool) { return uint64(s) - 1, s != unmapped }
+
+// CheckGeometry reports whether the mapping tables can address every
+// physical page of geo.
+func CheckGeometry(geo flash.Geometry) error {
+	if n := geo.TotalPages(); n > maxPages {
+		return fmt.Errorf("ftl: %d physical pages exceed the %d a 32-bit mapping table addresses", n, uint64(maxPages))
+	}
+	return nil
+}
 
 // FTL is the translation layer bound to one flash array.
 type FTL struct {
@@ -65,8 +88,8 @@ type FTL struct {
 	cfg Config
 
 	logicalPages uint64
-	l2p          []int64
-	p2l          []int64
+	l2p          []slot
+	p2l          []slot
 	blocks       []blockMeta
 	freeBlocks   [][]uint32 // per-channel stacks
 	open         []int64    // per-channel open block (-1 = none)
@@ -80,25 +103,22 @@ type FTL struct {
 // New builds an FTL over arr.
 func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	geo := arr.Geo
+	if err := CheckGeometry(geo); err != nil {
+		panic(err)
+	}
 	f := &FTL{
 		eng:          eng,
 		arr:          arr,
 		geo:          geo,
 		cfg:          cfg,
 		logicalPages: uint64(float64(geo.TotalPages()) * cfg.UsableRatio),
-		l2p:          make([]int64, uint64(float64(geo.TotalPages())*cfg.UsableRatio)),
-		p2l:          make([]int64, geo.TotalPages()),
+		l2p:          make([]slot, uint64(float64(geo.TotalPages())*cfg.UsableRatio)),
+		p2l:          make([]slot, geo.TotalPages()),
 		blocks:       make([]blockMeta, geo.TotalBlocks()),
 		freeBlocks:   make([][]uint32, geo.Channels),
 		open:         make([]int64, geo.Channels),
 		gcBusyUntil:  make([]sim.Time, geo.Channels),
 		inGC:         make([]bool, geo.Channels),
-	}
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
 	}
 	for b := geo.TotalBlocks() - 1; b >= 0; b-- {
 		ch := geo.ChannelOfBlock(uint32(b))
@@ -124,11 +144,11 @@ func (f *FTL) Translate(lpa uint64) (ppa uint64, ok bool) {
 	if lpa >= f.logicalPages {
 		panic(fmt.Sprintf("ftl: lpa %d beyond logical capacity %d", lpa, f.logicalPages))
 	}
-	p := f.l2p[lpa]
-	if p == unmapped {
+	p, ok := f.l2p[lpa].page()
+	if !ok {
 		return 0, false
 	}
-	return uint64(p), true
+	return p, true
 }
 
 // ChannelOf returns the channel that will serve a read of lpa (Algorithm 1
@@ -206,19 +226,19 @@ func (f *FTL) writeTo(ch int, lpa uint64, data []byte, done func(), gc bool) {
 
 // mapPage points unmapped lpa at the freshly allocated ppa.
 func (f *FTL) mapPage(lpa, ppa uint64) {
-	f.l2p[lpa] = int64(ppa)
-	f.p2l[ppa] = int64(lpa)
+	f.l2p[lpa] = toSlot(ppa)
+	f.p2l[ppa] = toSlot(lpa)
 	f.blocks[f.geo.BlockOfPPA(ppa)].valid++
 }
 
 func (f *FTL) invalidate(lpa uint64) {
-	old := f.l2p[lpa]
-	if old == unmapped {
+	old, ok := f.l2p[lpa].page()
+	if !ok {
 		return
 	}
 	f.l2p[lpa] = unmapped
 	f.p2l[old] = unmapped
-	f.blocks[f.geo.BlockOfPPA(uint64(old))].valid--
+	f.blocks[f.geo.BlockOfPPA(old)].valid--
 }
 
 // Trim invalidates lpa without writing a replacement (used when a page
@@ -301,8 +321,8 @@ func (f *FTL) gcChannel(ch, want int) bool {
 		var moved []reloc
 		for off := uint64(0); off < uint64(f.geo.PagesPerBlock); off++ {
 			ppa := first + off
-			lpa := f.p2l[ppa]
-			if lpa == unmapped {
+			lpa, ok := f.p2l[ppa].page()
+			if !ok {
 				continue
 			}
 			f.stats.GCReads++
@@ -311,8 +331,8 @@ func (f *FTL) gcChannel(ch, want int) bool {
 				data = append([]byte(nil), f.arr.PeekData(ppa)...)
 			}
 			f.arr.Read(ppa, nil)
-			f.invalidate(uint64(lpa))
-			moved = append(moved, reloc{lpa: uint64(lpa), data: data})
+			f.invalidate(lpa)
+			moved = append(moved, reloc{lpa: lpa, data: data})
 		}
 		if vm.valid != 0 {
 			panic("ftl: victim still has valid pages after relocation")
@@ -375,14 +395,15 @@ func (f *FTL) MappedPages() uint64 {
 // covers every block exactly once.
 func (f *FTL) CheckInvariants() error {
 	valid := make([]int32, len(f.blocks))
-	for lpa, p := range f.l2p {
-		if p == unmapped {
+	for lpa, s := range f.l2p {
+		p, ok := s.page()
+		if !ok {
 			continue
 		}
-		if f.p2l[p] != int64(lpa) {
+		if f.p2l[p] != toSlot(uint64(lpa)) {
 			return fmt.Errorf("l2p/p2l mismatch at lpa %d", lpa)
 		}
-		valid[f.geo.BlockOfPPA(uint64(p))]++
+		valid[f.geo.BlockOfPPA(p)]++
 	}
 	for b := range f.blocks {
 		if f.blocks[b].valid != valid[b] {
@@ -408,18 +429,24 @@ func (f *FTL) CheckInvariants() error {
 // then rewrites rewriteRatio of those pages at random, creating scattered
 // invalid pages so GC triggers early in a run (paper §VI-A: "we
 // precondition the SSD to ensure garbage collections will be triggered").
-// Metadata-only: no flash timing is charged.
+// Metadata-only: no flash timing is charged. It must run on a fresh FTL,
+// before any write, and panics otherwise.
 func (f *FTL) Precondition(fillRatio, rewriteRatio float64, seed uint64) {
-	n := uint64(fillRatio * float64(f.logicalPages))
-	for lpa := uint64(0); lpa < n; lpa++ {
-		ch := f.nextChan
-		f.nextChan = (f.nextChan + 1) % f.geo.Channels
-		ppa := f.allocPage(ch)
-		f.invalidate(lpa)
-		f.mapPage(lpa, ppa)
+	for ch, stack := range f.freeBlocks {
+		if len(stack) != f.blocksPerChannel() {
+			panic(fmt.Sprintf("ftl: Precondition on an FTL already in use (channel %d has %d of %d blocks free); call it once, before any write",
+				ch, len(stack), f.blocksPerChannel()))
+		}
 	}
+	n := uint64(fillRatio * float64(f.logicalPages))
+	f.fill(n)
+	f.rewrite(n, rewriteRatio, seed)
+}
+
+// rewrite remaps ratio×n pages drawn at random from lpas 0..n-1.
+func (f *FTL) rewrite(n uint64, ratio float64, seed uint64) {
 	rng := trace.NewRNG(seed)
-	rewrites := uint64(rewriteRatio * float64(n))
+	rewrites := uint64(ratio * float64(n))
 	for i := uint64(0); i < rewrites && n > 0; i++ {
 		lpa := rng.Uint64n(n)
 		ch := f.nextChan
@@ -435,6 +462,39 @@ func (f *FTL) Precondition(fillRatio, rewriteRatio float64, seed uint64) {
 	}
 }
 
+// fill maps lpas 0..n-1 on a fresh FTL exactly as n round-robin
+// allocPage calls would: lpa k goes to channel (nextChan+k) mod Channels,
+// each channel filling the blocks it pops in page order. Nothing is mapped
+// yet, so it walks each channel a block at a time and writes a block's
+// metadata once.
+func (f *FTL) fill(n uint64) {
+	chans, ppb := uint64(f.geo.Channels), uint64(f.geo.PagesPerBlock)
+	for ch := range f.freeBlocks {
+		for lpa := (uint64(ch) + chans - uint64(f.nextChan)) % chans; lpa < n; {
+			stack := f.freeBlocks[ch]
+			if len(stack) == 0 {
+				panic(fmt.Sprintf("ftl: precondition fill of %d pages ran out of free blocks on channel %d (%d blocks)", n, ch, f.blocksPerChannel()))
+			}
+			b := stack[len(stack)-1]
+			f.freeBlocks[ch] = stack[:len(stack)-1]
+			first, off := uint64(b)*ppb, uint64(0)
+			for ; off < ppb && lpa < n; off, lpa = off+1, lpa+chans {
+				f.l2p[lpa] = toSlot(first + off)
+				f.p2l[first+off] = toSlot(lpa)
+			}
+			m := &f.blocks[b]
+			m.valid = int32(off)
+			m.nextPage = int32(off)
+			m.state = blockFull
+			if off < ppb {
+				m.state = blockOpen
+				f.open[ch] = int64(b)
+			}
+		}
+	}
+	f.nextChan = int((uint64(f.nextChan) + n) % chans)
+}
+
 // allocPageQuiet allocates without enqueuing flash ops for any emergency
 // GC (preconditioning must not charge simulated time). It relocates valid
 // pages metadata-only.
@@ -448,8 +508,8 @@ func (f *FTL) allocPageQuiet(ch int) uint64 {
 		// Temporarily free the victim so relocation targets elsewhere.
 		var moved []uint64
 		for off := uint64(0); off < uint64(f.geo.PagesPerBlock); off++ {
-			if f.p2l[first+off] != unmapped {
-				moved = append(moved, uint64(f.p2l[first+off]))
+			if lpa, ok := f.p2l[first+off].page(); ok {
+				moved = append(moved, lpa)
 			}
 		}
 		for _, lpa := range moved {

@@ -1,6 +1,9 @@
 package ftl
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"skybyte/internal/flash"
@@ -266,4 +269,128 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// preconditionByPage is the page-at-a-time fill Precondition replaced: n
+// round-robin allocPage calls, then the same random rewrite phase.
+func preconditionByPage(f *FTL, fillRatio, rewriteRatio float64, seed uint64) {
+	n := uint64(fillRatio * float64(f.logicalPages))
+	for lpa := uint64(0); lpa < n; lpa++ {
+		ch := f.nextChan
+		f.nextChan = (f.nextChan + 1) % f.geo.Channels
+		f.mapPage(lpa, f.allocPage(ch))
+	}
+	f.rewrite(n, rewriteRatio, seed)
+}
+
+func TestPreconditionMatchesPageOrder(t *testing.T) {
+	tiny := flash.Geometry{Channels: 4, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 8, PagesPerBlock: 8}
+	odd := flash.Geometry{Channels: 3, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 1, BlocksPerPlane: 7, PagesPerBlock: 10}
+	full := Config{UsableRatio: 1.0, GCTriggerFree: 0.20, GCReplenishFree: 0.25}
+	// pages returns the fill ratio that maps exactly n pages of logical.
+	pages := func(n, logical int) float64 { return (float64(n) + 0.5) / float64(logical) }
+	cases := []struct {
+		name     string
+		geo      flash.Geometry
+		cfg      Config
+		fill     float64
+		rewrite  float64
+		wantFill uint64
+		// startChan is the round-robin position before the fill.
+		startChan int
+	}{
+		{"empty", tiny, testConfig, 0, 0.25, 0, 0},
+		{"fewer-pages-than-channels", tiny, testConfig, pages(3, 224), 0.25, 3, 0},
+		{"ends-mid-block", tiny, testConfig, pages(101, 224), 0.25, 101, 0},
+		{"ends-on-block-boundary", tiny, testConfig, pages(4*8*5, 224), 0.25, 4 * 8 * 5, 0},
+		{"every-channel-full", tiny, full, 1.0, 0, 256, 0},
+		{"odd-geometry", odd, testConfig, 0.85, 0.25, 311, 0},
+		{"odd-geometry-full", odd, full, 1.0, 0, 420, 0},
+		{"starts-mid-rotation", tiny, testConfig, pages(101, 224), 0.25, 101, 3},
+		{"odd-starts-mid-rotation", odd, testConfig, 0.85, 0.25, 311, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *FTL {
+				eng := &sim.Engine{}
+				f := New(eng, flash.New(eng, tc.geo, flash.TimingULL), tc.cfg)
+				f.nextChan = tc.startChan
+				return f
+			}
+			got, want := build(), build()
+			if n := uint64(tc.fill * float64(got.logicalPages)); n != tc.wantFill {
+				t.Fatalf("fill maps %d pages, case wants %d", n, tc.wantFill)
+			}
+			got.Precondition(tc.fill, tc.rewrite, 42)
+			preconditionByPage(want, tc.fill, tc.rewrite, 42)
+			for _, c := range []struct {
+				field     string
+				got, want any
+			}{
+				{"l2p", got.l2p, want.l2p},
+				{"p2l", got.p2l, want.p2l},
+				{"blocks", got.blocks, want.blocks},
+				{"freeBlocks", got.freeBlocks, want.freeBlocks},
+				{"open", got.open, want.open},
+				{"nextChan", got.nextChan, want.nextChan},
+				{"stats", got.stats, want.stats},
+			} {
+				if !reflect.DeepEqual(c.got, c.want) {
+					t.Errorf("%s differs from the page-order fill", c.field)
+				}
+			}
+			if got.MappedPages() != tc.wantFill {
+				t.Errorf("mapped %d pages, want %d", got.MappedPages(), tc.wantFill)
+			}
+			if err := got.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// expectPanic runs f and fails unless it panics with a message containing
+// want.
+func expectPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+func TestPreconditionNeedsFreshFTL(t *testing.T) {
+	eng, _, f := tinySetup()
+	f.Write(0, nil, nil)
+	eng.Run()
+	expectPanic(t, "already in use", func() { f.Precondition(0.5, 0, 1) })
+
+	_, _, f = tinySetup()
+	f.Precondition(0.5, 0.25, 1)
+	expectPanic(t, "already in use", func() { f.Precondition(0.5, 0.25, 1) })
+}
+
+func TestPreconditionPanicsWhenChannelRunsDry(t *testing.T) {
+	eng := &sim.Engine{}
+	geo := flash.Geometry{Channels: 2, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 8, PagesPerBlock: 8}
+	// More logical than physical pages: a full fill cannot fit.
+	f := New(eng, flash.New(eng, geo, flash.TimingULL), Config{UsableRatio: 1.5, GCTriggerFree: 0.20, GCReplenishFree: 0.25})
+	expectPanic(t, "ran out of free blocks on channel 0", func() { f.Precondition(1.0, 0, 1) })
+}
+
+func TestCheckGeometryBound(t *testing.T) {
+	// 2·(2^31−1) = 2^32−2 pages is the largest table a slot addresses;
+	// 3·1431655765 = 2^32−1 is one too many.
+	fits := flash.Geometry{Channels: 2, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 1<<31 - 1, PagesPerBlock: 1}
+	over := flash.Geometry{Channels: 3, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 1431655765, PagesPerBlock: 1}
+	if err := CheckGeometry(fits); err != nil {
+		t.Fatalf("%d pages: %v", fits.TotalPages(), err)
+	}
+	if CheckGeometry(over) == nil {
+		t.Fatalf("%d pages accepted", over.TotalPages())
+	}
+	expectPanic(t, "32-bit mapping table", func() { New(&sim.Engine{}, &flash.Array{Geo: over}, testConfig) })
 }

@@ -276,10 +276,14 @@ func (c Config) WithSSDDRAM(bytes int) Config {
 	return c
 }
 
-// Validate reports a configuration no machine can be built from: an SSD
-// DRAM whose data cache — what the write log, when enabled, leaves of
+// Validate reports a configuration no machine can be built from: a flash
+// geometry with more pages than the FTL's mapping tables address, or an
+// SSD DRAM whose data cache — what the write log, when enabled, leaves of
 // it — cannot hold one full set of CacheWays pages.
 func (c Config) Validate() error {
+	if err := ftl.CheckGeometry(c.Geometry); err != nil {
+		return err
+	}
 	if cache, set := c.controllerConfig().CacheBytes, c.CacheWays*mem.PageBytes; cache < set {
 		return fmt.Errorf("system: %s of SSD DRAM beside a %s write log leaves %s for the data cache, less than one %d-way set (%s)",
 			stats.FormatGB(uint64(c.SSDDRAMBytes)), stats.FormatGB(uint64(c.WriteLogBytes)),

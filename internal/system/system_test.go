@@ -312,6 +312,26 @@ func TestParseScale(t *testing.T) {
 // TestValidateRejectsCacheBelowOneSet: an SSD DRAM whose data cache (what
 // the write log leaves) cannot hold one CacheWays-page set is rejected by
 // Validate and by New, naming both sizes.
+func TestValidateRejectsOversizedGeometry(t *testing.T) {
+	// Table II's flash with 128x the blocks: 2^32 pages, more than the
+	// FTL's 32-bit mapping tables address.
+	c := ConfigAt(1)
+	c.Geometry.BlocksPerPlane *= 128
+	if c.Geometry.TotalPages() != 1<<32 {
+		t.Fatalf("test geometry has %d pages", c.Geometry.TotalPages())
+	}
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "32-bit mapping table") {
+		t.Fatalf("Validate = %v, want the mapping-table bound", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New built the machine")
+		}
+	}()
+	New(c)
+}
+
 func TestValidateRejectsCacheBelowOneSet(t *testing.T) {
 	for _, c := range []struct {
 		name string
