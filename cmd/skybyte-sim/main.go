@@ -195,21 +195,9 @@ func main() {
 	// -cache-dir the runner simply has no store.
 	spec.Variant, spec.Devices, spec.Placement, spec.Mutate = skybyte.Variant(*variant), *devices, *placement, knobs
 
-	// A solo workload must fit every design point's machine before
-	// anything simulates; Runner.Check rejects an invalid machine or
-	// budget before each run.
-	if len(variantList) == 0 {
-		variantList = []system.Variant{spec.Variant}
-	}
-	if spec.Workload != "" {
-		w, _ := skybyte.WorkloadByName(spec.Workload)
-		for _, v := range variantList {
-			if _, err := w.ForDevice(machine(base, spec, v).Geometry.Bytes()); err != nil {
-				fail(err)
-			}
-		}
-	}
-
+	// Runner.Check rejects each design point — an invalid machine or
+	// budget, or a workload the machine cannot size — before anything
+	// simulates.
 	if *variants != "" {
 		compareVariants(newRunner(*parallel), base, spec, variantList, *threads, *instr, shardI, shardN, *shardSpec != "")
 		return

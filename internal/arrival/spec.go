@@ -176,71 +176,88 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Resolve checks that every cohort's workload or mix resolves against
-// the live registries — the CLIs call it before anything simulates, so
-// a typo'd member name fails upfront with the full valid set, exactly
-// like the -workload/-mix axes.
-func (sp Spec) Resolve() error {
-	for _, c := range sp.Cohorts {
-		if c.Mix != "" {
-			if _, err := tenant.ByName(c.Mix); err != nil {
-				return fmt.Errorf("arrival: %q: cohort %q: %w", sp.Name, c.name(), err)
+// groups is the one resolution of the spec's cohorts against the
+// workload and mix registries: it flattens them, in declaration order,
+// into tenant groups without a budget (a mix cohort expands to one
+// group per mix tenant, named cohort/tenant), and counts[i] is cohort
+// i's thread count. A cohort's threads are contiguous in the groups.
+func (sp Spec) groups() (groups []tenant.Group, counts []int, err error) {
+	counts = make([]int, len(sp.Cohorts))
+	for i, c := range sp.Cohorts {
+		var cohort []tenant.Group
+		if c.Mix == "" {
+			var w workloads.Spec
+			w, err = workloads.ByName(c.Workload)
+			cohort = []tenant.Group{{Name: c.name(), Workload: w, Threads: c.Threads}}
+		} else {
+			var m tenant.Mix
+			if m, err = tenant.ByName(c.Mix); err == nil {
+				cohort, err = m.Groups(0)
 			}
-			continue
+			for k := range cohort {
+				cohort[k].Name = c.name() + "/" + cohort[k].Name
+			}
 		}
-		if _, err := workloads.ByName(c.Workload); err != nil {
-			return fmt.Errorf("arrival: %q: cohort %q: %w", sp.Name, c.name(), err)
+		if err != nil {
+			return nil, nil, fmt.Errorf("arrival: %q: cohort %q: %w", sp.Name, c.name(), err)
 		}
+		for _, g := range cohort {
+			counts[i] += g.Threads
+		}
+		groups = append(groups, cohort...)
 	}
-	return nil
+	return groups, counts, nil
+}
+
+// Resolve checks that every cohort's workload or mix, and every mix
+// member, resolves against the live registries — the CLIs call it
+// before anything simulates, so a typo'd member name fails upfront
+// with the full valid set, exactly like the -workload/-mix axes.
+func (sp Spec) Resolve() error {
+	_, _, err := sp.groups()
+	return err
 }
 
 // TotalThreads returns the spec's combined software thread count. Mix
 // cohorts need their mix resolvable to know its layout.
 func (sp Spec) TotalThreads() (int, error) {
+	_, counts, err := sp.groups()
 	n := 0
-	for _, c := range sp.Cohorts {
-		if c.Mix != "" {
-			m, err := tenant.ByName(c.Mix)
-			if err != nil {
-				return 0, fmt.Errorf("arrival: %q: cohort %q: %w", sp.Name, c.name(), err)
-			}
-			n += m.TotalThreads()
-			continue
-		}
-		n += c.Threads
+	for _, c := range counts {
+		n += c
 	}
-	return n, nil
+	return n, err
 }
 
 // Classes returns the spec's SLO classes in first-appearance order,
 // each with the analytic offered rate of its cohorts at the given
 // intensity scale: threads × per-thread rate × schedule mean scale.
 func (sp Spec) Classes(rateScale float64) ([]system.SLOClass, error) {
+	_, counts, err := sp.groups()
+	if err != nil {
+		return nil, err
+	}
+	return sp.classes(counts, rateScale), nil
+}
+
+// classes is Classes over resolved per-cohort thread counts.
+func (sp Spec) classes(counts []int, rateScale float64) []system.SLOClass {
 	if rateScale <= 0 {
 		rateScale = 1
 	}
 	var classes []system.SLOClass
 	index := map[string]int{}
-	for _, c := range sp.Cohorts {
-		threads := c.Threads
-		if c.Mix != "" {
-			m, err := tenant.ByName(c.Mix)
-			if err != nil {
-				return nil, fmt.Errorf("arrival: %q: cohort %q: %w", sp.Name, c.name(), err)
-			}
-			threads = m.TotalThreads()
-		}
-		offered := float64(threads) * c.Process.Rate * MeanScale(c.Windows) * rateScale
+	for i, c := range sp.Cohorts {
+		offered := float64(counts[i]) * c.Process.Rate * MeanScale(c.Windows) * rateScale
 		name := c.class()
-		if i, ok := index[name]; ok {
-			classes[i].OfferedRPS += offered
+		if j, ok := index[name]; ok {
+			classes[j].OfferedRPS += offered
 			continue
 		}
 		index[name] = len(classes)
 		classes = append(classes, system.SLOClass{Name: name, OfferedRPS: offered})
 	}
-	return classes, nil
+	return classes
 }
 
 // Fingerprint returns the spec's stable content identity: a hex digest
@@ -311,34 +328,9 @@ func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale floa
 		return err
 	}
 	n := sp.normalized()
-
-	// Flatten cohorts into tenant groups; a cohort's threads are
-	// contiguous in the layout, cohortThreads[i] of them for cohort i.
-	var groups []tenant.Group
-	cohortThreads := make([]int, len(n.Cohorts))
-	for i, c := range n.Cohorts {
-		if c.Mix == "" {
-			w, err := workloads.ByName(c.Workload)
-			if err != nil {
-				return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
-			}
-			groups = append(groups, tenant.Group{Name: c.Name, Workload: w, Threads: c.Threads})
-			cohortThreads[i] = c.Threads
-			continue
-		}
-		m, err := tenant.ByName(c.Mix)
-		if err != nil {
-			return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
-		}
-		mixGroups, err := m.Groups(0)
-		if err != nil {
-			return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
-		}
-		for _, g := range mixGroups {
-			g.Name = c.Name + "/" + g.Name
-			groups = append(groups, g)
-			cohortThreads[i] += g.Threads
-		}
+	groups, cohortThreads, err := n.groups()
+	if err != nil {
+		return err
 	}
 	total := 0
 	for _, t := range cohortThreads {
@@ -348,10 +340,7 @@ func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale floa
 	for i := range groups {
 		groups[i].Per = per
 	}
-	classes, err := n.Classes(rateScale)
-	if err != nil {
-		return err
-	}
+	classes := n.classes(cohortThreads, rateScale)
 	threads, err := tenant.Layout(sys, groups, seed)
 	if err != nil {
 		return fmt.Errorf("arrival: %q: %w (shrink the spec or grow the machine)", n.Name, err)

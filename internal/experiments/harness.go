@@ -230,11 +230,9 @@ func solo(workload string, v system.Variant, totalInstr uint64, threads int) run
 
 // mixSpec is the runner spec of one multi-tenant design point: mix m's
 // tenant groups co-located under variant v, totalInstr split per the
-// mix's thread counts and intensities. Threads carries the mix's
-// declared total, which keeps figmix and the per-tenant figure rows on
-// one key.
+// mix's thread counts and intensities.
 func mixSpec(m tenant.Mix, v system.Variant, totalInstr uint64) runner.Spec {
-	return runner.Spec{Mix: m.Name, Variant: v, TotalInstr: totalInstr, Threads: m.TotalThreads()}
+	return runner.Spec{Mix: m.Name, Variant: v, TotalInstr: totalInstr}
 }
 
 // Plan accumulates the de-duplicated design points one or more figures

@@ -114,7 +114,7 @@ func TestFleetParallelByteIdentity(t *testing.T) {
 // per-device section included — and placement-distinct specs occupy
 // distinct store entries.
 func TestFleetStoreRoundTrip(t *testing.T) {
-	shared := NewMemStore()
+	shared := &countingStore{}
 	striped := fleetSpec("bc", system.SkyByteFull, 4, "striped")
 	hotcold := fleetSpec("bc", system.SkyByteFull, 4, "hotcold")
 
@@ -124,8 +124,8 @@ func TestFleetStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared.Len() != 2 {
-		t.Fatalf("store holds %d entries, want 2 (placement-distinct specs must not alias)", shared.Len())
+	if len(shared.m) != 2 {
+		t.Fatalf("store holds %d entries, want 2 (placement-distinct specs must not alias)", len(shared.m))
 	}
 
 	warm := testRunner(2)

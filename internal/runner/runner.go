@@ -7,11 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"skybyte/internal/arrival"
 	"skybyte/internal/fleet"
 	"skybyte/internal/system"
-	"skybyte/internal/tenant"
-	"skybyte/internal/workloads"
 )
 
 // Event reports one completed simulation to OnEvent.
@@ -42,12 +39,13 @@ type Event struct {
 // of an identical spec share one execution — and bounds concurrent
 // simulations with a worker pool of Parallelism slots.
 //
-// Completed results live in an in-memory Store (a MemStore) for the
-// Runner's lifetime (a full paper campaign is a few hundred results);
-// the singleflight machinery only tracks in-flight executions. When
-// Store is set, it is a second, typically persistent, cache level:
-// consulted before every execution and written through after — a hit
-// skips the simulation entirely.
+// Each key has one call record for the Runner's lifetime (a full paper
+// campaign is a few hundred results): in flight until it completes,
+// then the memo every later caller reads. A failed call leaves no
+// record, so a later caller retries. When Store is set, it is a
+// second, typically persistent, cache level: consulted before every
+// execution and written through after — a hit skips the simulation
+// entirely.
 //
 // A Runner is safe for concurrent use.
 type Runner struct {
@@ -76,13 +74,12 @@ type Runner struct {
 
 	evMu sync.Mutex // serializes OnEvent and orders Done counts
 
-	mem *MemStore // lifetime memo of completed results
-
-	mu       sync.Mutex
-	inflight map[string]*call
+	mu    sync.Mutex
+	calls map[string]*call // one record per key: in flight or completed
 }
 
-// call is one singleflight execution slot.
+// call is one key's execution record. done closes once res or err is
+// set; a completed call stays in Runner.calls as the memo.
 type call struct {
 	done chan struct{}
 	res  *system.Result
@@ -100,8 +97,7 @@ func New(base system.Config, seed uint64, parallelism int) *Runner {
 		seed:        seed,
 		parallelism: parallelism,
 		sem:         make(chan struct{}, parallelism),
-		mem:         NewMemStore(),
-		inflight:    make(map[string]*call),
+		calls:       make(map[string]*call),
 	}
 }
 
@@ -113,183 +109,144 @@ func (r *Runner) Parallelism() int { return r.parallelism }
 // ctx only gates startup and waiting — a simulation that has begun runs
 // to completion (individual runs are short; the pool stays consistent).
 func (r *Runner) Run(ctx context.Context, spec Spec) (*system.Result, error) {
-	res, _, err := r.run(ctx, spec, 0, nil)
-	return res, err
+	return r.run(ctx, spec, 0, nil)
 }
 
 // run is Run plus batch-progress plumbing: when counter is non-nil it is
 // incremented under evMu and reported as Event.Done out of total.
-func (r *Runner) run(ctx context.Context, spec Spec, total int, counter *int) (*system.Result, bool, error) {
-	spec, cfg, key, err := r.resolve(spec)
+func (r *Runner) run(ctx context.Context, spec Spec, total int, counter *int) (*system.Result, error) {
+	cfg, key, pop, err := r.resolve(spec)
 	if err != nil {
-		return nil, false, err
-	}
-	if res, ok := r.mem.Get(key); ok {
-		if counter != nil {
-			r.emit(Event{Key: key, Result: res, Total: total, Cached: true}, counter)
-		}
-		return res, true, nil
+		return nil, err
 	}
 	r.mu.Lock()
-	if c, ok := r.inflight[key]; ok {
+	if c, ok := r.calls[key]; ok {
 		r.mu.Unlock()
+		// A completed call answers even under a cancelled ctx.
 		select {
 		case <-c.done:
-			if c.err == nil && counter != nil {
-				r.emit(Event{Key: key, Result: c.res, Total: total, Cached: true}, counter)
+		default:
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
-			return c.res, true, c.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
 		}
-	}
-	// Re-check the memo under mu: a leader inserts its result before
-	// unregistering from inflight, so a key absent from inflight may
-	// have completed since the lock-free check above.
-	if res, ok := r.mem.Get(key); ok {
-		r.mu.Unlock()
-		if counter != nil {
-			r.emit(Event{Key: key, Result: res, Total: total, Cached: true}, counter)
+		if c.err == nil && counter != nil {
+			r.emit(Event{Key: key, Result: c.res, Total: total, Cached: true}, counter)
 		}
-		return res, true, nil
+		return c.res, c.err
 	}
 	c := &call{done: make(chan struct{})}
-	r.inflight[key] = c
+	r.calls[key] = c
 	r.mu.Unlock()
 
-	// Leader: consult the persistent store before taking a pool slot —
-	// a hit costs a decode, not a simulation, so warm runs never
-	// contend for simulation slots.
+	var (
+		stored bool
+		wall   time.Duration
+	)
+	c.res, stored, wall, c.err = r.lead(ctx, cfg, key, pop)
+	if c.err != nil {
+		r.mu.Lock()
+		delete(r.calls, key)
+		r.mu.Unlock()
+	}
+	close(c.done)
+	if c.err == nil && (r.OnEvent != nil || counter != nil) {
+		r.emit(Event{Key: key, Result: c.res, Wall: wall, Total: total, Cached: stored, Stored: stored}, counter)
+	}
+	return c.res, c.err
+}
+
+// lead produces the result of a new call: from the persistent store
+// when it holds key, else by simulating in a pool slot and writing the
+// result through to the store. stored reports a store hit; wall is the
+// host time of a simulation.
+func (r *Runner) lead(ctx context.Context, cfg system.Config, key string, pop population) (res *system.Result, stored bool, wall time.Duration, err error) {
+	// Consult the persistent store before taking a pool slot — a hit
+	// costs a decode, not a simulation, so warm runs never contend for
+	// simulation slots.
 	if r.Store != nil {
 		if res, ok := r.Store.Get(key); ok {
-			c.res = res
-			r.mem.Put(key, res)
-			r.finish(key, c)
-			if r.OnEvent != nil || counter != nil {
-				r.emit(Event{Key: key, Result: res, Total: total, Cached: true, Stored: true}, counter)
-			}
-			return res, true, nil
+			return res, true, 0, nil
 		}
 		if r.CacheOnly {
-			c.err = fmt.Errorf("runner: design point %q not in the result store (cache-only render; run the missing shard first)", key)
-			r.finish(key, c)
-			return nil, false, c.err
+			return nil, false, 0, fmt.Errorf("runner: design point %q not in the result store (cache-only render; run the missing shard first)", key)
 		}
 	}
 
 	// Take a pool slot, honoring cancellation while queued. The upfront
 	// Err check matters when both select cases are ready — an
 	// already-cancelled context must never start a simulation.
-	acquired := false
-	if ctx.Err() == nil {
-		select {
-		case r.sem <- struct{}{}:
-			acquired = true
-		case <-ctx.Done():
-		}
+	if ctx.Err() != nil {
+		return nil, false, 0, ctx.Err()
 	}
-	if !acquired {
-		c.err = ctx.Err()
-		r.finish(key, c)
-		return nil, false, c.err
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, false, 0, ctx.Err()
 	}
 	start := time.Now()
-	c.res, c.err = r.execute(spec, cfg, key)
-	wall := time.Since(start)
+	res, err = r.execute(cfg, key, pop)
+	wall = time.Since(start)
 	<-r.sem
-	if c.err == nil {
-		// Insert before unregistering (see the re-check above), and
-		// write through to the persistent store. A failed execution is
-		// inserted nowhere, so a later caller may retry (e.g. after
-		// fixing a workload name).
-		r.mem.Put(key, c.res)
-		if r.Store != nil {
-			r.Store.Put(key, c.res)
-		}
+	if err == nil && r.Store != nil {
+		r.Store.Put(key, res)
 	}
-	r.finish(key, c)
-	if c.err == nil && (r.OnEvent != nil || counter != nil) {
-		r.emit(Event{Key: key, Result: c.res, Wall: wall, Total: total}, counter)
-	}
-	return c.res, false, c.err
+	return res, false, wall, err
 }
 
-// Key returns the design point's identity: Spec.Key with a solo thread
-// count resolved, then |cfg= and 16 hex chars of the fingerprint of the
-// config the run executes on. Specs that build the same machine share a
-// key however they were written; an invalid fleet axis keys cfg=invalid.
+// Key returns the design point's identity: Spec.Key with the thread
+// count the run adds written in, then |cfg= and 16 hex chars of the
+// fingerprint of the config the run executes on. Specs that build the
+// same machine share a key however they were written — a solo spec
+// with Threads 0 keys as its ThreadsFor count, a mix or arrival spec
+// as its declared count; an invalid machine or fleet axis keys
+// cfg=invalid.
 func (r *Runner) Key(spec Spec) string {
-	_, _, key, _ := r.resolve(spec)
+	_, key, _, _ := r.resolve(spec)
 	return key
 }
 
-// Check returns the error Run would report for spec before simulating
-// anything: an invalid machine or fleet axis, or a budget that gives a
-// thread no instructions. Names that do not resolve are reported by Run.
+// Check returns the error Run would report for spec before consulting
+// the store or building a System: an invalid machine or fleet axis, a
+// workload, mix, arrival spec or cohort member that does not resolve,
+// a Threads that disagrees with a declared layout, a budget that gives
+// a thread no instructions, or a workload the machine cannot size.
 func (r *Runner) Check(spec Spec) error {
 	_, _, _, err := r.resolve(spec)
 	return err
 }
 
 // resolve builds the config spec runs on (variant, then Mutate, then the
-// fleet axis), validates it, resolves a solo spec's Threads against it,
-// and keys it. An invalid machine keys cfg=invalid and never simulates;
-// neither does a spec whose budget leaves a thread no instructions.
-func (r *Runner) resolve(spec Spec) (Spec, system.Config, string, error) {
+// fleet axis) and validates it, resolves the spec's population on it
+// once, and keys the spec with the population's thread count. An
+// invalid machine keys cfg=invalid and never simulates; neither does a
+// spec whose population does not resolve, does not fit its budget or
+// cannot be sized for the machine.
+func (r *Runner) resolve(spec Spec) (system.Config, string, population, error) {
 	cfg := r.base.WithVariant(spec.Variant)
 	if spec.Mutate != nil {
 		spec.Mutate(&cfg)
 	}
+	pop := spec.population(ThreadsFor(cfg))
 	if err := applyFleet(&cfg, spec); err != nil {
-		return spec, cfg, spec.Key() + "|cfg=invalid", err
+		return cfg, spec.key(pop) + "|cfg=invalid", pop, err
 	}
 	if err := cfg.Validate(); err != nil {
-		return spec, cfg, spec.Key() + "|cfg=invalid", fmt.Errorf("runner: %w", err)
+		return cfg, spec.key(pop) + "|cfg=invalid", pop, fmt.Errorf("runner: %w", err)
 	}
-	if spec.Mix == "" && spec.Arrival == "" && spec.Threads == 0 {
-		spec.Threads = ThreadsFor(cfg)
+	spec.Threads = pop.threads
+	key := spec.key(pop) + "|cfg=" + cfg.Fingerprint()[:16]
+	if pop.err != nil {
+		return cfg, key, pop, pop.err
 	}
-	key := spec.Key() + "|cfg=" + cfg.Fingerprint()[:16]
-	return spec, cfg, key, checkBudget(spec)
-}
-
-// checkBudget rejects a spec that gives some thread no instructions: a
-// negative thread count, or a per-thread budget of 0 — a solo run's
-// TotalInstr/Threads, a mix tenant's PerThreadInstr, or an arrival
-// run's TotalInstr over its threads. A mix or arrival name that does
-// not resolve passes here; population reports it.
-func checkBudget(spec Spec) error {
-	if spec.Threads < 0 {
-		return fmt.Errorf("runner: spec asks for %d threads; want 0 (the default) or more", spec.Threads)
-	}
-	threads, per := spec.Threads, uint64(0)
-	switch {
-	case spec.Arrival != "":
-		a, err := arrival.ByName(spec.Arrival)
-		if err != nil {
-			return nil
+	for _, w := range pop.members {
+		if _, err := w.ForDevice(cfg.Geometry.Bytes()); err != nil {
+			return cfg, key, pop, err
 		}
-		if threads, err = a.TotalThreads(); err != nil || threads == 0 {
-			return nil
-		}
-		per = spec.TotalInstr / uint64(threads)
-	case spec.Mix != "":
-		m, err := tenant.ByName(spec.Mix)
-		if err != nil {
-			return nil
-		}
-		threads, per = m.TotalThreads(), spec.TotalInstr
-		for i := range m.Tenants {
-			per = min(per, m.PerThreadInstr(i, spec.TotalInstr))
-		}
-	default:
-		per = spec.TotalInstr / uint64(threads)
 	}
-	if per == 0 {
-		return fmt.Errorf("runner: a budget of %d instructions over %d threads leaves a thread none; raise the budget or run fewer threads",
-			spec.TotalInstr, threads)
-	}
-	return nil
+	return cfg, key, pop, nil
 }
 
 // applyFleet validates a spec's fleet axis and threads it, placement
@@ -313,15 +270,6 @@ func applyFleet(cfg *system.Config, spec Spec) error {
 	cfg.Devices = spec.Devices
 	cfg.Placement = string(placement)
 	return nil
-}
-
-// finish unregisters a completed (or failed) leader call and releases
-// its waiters. The result, if any, must already be in the memo.
-func (r *Runner) finish(key string, c *call) {
-	r.mu.Lock()
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(c.done)
 }
 
 // emit serializes OnEvent and stamps batch progress.
@@ -351,7 +299,7 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]*system.Result, er
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = r.run(ctx, specs[i], len(specs), &counter)
+			results[i], errs[i] = r.run(ctx, specs[i], len(specs), &counter)
 		}(i)
 	}
 	wg.Wait()
@@ -364,89 +312,14 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]*system.Result, er
 }
 
 // execute performs one simulation of a resolved spec on its resolved
-// config: resolve the thread population, wire a fresh System, populate
-// it, and drive every thread stream to retirement.
-func (r *Runner) execute(spec Spec, cfg system.Config, key string) (*system.Result, error) {
-	populate, err := r.population(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
+// config: wire a fresh System, add the population's threads, and drive
+// every thread stream to retirement.
+func (r *Runner) execute(cfg system.Config, key string, pop population) (*system.Result, error) {
 	sys := system.New(cfg)
-	if err := populate(sys); err != nil {
+	if err := pop.apply(sys, r.seed); err != nil {
 		return nil, err
 	}
 	res := sys.Run()
 	res.CacheKey = key
 	return res, nil
-}
-
-// population is the one switch from a Spec to its threads. It resolves
-// every name and checks the spec before any System is built, and
-// returns the call that adds the threads. A solo workload is one group
-// of plain threads — no tenant declaration, no arena offset — so its
-// Result and replay path are those of a bare AddThread loop. A mix or
-// an arrival spec declares its own thread layout through the shared
-// tenant layout; Spec.Threads, if set, must agree with it (a layout's
-// thread counts are part of its definition, not a per-run knob). A solo
-// workload is sized for cfg's devices here (workloads.Spec.ForDevice);
-// the tenant layout sizes mixes and arrival cohorts the same way.
-func (r *Runner) population(spec Spec, cfg system.Config) (func(*system.System) error, error) {
-	switch {
-	case spec.Mix != "" && spec.Arrival != "":
-		return nil, fmt.Errorf("runner: spec sets both mix %q and arrival spec %q; they are mutually exclusive", spec.Mix, spec.Arrival)
-	case spec.Arrival != "":
-		if err := arrival.ValidateScale(spec.ArrivalScale); err != nil {
-			return nil, fmt.Errorf("runner: %w", err)
-		}
-		a, err := arrival.ByName(spec.Arrival)
-		if err != nil {
-			return nil, err
-		}
-		if err := a.Resolve(); err != nil {
-			return nil, err
-		}
-		total, err := a.TotalThreads()
-		if err != nil {
-			return nil, err
-		}
-		if err := checkThreads(spec, "arrival spec", spec.Arrival, total); err != nil {
-			return nil, err
-		}
-		return func(sys *system.System) error {
-			return a.Apply(sys, spec.TotalInstr, r.seed, spec.arrivalScale())
-		}, nil
-	case spec.Mix != "":
-		m, err := tenant.ByName(spec.Mix)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkThreads(spec, "mix", spec.Mix, m.TotalThreads()); err != nil {
-			return nil, err
-		}
-		return func(sys *system.System) error { return m.Apply(sys, spec.TotalInstr, r.seed) }, nil
-	}
-	w, err := workloads.ByName(spec.Workload)
-	if err != nil {
-		return nil, err
-	}
-	if w, err = w.ForDevice(cfg.Geometry.Bytes()); err != nil {
-		return nil, err
-	}
-	per := spec.TotalInstr / uint64(spec.Threads)
-	return func(sys *system.System) error {
-		for i := 0; i < spec.Threads; i++ {
-			sys.AddThread(w.Stream(i, r.seed), per)
-		}
-		return nil
-	}, nil
-}
-
-// checkThreads rejects a Spec.Threads that disagrees with the thread
-// count a mix or arrival spec declares.
-func checkThreads(spec Spec, kind, name string, declared int) error {
-	if spec.Threads != 0 && spec.Threads != declared {
-		return fmt.Errorf("runner: %s %q declares %d threads; spec asks for %d (leave Threads 0 or match the %s)",
-			kind, name, declared, spec.Threads, kind)
-	}
-	return nil
 }

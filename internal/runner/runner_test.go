@@ -1,15 +1,19 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"skybyte/internal/arrival"
 	"skybyte/internal/sim"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
+	"skybyte/internal/trace"
 	"skybyte/internal/workloads"
 )
 
@@ -254,30 +258,33 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// countingStore wraps a MemStore with hit/miss/put accounting so tests
-// can see exactly how the runner drives its second-level store.
+// countingStore is a map-backed Store with hit/miss/put accounting so
+// tests can see exactly how the runner drives its second-level store.
 type countingStore struct {
-	*MemStore
 	mu               sync.Mutex
+	m                map[string]*system.Result
 	gets, hits, puts int
 }
 
 func (s *countingStore) Get(key string) (*system.Result, bool) {
-	res, ok := s.MemStore.Get(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, ok := s.m[key]
 	s.gets++
 	if ok {
 		s.hits++
 	}
-	s.mu.Unlock()
 	return res, ok
 }
 
 func (s *countingStore) Put(key string, res *system.Result) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = make(map[string]*system.Result)
+	}
 	s.puts++
-	s.mu.Unlock()
-	s.MemStore.Put(key, res)
+	s.m[key] = res
 }
 
 // TestStoreWarmRunSkipsSimulation is the tentpole contract: a second
@@ -285,7 +292,7 @@ func (s *countingStore) Put(key string, res *system.Result) {
 // result arriving as a Stored event, and returns identical
 // measurements.
 func TestStoreWarmRunSkipsSimulation(t *testing.T) {
-	shared := &countingStore{MemStore: NewMemStore()}
+	shared := &countingStore{}
 	specs := []Spec{
 		spec("bc", system.BaseCSSD),
 		spec("srad", system.SkyByteFull),
@@ -346,7 +353,7 @@ func TestStoreWarmRunSkipsSimulation(t *testing.T) {
 // does not poison the key for a later non-cache-only runner sharing
 // the store.
 func TestCacheOnlyMissErrors(t *testing.T) {
-	shared := &countingStore{MemStore: NewMemStore()}
+	shared := &countingStore{}
 	r := testRunner(1)
 	r.Store = shared
 	r.CacheOnly = true
@@ -365,22 +372,6 @@ func TestCacheOnlyMissErrors(t *testing.T) {
 	r2.CacheOnly = true
 	if _, err := r2.Run(context.Background(), s); err != nil {
 		t.Fatalf("cache-only read of a populated store failed: %v", err)
-	}
-}
-
-func TestMemStore(t *testing.T) {
-	s := NewMemStore()
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("empty store hit")
-	}
-	res := &system.Result{Variant: "x"}
-	s.Put("k", res)
-	got, ok := s.Get("k")
-	if !ok || got != res {
-		t.Fatal("MemStore did not return the stored pointer")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
 	}
 }
 
@@ -568,7 +559,7 @@ func TestInvalidMachineRejectedBeforeSimulating(t *testing.T) {
 // errors before anything simulates, and nothing reaches the store.
 func TestBudgetWithoutInstructionsRejected(t *testing.T) {
 	r := testRunner(1)
-	st := &countingStore{MemStore: NewMemStore()}
+	st := &countingStore{}
 	r.Store = st
 	execs := 0
 	r.OnEvent = func(Event) { execs++ }
@@ -589,5 +580,123 @@ func TestBudgetWithoutInstructionsRejected(t *testing.T) {
 	}
 	if execs != 0 || st.gets != 0 || st.puts != 0 {
 		t.Fatalf("rejected specs executed %d simulations, %d store gets, %d puts", execs, st.gets, st.puts)
+	}
+}
+
+// TestDeclaredThreadsShareAKey: a mix or an arrival spec keys as its
+// declared thread count whether Threads is left 0 or written out — one
+// machine, one key, one simulation — and a Threads that disagrees with
+// the declaration is an error naming both counts.
+func TestDeclaredThreadsShareAKey(t *testing.T) {
+	r := testRunner(1)
+	m, err := tenant.ByName("graph-vs-log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := arrival.ByName("open-steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrThreads, err := a.TotalThreads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec     Spec
+		declared int
+	}{
+		{Spec{Mix: m.Name, Variant: system.BaseCSSD, TotalInstr: 16_000}, m.TotalThreads()},
+		{Spec{Arrival: a.Name, Variant: system.BaseCSSD, TotalInstr: 16_000}, arrThreads},
+	} {
+		written := c.spec
+		written.Threads = c.declared
+		key := r.Key(c.spec)
+		if key != r.Key(written) {
+			t.Errorf("Threads 0 keyed %q, Threads %d keyed %q; want one key", key, c.declared, r.Key(written))
+		}
+		if want := fmt.Sprintf("|16000|%d|src=", c.declared); !strings.Contains(key, want) {
+			t.Errorf("key %q does not carry the declared count (%s)", key, want)
+		}
+		bad := c.spec
+		bad.Threads = c.declared + 1
+		want := fmt.Sprintf("declares %d threads; spec asks for %d", c.declared, c.declared+1)
+		if err := r.Check(bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Check = %v, want an error containing %q", key, err, want)
+		}
+	}
+}
+
+// recordedWorkload registers a recorded trace of bc and returns its
+// workload name: a workload that replays fixed addresses, so it runs
+// only on the 1/64 machine.
+func recordedWorkload(t *testing.T, name string) string {
+	t.Helper()
+	w, err := workloads.ByName("bc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{Meta: trace.Meta{Workload: name, Seed: 1, FootprintPages: w.FootprintPages, WriteRatio: w.WriteRatio}}
+	tr.Threads = append(tr.Threads, trace.RecordStream(w.Stream(0, 1), 200))
+	data, err := trace.EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := workloads.SpecFromTrace(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workloads.Register(ts); err != nil {
+		t.Fatal(err)
+	}
+	return ts.Name
+}
+
+// TestCheckReportsWhatRunWould: every error Run reports for a spec —
+// an unknown workload, mix or arrival name, an unknown cohort member,
+// a workload the machine cannot size — Check reports too, and a
+// cache-only runner reports it instead of a store miss, without
+// reading the store.
+func TestCheckReportsWhatRunWould(t *testing.T) {
+	recorded := recordedWorkload(t, "check-recorded")
+	if err := tenant.Register(tenant.Mix{Format: tenant.MixFormatVersion, Name: "check-recorded-mix",
+		Tenants: []tenant.TenantDef{{Workload: recorded, Threads: 1}, {Workload: "bc", Threads: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := arrival.Register(arrival.Spec{Format: arrival.SpecFormatVersion, Name: "check-member",
+		Cohorts: []arrival.Cohort{{Workload: "no-such-member", Threads: 2,
+			Process: arrival.Process{Dist: arrival.DistPoisson, Rate: 100}}}}); err != nil {
+		t.Fatal(err)
+	}
+	quarter := New(system.ConfigAt(16), 7, 1)
+	for _, c := range []struct {
+		r    *Runner
+		spec Spec
+		want string
+	}{
+		{testRunner(1), Spec{Workload: "no-such-workload", Variant: system.BaseCSSD, TotalInstr: 16_000}, "no-such-workload"},
+		{testRunner(1), Spec{Mix: "no-such-mix", Variant: system.BaseCSSD, TotalInstr: 16_000}, "no-such-mix"},
+		{testRunner(1), Spec{Arrival: "no-such-arrival", Variant: system.BaseCSSD, TotalInstr: 16_000}, "no-such-arrival"},
+		{testRunner(1), Spec{Arrival: "check-member", Variant: system.BaseCSSD, TotalInstr: 16_000}, "no-such-member"},
+		{quarter, Spec{Workload: recorded, Variant: system.BaseCSSD, TotalInstr: 16_000}, "only on the 1/64 machine"},
+		{quarter, Spec{Mix: "check-recorded-mix", Variant: system.BaseCSSD, TotalInstr: 16_000}, "only on the 1/64 machine"},
+	} {
+		if err := c.r.Check(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Check(%s) = %v, want an error containing %q", c.spec.Key(), err, c.want)
+		}
+		st := &countingStore{}
+		c.r.Store, c.r.CacheOnly = st, true
+		_, err := c.r.Run(context.Background(), c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.want) || st.gets != 0 {
+			t.Errorf("cache-only Run(%s) = %v after %d store reads, want an error containing %q and no read", c.spec.Key(), err, st.gets, c.want)
+		}
+		c.r.Store, c.r.CacheOnly = nil, false
+	}
+	// The recorded workload runs on the 1/64 machine it was recorded on.
+	if err := testRunner(1).Check(Spec{Workload: recorded, Variant: system.BaseCSSD, TotalInstr: 16_000}); err != nil {
+		t.Fatalf("recorded workload on the 1/64 machine: %v", err)
 	}
 }

@@ -90,14 +90,11 @@ type Spec struct {
 // mixes referencing it), while every other cached entry stays warm. An
 // unresolvable name keys as src=unresolved; execution fails before
 // simulating, and nothing is cached under that key.
-func (s Spec) Key() string {
-	name := s.Workload
-	switch {
-	case s.Arrival != "":
-		name = fmt.Sprintf("arr:%s@%g", s.Arrival, s.arrivalScale())
-	case s.Mix != "":
-		name = "mix:" + s.Mix
-	}
+func (s Spec) Key() string { return s.key(s.population(0)) }
+
+// key renders the spec's identity as written over its resolved
+// population p.
+func (s Spec) key(p population) string {
 	// Fleet specs insert a |fleet=K:policy segment before the source
 	// digest; single-device specs (Devices 0 or 1) have none. The
 	// empty placement renders as its resolved default ("striped"), so ""
@@ -110,7 +107,12 @@ func (s Spec) Key() string {
 		}
 		fleetSeg = fmt.Sprintf("|fleet=%d:%s", s.Devices, placement)
 	}
-	return fmt.Sprintf("%s|%s|%d|%d%s|src=%s", name, s.Variant, s.TotalInstr, s.Threads, fleetSeg, s.sourceDigest())
+	src := "unresolved"
+	if p.src != "" {
+		sum := sha256.Sum256([]byte(p.src))
+		src = hex.EncodeToString(sum[:8])
+	}
+	return fmt.Sprintf("%s|%s|%d|%d%s|src=%s", p.name, s.Variant, s.TotalInstr, s.Threads, fleetSeg, src)
 }
 
 // arrivalScale is the effective intensity scale (0 → 1).
@@ -121,31 +123,111 @@ func (s Spec) arrivalScale() float64 {
 	return s.ArrivalScale
 }
 
-// sourceDigest resolves the spec's generator source identity against
-// the live registries and compresses it to 16 hex chars.
-func (s Spec) sourceDigest() string {
-	var src string
-	if s.Arrival != "" {
-		a, err := arrival.ByName(s.Arrival)
-		if err != nil {
-			return "unresolved"
-		}
-		src = a.SourceID()
-	} else if s.Mix != "" {
-		m, err := tenant.ByName(s.Mix)
-		if err != nil {
-			return "unresolved"
-		}
-		src = m.SourceID()
-	} else {
-		w, err := workloads.ByName(s.Workload)
-		if err != nil {
-			return "unresolved"
-		}
-		src = w.SourceID()
+// population is the one thread population a Spec names — a solo
+// workload, a mix or an arrival spec — resolved against the live
+// registries.
+type population struct {
+	name    string // the key's first segment
+	src     string // source identity; "" when the name does not resolve
+	threads int    // threads the run adds
+	per     uint64 // the smallest per-thread instruction budget
+	// members are the workloads the machine must be able to size
+	// (workloads.Spec.ForDevice) before it is built.
+	members []workloads.Spec
+	// apply adds the threads to a fresh System.
+	apply func(sys *system.System, seed uint64) error
+	// err is the error that stops the spec, if any.
+	err error
+}
+
+// population resolves the spec's one thread population, and is the only
+// place the kind of population is decided. A solo workload is one group
+// of plain threads — no tenant declaration, no arena offset — so its
+// Result and replay path are those of a bare AddThread loop; it runs
+// Spec.Threads threads, or threads when that is 0 (the machine's
+// ThreadsFor). A mix or an arrival spec declares its own thread layout
+// through the shared tenant layout; Spec.Threads, if set, must agree
+// with it (a layout's thread counts are part of its definition, not a
+// per-run knob). A population whose budget leaves some thread no
+// instructions is an error.
+func (s Spec) population(threads int) (p population) {
+	if s.Threads != 0 {
+		threads = s.Threads
 	}
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:8])
+	declaredBy := "" // the mix or arrival spec that declares the threads
+	switch {
+	case s.Arrival != "":
+		p.name = fmt.Sprintf("arr:%s@%g", s.Arrival, s.arrivalScale())
+		declaredBy = fmt.Sprintf("arrival spec %q", s.Arrival)
+		var a arrival.Spec
+		if a, p.err = arrival.ByName(s.Arrival); p.err != nil {
+			return p
+		}
+		p.src = a.SourceID()
+		if s.Mix != "" {
+			p.err = fmt.Errorf("runner: spec sets both mix %q and arrival spec %q; they are mutually exclusive", s.Mix, s.Arrival)
+		} else if err := arrival.ValidateScale(s.ArrivalScale); err != nil {
+			p.err = fmt.Errorf("runner: %w", err)
+		} else if p.threads, p.err = a.TotalThreads(); p.threads > 0 {
+			p.per = s.TotalInstr / uint64(p.threads)
+		}
+		p.apply = func(sys *system.System, seed uint64) error {
+			return a.Apply(sys, s.TotalInstr, seed, s.arrivalScale())
+		}
+	case s.Mix != "":
+		p.name = "mix:" + s.Mix
+		declaredBy = fmt.Sprintf("mix %q", s.Mix)
+		var m tenant.Mix
+		if m, p.err = tenant.ByName(s.Mix); p.err != nil {
+			return p
+		}
+		p.src = m.SourceID()
+		p.threads = m.TotalThreads()
+		var groups []tenant.Group
+		groups, p.err = m.Groups(s.TotalInstr)
+		for i, g := range groups {
+			if i == 0 || g.Per < p.per {
+				p.per = g.Per
+			}
+			p.members = append(p.members, g.Workload)
+		}
+		p.apply = func(sys *system.System, seed uint64) error { return m.Apply(sys, s.TotalInstr, seed) }
+	default:
+		p.name = s.Workload
+		p.threads = threads
+		var w workloads.Spec
+		if w, p.err = workloads.ByName(s.Workload); p.err != nil {
+			return p
+		}
+		p.src = w.SourceID()
+		if threads > 0 {
+			p.per = s.TotalInstr / uint64(threads)
+		}
+		p.members = []workloads.Spec{w}
+		per := p.per
+		p.apply = func(sys *system.System, seed uint64) error {
+			w, err := w.ForDevice(sys.Config().Geometry.Bytes())
+			if err != nil {
+				return err
+			}
+			for i := 0; i < threads; i++ {
+				sys.AddThread(w.Stream(i, seed), per)
+			}
+			return nil
+		}
+	}
+	switch {
+	case p.err != nil:
+	case declaredBy != "" && s.Threads != 0 && s.Threads != p.threads:
+		p.err = fmt.Errorf("runner: %s declares %d threads; spec asks for %d (leave Threads 0 or match the declaration)",
+			declaredBy, p.threads, s.Threads)
+	case p.threads < 0:
+		p.err = fmt.Errorf("runner: spec asks for %d threads; want 0 (the default) or more", p.threads)
+	case p.per == 0:
+		p.err = fmt.Errorf("runner: a budget of %d instructions over %d threads leaves a thread none; raise the budget or run fewer threads",
+			s.TotalInstr, p.threads)
+	}
+	return p
 }
 
 // ThreadsFor resolves the paper's §VI-A thread default: 24 threads on 8
