@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"skybyte"
+	"skybyte/cmd/internal/profile"
 	"skybyte/internal/arrival"
 	"skybyte/internal/experiments"
 	"skybyte/internal/fleet"
@@ -94,7 +95,9 @@ func main() {
 		fromCache   = flag.Bool("from-cache", false, "render exclusively from -cache-dir: a missing design point is an error, never a re-simulation")
 		fingerprint = flag.Bool("fingerprint", false, "print the campaign's store fingerprint (config+seed identity) and exit")
 	)
+	prof := profile.Declare(flag.CommandLine)
 	flag.Parse()
+	defer prof.Start()()
 
 	if *showCfg {
 		printConfigs()

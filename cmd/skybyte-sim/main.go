@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"skybyte"
+	"skybyte/cmd/internal/profile"
 	"skybyte/cmd/internal/selector"
 	"skybyte/internal/fleet"
 	"skybyte/internal/osched"
@@ -73,7 +74,9 @@ func main() {
 		shardSpec = flag.String("shard", "", "with -variants and -cache-dir: execute only slice i of n (format i/n) of the comparison")
 		fromCache = flag.Bool("from-cache", false, "with -variants and -cache-dir: render from the store only; a missing run is an error")
 	)
+	prof := profile.Declare(flag.CommandLine)
 	flag.Parse()
+	defer prof.Start()()
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 

@@ -59,6 +59,7 @@ import (
 	"sync"
 
 	"skybyte"
+	"skybyte/cmd/internal/profile"
 	"skybyte/cmd/internal/selector"
 	"skybyte/internal/arrival"
 	"skybyte/internal/mem"
@@ -133,7 +134,9 @@ func main() {
 		fixture  = flag.String("make-fixture", "", "write a tiny synthetic external-format source file, <format>:<path>, then exit (importer demo/CI fixture)")
 		checkTL  = flag.String("check-timeline", "", "validate a Chrome trace-event timeline written by skybyte-sim -timeline (JSON shape and per-track span nesting), then exit; a violation is a non-zero exit")
 	)
+	prof := profile.Declare(flag.CommandLine)
 	flag.Parse()
+	defer prof.Start()()
 	// Which flags were given explicitly matters: cut flags do not apply
 	// to an import's conversion, and defaults mean "reproduce the source
 	// exactly" when re-recording a trace.

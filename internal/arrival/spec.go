@@ -218,6 +218,14 @@ func (sp Spec) Resolve() error {
 	return err
 }
 
+// Groups returns the tenant groups Apply lays out, without a budget: a
+// caller checks them against a machine with tenant.Fit before building
+// it.
+func (sp Spec) Groups() ([]tenant.Group, error) {
+	groups, _, err := sp.normalized().groups()
+	return groups, err
+}
+
 // TotalThreads returns the spec's combined software thread count. Mix
 // cohorts need their mix resolvable to know its layout.
 func (sp Spec) TotalThreads() (int, error) {

@@ -199,10 +199,12 @@ type Core struct {
 	stashIdx   uint64
 	stashValid bool
 
-	// Per-core pools and the shared writeback-accepted callback.
+	// Per-core pools, the shared writeback-accepted callback, and
+	// onReady bound once as the scheduler's wake-up on every idle.
 	missFree *missEntry
 	wbFree   *wbReq
 	wbAccept func()
+	ready    func()
 
 	perInstr sim.Time
 	Stats    Stats
@@ -238,6 +240,7 @@ func New(eng *sim.Engine, id int, cfg Config, l1, l2, llc *cachesim.Cache, backe
 			c.step()
 		}
 	}
+	c.ready = c.onReady
 	return c
 }
 
@@ -329,7 +332,7 @@ func (c *Core) acquireThread() bool {
 	t := c.sched.Pick()
 	if t == nil {
 		c.state = stIdle
-		c.sched.WaitReady(c.onReady)
+		c.sched.WaitReady(c.ready)
 		return false
 	}
 	c.thread = t

@@ -503,3 +503,40 @@ func TestDependentChainSwitchesAndReplays(t *testing.T) {
 		t.Fatalf("chain replay wrong: %v", seen)
 	}
 }
+
+// TestDeepestRewindFitsReplayRing drives the deepest rewind the ROB
+// gating allows: a hinted miss followed by one-instruction records, so
+// the core fetches a full ROB of records from the faulting load before
+// the switch rewinds to it. At the largest ROB system.Config.Validate
+// accepts, that rewind must land inside the replay ring.
+func TestDeepestRewindFitsReplayRing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROB = trace.ReplayCap - 2
+	r := newRig(1, cfg, 100*sim.Nanosecond)
+	slow := mem.Addr(0x200000)
+	r.be.hintAddrs[slow] = true
+	r.be.hintOnce = true
+	recs := []trace.Record{{Kind: trace.Load, Addr: slow}}
+	for len(recs) < 2*cfg.ROB {
+		recs = append(recs, trace.Record{Kind: trace.Compute, N: 1})
+	}
+	t0 := thread(0, recs)
+	// The faulting load starts at index 0, so the fresh index at the
+	// first switch is the rewind depth in records.
+	var depth uint64
+	r.cores[0].OnCtxSwitch = func(int, sim.Time) {
+		if depth == 0 {
+			depth = t0.Replay.NextIdx()
+		}
+	}
+	r.run(t0)
+	if depth != uint64(cfg.ROB) {
+		t.Fatalf("switch rewound %d records, want the full ROB of %d", depth, cfg.ROB)
+	}
+	if !t0.Finished {
+		t.Fatal("thread did not finish after the rewind")
+	}
+	if n := len(r.be.reads); n != 2 || r.be.reads[1] != slow {
+		t.Fatalf("backend reads %v, want the faulting load issued twice", r.be.reads)
+	}
+}

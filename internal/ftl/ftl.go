@@ -32,6 +32,12 @@ type Config struct {
 	GCReplenishFree float64
 }
 
+// LogicalPages is the logical capacity, in pages, an FTL with this
+// configuration exposes over geo.
+func (c Config) LogicalPages(geo flash.Geometry) uint64 {
+	return uint64(float64(geo.TotalPages()) * c.UsableRatio)
+}
+
 // Stats counts FTL-level activity.
 type Stats struct {
 	UserPrograms  uint64
@@ -96,9 +102,26 @@ type FTL struct {
 	gcBusyUntil  []sim.Time
 	inGC         []bool
 	nextChan     int
+	// relocs holds the valid pages GC is moving, as a stack: each
+	// gcChannel call appends its victim's pages above its caller's and
+	// truncates back on return, so a nested emergency GC never
+	// overwrites pages an outer call has yet to rewrite.
+	relocs []reloc
 
 	stats Stats
 }
+
+// reloc is one valid page a GC victim gives up: its lpa and, when the
+// array tracks data, its content.
+type reloc struct {
+	lpa  uint64
+	data []byte
+}
+
+// hUnmappedRead completes a read of an unmapped page with nil data.
+var hUnmappedRead = sim.RegisterHandler(func(_ uint64, p1, _ any) {
+	p1.(func([]byte))(nil)
+})
 
 // New builds an FTL over arr.
 func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
@@ -106,13 +129,14 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	if err := CheckGeometry(geo); err != nil {
 		panic(err)
 	}
+	logical := cfg.LogicalPages(geo)
 	f := &FTL{
 		eng:          eng,
 		arr:          arr,
 		geo:          geo,
 		cfg:          cfg,
-		logicalPages: uint64(float64(geo.TotalPages()) * cfg.UsableRatio),
-		l2p:          make([]slot, uint64(float64(geo.TotalPages())*cfg.UsableRatio)),
+		logicalPages: logical,
+		l2p:          make([]slot, logical),
 		p2l:          make([]slot, geo.TotalPages()),
 		blocks:       make([]blockMeta, geo.TotalBlocks()),
 		freeBlocks:   make([][]uint32, geo.Channels),
@@ -174,7 +198,7 @@ func (f *FTL) Read(lpa uint64, done func(data []byte)) sim.Time {
 	if !ok {
 		now := f.eng.Now()
 		if done != nil {
-			f.eng.After(0, func() { done(nil) })
+			f.eng.AfterH(0, hUnmappedRead, 0, done, nil)
 		}
 		return now
 	}
@@ -314,11 +338,7 @@ func (f *FTL) gcChannel(ch, want int) bool {
 		}
 		vm := &f.blocks[victim]
 		first := uint64(victim) * uint64(f.geo.PagesPerBlock)
-		type reloc struct {
-			lpa  uint64
-			data []byte
-		}
-		var moved []reloc
+		base := len(f.relocs)
 		for off := uint64(0); off < uint64(f.geo.PagesPerBlock); off++ {
 			ppa := first + off
 			lpa, ok := f.p2l[ppa].page()
@@ -332,7 +352,7 @@ func (f *FTL) gcChannel(ch, want int) bool {
 			}
 			f.arr.Read(ppa, nil)
 			f.invalidate(lpa)
-			moved = append(moved, reloc{lpa: lpa, data: data})
+			f.relocs = append(f.relocs, reloc{lpa: lpa, data: data})
 		}
 		if vm.valid != 0 {
 			panic("ftl: victim still has valid pages after relocation")
@@ -342,9 +362,14 @@ func (f *FTL) gcChannel(ch, want int) bool {
 		f.stats.Erases++
 		f.arr.Erase(uint32(victim), nil)
 		f.freeBlocks[ch] = append(f.freeBlocks[ch], uint32(victim))
-		for _, r := range moved {
+		// Index, not range: a nested emergency GC inside writeTo may grow
+		// (and move) f.relocs above this call's entries.
+		for i := base; i < len(f.relocs); i++ {
+			r := f.relocs[i]
 			f.writeTo(ch, r.lpa, r.data, nil, true)
 		}
+		clear(f.relocs[base:])
+		f.relocs = f.relocs[:base]
 		reclaimed++
 	}
 	if reclaimed > 0 {

@@ -98,6 +98,37 @@ func TestReadUnmappedAsyncZeroTime(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocatesNothing: once the event pool and GC's
+// relocation buffer are warm, rewrites that trigger GC and reads of an
+// unmapped page allocate nothing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	eng, _, f := tinySetup()
+	n := f.LogicalPages()
+	hole := n - 1 // never written
+	for lpa := uint64(0); lpa < hole; lpa++ {
+		f.Write(lpa, nil, nil)
+	}
+	rng := trace.NewRNG(3)
+	read := func([]byte) {}
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			f.Write(rng.Uint64n(hole), nil, nil)
+		}
+		f.Read(hole, read)
+		eng.Run()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	gcs := f.Stats().GCInvocations
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("a warm rewrite cycle allocated %.2f times, want 0", allocs)
+	}
+	if f.Stats().GCInvocations == gcs {
+		t.Fatal("no GC ran in the measured cycles")
+	}
+}
+
 func TestWritesStripeAcrossChannels(t *testing.T) {
 	eng, _, f := tinySetup()
 	chans := map[int]int{}

@@ -62,7 +62,11 @@ type Pool struct {
 	nodes    map[uint64]*poolNode
 	head     *poolNode // most recently used
 	tail     *poolNode // least recently used
+	free     *poolNode // unused nodes, taken by Add (linked by next)
 }
+
+// poolSlab is how many nodes a Pool allocates at once.
+const poolSlab = 64
 
 type poolNode struct {
 	lpa        uint64
@@ -95,7 +99,19 @@ func (p *Pool) Add(lpa uint64) {
 	if p.Touch(lpa) {
 		return
 	}
-	n := &poolNode{lpa: lpa}
+	n := p.free
+	if n == nil {
+		// Grow by a slab, never past capacity: the free and resident
+		// nodes together stay within it.
+		slab := make([]poolNode, min(poolSlab, p.capacity-len(p.nodes)))
+		for i := 1; i < len(slab); i++ {
+			slab[i-1].next = &slab[i]
+		}
+		n = &slab[0]
+	}
+	p.free = n.next
+	n.next = nil
+	n.lpa = lpa
 	p.nodes[lpa] = n
 	p.pushFront(n)
 }
@@ -128,6 +144,8 @@ func (p *Pool) Remove(lpa uint64) {
 	}
 	p.unlink(n)
 	delete(p.nodes, lpa)
+	n.next = p.free
+	p.free = n
 }
 
 func (p *Pool) pushFront(n *poolNode) {
@@ -164,6 +182,7 @@ func (p *Pool) unlink(n *poolNode) {
 type TPPSampler struct {
 	Threshold uint32
 	counts    map[uint64]uint32
+	hot       []uint64 // Scan's result, reused by the next Scan
 }
 
 // NewTPPSampler builds a sampler; the caller scans it periodically.
@@ -175,15 +194,17 @@ func NewTPPSampler(threshold uint32) *TPPSampler {
 func (s *TPPSampler) Note(lpa uint64) { s.counts[lpa]++ }
 
 // Scan returns promotion candidates (deterministically ordered by lpa) and
-// resets the sampling window.
+// resets the sampling window. The returned slice is valid until the next
+// Scan, which reuses it.
 func (s *TPPSampler) Scan() []uint64 {
-	var out []uint64
+	out := s.hot[:0]
 	for lpa, c := range s.counts {
 		if c >= s.Threshold {
 			out = append(out, lpa)
 		}
 	}
-	s.counts = make(map[uint64]uint32)
+	clear(s.counts)
 	slices.Sort(out)
+	s.hot = out
 	return out
 }

@@ -182,3 +182,44 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestPoolRecyclesNodes: once a pool is full, demoting the coldest page
+// and promoting a new one reuses the demoted page's node — the
+// steady state of adaptive promotion allocates nothing.
+func TestPoolRecyclesNodes(t *testing.T) {
+	const capacity = 256
+	p := NewPool(capacity)
+	next := uint64(0)
+	for ; next < capacity; next++ {
+		p.Add(next)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		lpa, _ := p.Coldest()
+		p.Remove(lpa)
+		p.Add(next)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("demote-then-promote on a full pool allocated %.2f times per cycle, want 0", allocs)
+	}
+	if p.Len() != capacity {
+		t.Fatalf("pool holds %d pages, want %d", p.Len(), capacity)
+	}
+}
+
+// TestTPPScanReusesItsResult: a scan's candidate slice and the cleared
+// sampling window are reused by the next scan.
+func TestTPPScanReusesItsResult(t *testing.T) {
+	s := NewTPPSampler(2)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			s.Note(uint64(i % 4))
+		}
+		if got := s.Scan(); len(got) != 4 {
+			t.Fatalf("scan returned %v, want 4 candidates", got)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a scan cycle allocated %.2f times, want 0", allocs)
+	}
+}

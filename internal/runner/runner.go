@@ -212,7 +212,8 @@ func (r *Runner) Key(spec Spec) string {
 // the store or building a System: an invalid machine or fleet axis, a
 // workload, mix, arrival spec or cohort member that does not resolve,
 // a Threads that disagrees with a declared layout, a budget that gives
-// a thread no instructions, or a workload the machine cannot size.
+// a thread no instructions, a workload the machine cannot size, or a
+// mix or arrival spec whose combined footprint exceeds the device.
 func (r *Runner) Check(spec Spec) error {
 	_, _, _, err := r.resolve(spec)
 	return err
@@ -223,7 +224,7 @@ func (r *Runner) Check(spec Spec) error {
 // once, and keys the spec with the population's thread count. An
 // invalid machine keys cfg=invalid and never simulates; neither does a
 // spec whose population does not resolve, does not fit its budget or
-// cannot be sized for the machine.
+// does not fit the machine.
 func (r *Runner) resolve(spec Spec) (system.Config, string, population, error) {
 	cfg := r.base.WithVariant(spec.Variant)
 	if spec.Mutate != nil {
@@ -241,10 +242,8 @@ func (r *Runner) resolve(spec Spec) (system.Config, string, population, error) {
 	if pop.err != nil {
 		return cfg, key, pop, pop.err
 	}
-	for _, w := range pop.members {
-		if _, err := w.ForDevice(cfg.Geometry.Bytes()); err != nil {
-			return cfg, key, pop, err
-		}
+	if err := pop.fit(cfg); err != nil {
+		return cfg, key, pop, err
 	}
 	return cfg, key, pop, nil
 }

@@ -657,9 +657,10 @@ func recordedWorkload(t *testing.T, name string) string {
 
 // TestCheckReportsWhatRunWould: every error Run reports for a spec —
 // an unknown workload, mix or arrival name, an unknown cohort member,
-// a workload the machine cannot size — Check reports too, and a
-// cache-only runner reports it instead of a store miss, without
-// reading the store.
+// a workload or cohort member the machine cannot size, a combined
+// footprint beyond the device — Check reports too, and a cache-only
+// runner reports it instead of a store miss, without reading the
+// store.
 func TestCheckReportsWhatRunWould(t *testing.T) {
 	recorded := recordedWorkload(t, "check-recorded")
 	if err := tenant.Register(tenant.Mix{Format: tenant.MixFormatVersion, Name: "check-recorded-mix",
@@ -669,6 +670,20 @@ func TestCheckReportsWhatRunWould(t *testing.T) {
 	if err := arrival.Register(arrival.Spec{Format: arrival.SpecFormatVersion, Name: "check-member",
 		Cohorts: []arrival.Cohort{{Workload: "no-such-member", Threads: 2,
 			Process: arrival.Process{Dist: arrival.DistPoisson, Rate: 100}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := arrival.Register(arrival.Spec{Format: arrival.SpecFormatVersion, Name: "check-recorded-arrival",
+		Cohorts: []arrival.Cohort{{Workload: recorded, Threads: 2,
+			Process: arrival.Process{Dist: arrival.DistPoisson, Rate: 100}}}}); err != nil {
+		t.Fatal(err)
+	}
+	// Eight tpcc tenants: each fits the 1/64 device alone, together they
+	// exceed its logical pages.
+	crowd := tenant.Mix{Format: tenant.MixFormatVersion, Name: "check-crowded-mix"}
+	for i := 0; i < 8; i++ {
+		crowd.Tenants = append(crowd.Tenants, tenant.TenantDef{Name: fmt.Sprintf("t%d", i), Workload: "tpcc", Threads: 1})
+	}
+	if err := tenant.Register(crowd); err != nil {
 		t.Fatal(err)
 	}
 	quarter := New(system.ConfigAt(16), 7, 1)
@@ -683,6 +698,10 @@ func TestCheckReportsWhatRunWould(t *testing.T) {
 		{testRunner(1), Spec{Arrival: "check-member", Variant: system.BaseCSSD, TotalInstr: 16_000}, "no-such-member"},
 		{quarter, Spec{Workload: recorded, Variant: system.BaseCSSD, TotalInstr: 16_000}, "only on the 1/64 machine"},
 		{quarter, Spec{Mix: "check-recorded-mix", Variant: system.BaseCSSD, TotalInstr: 16_000}, "only on the 1/64 machine"},
+		{quarter, Spec{Arrival: "check-recorded-arrival", Variant: system.BaseCSSD, TotalInstr: 16_000}, `arrival spec "check-recorded-arrival"`},
+		{quarter, Spec{Arrival: "check-recorded-arrival", Variant: system.BaseCSSD, TotalInstr: 16_000}, "only on the 1/64 machine"},
+		{testRunner(1), Spec{Mix: "check-crowded-mix", Variant: system.BaseCSSD, TotalInstr: 16_000}, `mix "check-crowded-mix"`},
+		{testRunner(1), Spec{Mix: "check-crowded-mix", Variant: system.BaseCSSD, TotalInstr: 16_000}, "exceeds the device's"},
 	} {
 		if err := c.r.Check(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Check(%s) = %v, want an error containing %q", c.spec.Key(), err, c.want)

@@ -131,9 +131,11 @@ type population struct {
 	src     string // source identity; "" when the name does not resolve
 	threads int    // threads the run adds
 	per     uint64 // the smallest per-thread instruction budget
-	// members are the workloads the machine must be able to size
-	// (workloads.Spec.ForDevice) before it is built.
-	members []workloads.Spec
+	// fit reports whether the machine a config describes can hold the
+	// population, before the machine is built: a solo workload must be
+	// sizable for it (workloads.Spec.ForDevice), a mix's or arrival
+	// spec's groups must fit it (tenant.Fit).
+	fit func(cfg system.Config) error
 	// apply adds the threads to a fresh System.
 	apply func(sys *system.System, seed uint64) error
 	// err is the error that stops the spec, if any.
@@ -168,8 +170,16 @@ func (s Spec) population(threads int) (p population) {
 			p.err = fmt.Errorf("runner: spec sets both mix %q and arrival spec %q; they are mutually exclusive", s.Mix, s.Arrival)
 		} else if err := arrival.ValidateScale(s.ArrivalScale); err != nil {
 			p.err = fmt.Errorf("runner: %w", err)
-		} else if p.threads, p.err = a.TotalThreads(); p.threads > 0 {
-			p.per = s.TotalInstr / uint64(p.threads)
+		} else {
+			var groups []tenant.Group
+			groups, p.err = a.Groups()
+			for _, g := range groups {
+				p.threads += g.Threads
+			}
+			if p.threads > 0 {
+				p.per = s.TotalInstr / uint64(p.threads)
+			}
+			p.fit = fitLayout(declaredBy, groups)
 		}
 		p.apply = func(sys *system.System, seed uint64) error {
 			return a.Apply(sys, s.TotalInstr, seed, s.arrivalScale())
@@ -189,8 +199,8 @@ func (s Spec) population(threads int) (p population) {
 			if i == 0 || g.Per < p.per {
 				p.per = g.Per
 			}
-			p.members = append(p.members, g.Workload)
 		}
+		p.fit = fitLayout(declaredBy, groups)
 		p.apply = func(sys *system.System, seed uint64) error { return m.Apply(sys, s.TotalInstr, seed) }
 	default:
 		p.name = s.Workload
@@ -203,7 +213,10 @@ func (s Spec) population(threads int) (p population) {
 		if threads > 0 {
 			p.per = s.TotalInstr / uint64(threads)
 		}
-		p.members = []workloads.Spec{w}
+		p.fit = func(cfg system.Config) error {
+			_, err := w.ForDevice(cfg.Geometry.Bytes())
+			return err
+		}
 		per := p.per
 		p.apply = func(sys *system.System, seed uint64) error {
 			w, err := w.ForDevice(sys.Config().Geometry.Bytes())
@@ -228,6 +241,17 @@ func (s Spec) population(threads int) (p population) {
 			s.TotalInstr, p.threads)
 	}
 	return p
+}
+
+// fitLayout is the fit check of the groups a mix or arrival spec lays
+// out with tenant.Layout; its error names the layout's declarer.
+func fitLayout(declaredBy string, groups []tenant.Group) func(system.Config) error {
+	return func(cfg system.Config) error {
+		if _, err := tenant.Fit(cfg, groups); err != nil {
+			return fmt.Errorf("runner: %s: %w", declaredBy, err)
+		}
+		return nil
+	}
 }
 
 // ThreadsFor resolves the paper's §VI-A thread default: 24 threads on 8

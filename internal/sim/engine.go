@@ -7,8 +7,9 @@ package sim
 // ready to use.
 //
 // The engine is allocation-free on the hot path: event records are pooled
-// on an intrusive free-list and recycled as they fire, so steady-state
-// scheduling performs no heap allocation. Two scheduling forms exist:
+// on an intrusive free-list, grown a slab at a time and recycled as they
+// fire, so steady-state scheduling performs no heap allocation. Two
+// scheduling forms exist:
 //
 //   - At/After take a plain func() — the closure itself is whatever the
 //     caller built, but the event record carrying it is pooled;
@@ -105,11 +106,21 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events not yet executed.
 func (e *Engine) Pending() int { return e.calCount + len(e.heap) }
 
-// alloc pops a pooled record or grows the pool by one.
+// slabEvents is how many records the pool grows by when it runs dry: one
+// allocation per slab rather than one per record during warm-up.
+const slabEvents = 64
+
+// alloc pops a pooled record, growing the pool by one slab when it is
+// empty.
 func (e *Engine) alloc() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{}
+		slab := make([]Event, slabEvents)
+		for i := 1; i < slabEvents-1; i++ {
+			slab[i].next = &slab[i+1]
+		}
+		e.free = &slab[1]
+		return &slab[0]
 	}
 	e.free = ev.next
 	ev.next = nil

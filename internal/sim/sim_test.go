@@ -261,6 +261,23 @@ func TestEnginePoolReuse(t *testing.T) {
 	}
 }
 
+// TestEngineGrowsPoolBySlab: a dry pool grows by a slab of records per
+// allocation, so warming up to n pending events costs n/slabEvents
+// allocations (plus the engine), not n.
+func TestEngineGrowsPoolBySlab(t *testing.T) {
+	var sink []uint64
+	const n = 10 * slabEvents
+	allocs := testing.AllocsPerRun(5, func() {
+		e := new(Engine)
+		for i := 0; i < n; i++ {
+			e.AtH(Time(i), hTestCollect, uint64(i), &sink, nil)
+		}
+	})
+	if max := float64(1 + n/slabEvents); allocs > max {
+		t.Fatalf("scheduling %d events on a fresh engine allocated %.0f times, want at most %.0f", n, allocs, max)
+	}
+}
+
 // TestEngineDeterminism: two engines fed the identical schedule report
 // identical Fired counts and fire orders — the probe the byte-identity
 // suite leans on, checked here at the engine level.

@@ -20,6 +20,7 @@ import (
 	"skybyte/internal/osched"
 	"skybyte/internal/sim"
 	"skybyte/internal/stats"
+	"skybyte/internal/trace"
 )
 
 // Variant names a design point from the paper's evaluation.
@@ -288,6 +289,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: %s of SSD DRAM beside a %s write log leaves %s for the data cache, less than one %d-way set (%s)",
 			stats.FormatGB(uint64(c.SSDDRAMBytes)), stats.FormatGB(uint64(c.WriteLogBytes)),
 			stats.FormatGB(uint64(max(cache, 0))), c.CacheWays, stats.FormatGB(uint64(set)))
+	}
+	// A context switch rewinds at most ROB records (trace.ReplayCap);
+	// two more keep a margin.
+	if c.CPU.ROB+2 > trace.ReplayCap {
+		return fmt.Errorf("system: a %d-entry ROB can rewind past the %d-record replay ring (at most %d entries)",
+			c.CPU.ROB, trace.ReplayCap, trace.ReplayCap-2)
 	}
 	return nil
 }

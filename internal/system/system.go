@@ -63,13 +63,16 @@ type System struct {
 
 	// Tiering state. The pool is the one record of which pages are
 	// promoted to host DRAM (nil unless a promotion mode is on).
-	pool      *migrate.Pool
-	plb       *migrate.PLB
-	tpp       *migrate.TPPSampler
-	astri     *cachesim.Cache
-	astriIn   map[mem.Addr]*astriFetch
-	promoteQ  []uint64
-	promoting bool
+	pool    *migrate.Pool
+	plb     *migrate.PLB
+	tpp     *migrate.TPPSampler
+	astri   *cachesim.Cache
+	astriIn map[mem.Addr]*astriFetch
+	// promoteQ[promoteHead:] are the adaptive promotions waiting for the
+	// MSI-X handler, oldest first.
+	promoteQ    []uint64
+	promoteHead int
+	promoting   bool
 
 	// Measurements. Each request-path measurement is booked once, into
 	// the issuing tenant's part; a solo run has exactly one part, and
@@ -94,6 +97,12 @@ type System struct {
 	writeFree *writeTxn
 	hostFree  *hostTxn
 	hopFree   *linkHop
+
+	// Pools for the page-movement paths (migration.go).
+	promoteFree   *promotion
+	pageWriteFree *pageWrite
+	astriFree     *astriFetch
+	moveFree      *fleetMove
 
 	// Telemetry state (Config.TelemetryCadence). All nil/empty when
 	// telemetry is off: the request paths then skip instrumentation
@@ -338,8 +347,6 @@ type tenantPart struct {
 	done      sim.Time
 }
 
-type astriFetch struct{ writeAccepts []func() }
-
 // device is one SSD backend of the machine: its controller DRAM, flash
 // array, FTL, and controller (which owns the write log). Fleet runs
 // wire several; the port models the device's downstream CXL attachment
@@ -583,7 +590,7 @@ func (s *System) Run() *Result {
 		c.Start()
 	}
 	if s.tpp != nil {
-		s.Eng.After(tppScanInterval, s.tppScan)
+		s.Eng.AfterH(tppScanInterval, hTPPScan, 0, s, nil)
 	}
 	if s.tel != nil {
 		s.setupTelemetry()
@@ -679,32 +686,6 @@ func (s *System) noteFleetAccess(lpa uint64) {
 	}
 }
 
-// fleetMigrate simulates one hot/cold tier promotion: the host pulls
-// the page from the cold device (a flash fetch if it isn't cached),
-// trims the cold device's mapping, and rewrites the page on the hot
-// device — every leg through the normal port and link paths, so
-// migrations compete with demand traffic for bandwidth. Ownership has
-// already flipped, so requests issued after the decision route to the
-// new owner; stale write-log lines on the source drain as dead
-// compaction traffic (a documented simplification — there is no
-// cross-device log forwarding).
-func (s *System) fleetMigrate(m fleet.Migration) {
-	src, dst := s.devs[m.From], s.devs[m.To]
-	const page = mem.LinesPerPage * cxl.DataBytes
-	src.ctrl.FetchPage(m.LPA, func() {
-		src.fl.Trim(m.LPA)
-		src.port.ToHost(page, func() {
-			s.link.ToHost(page, func() {
-				s.link.ToDevice(page, func() {
-					dst.port.ToDevice(page, func() {
-						dst.ctrl.WritePage(m.LPA, nil, nil)
-					})
-				})
-			})
-		})
-	})
-}
-
 // --- measurement recording ---
 
 // recordRead books one completed off-chip read into the issuing
@@ -794,167 +775,4 @@ func (s *System) hostWrite(a mem.Addr, tenant int, record bool, accepted func())
 	x := s.getHostTxn()
 	x.tenant, x.record, x.accepted = tenant, record, accepted
 	s.hostDRAM.Access(a, true, x.wrDone)
-}
-
-// --- adaptive promotion (§III-C) ---
-
-func (s *System) promoteCandidate(lpa uint64) {
-	if !s.plb.TryBegin(lpa) {
-		return
-	}
-	if !s.ctrlFor(lpa).MarkMigrating(lpa) {
-		s.plb.Complete(lpa)
-		return
-	}
-	// Promotions serialise through the host's MSI-X handler: one interrupt
-	// is serviced at a time, bounding the promotion rate the way a real
-	// kernel does.
-	s.promoteQ = append(s.promoteQ, lpa)
-	s.drainPromotions()
-}
-
-func (s *System) drainPromotions() {
-	if s.promoting || len(s.promoteQ) == 0 {
-		return
-	}
-	s.promoting = true
-	lpa := s.promoteQ[0]
-	s.promoteQ = s.promoteQ[1:]
-	// MSI-X interrupt to the host, then the OS allocates a physical page
-	// and the 64 cachelines copy over the CXL link.
-	s.Eng.After(msixCost, func() {
-		s.sendToHost(lpa, mem.LinesPerPage*cxl.DataBytes, func() {
-			s.completePromotion(lpa)
-			s.promoting = false
-			s.drainPromotions()
-		})
-	})
-}
-
-func (s *System) completePromotion(lpa uint64) {
-	if _, ok := s.ctrlFor(lpa).FinishMigration(lpa); !ok {
-		s.plb.Complete(lpa)
-		return
-	}
-	if s.pool.Full() {
-		s.demoteColdest()
-	}
-	s.pool.Add(lpa)
-	s.plb.Complete(lpa)
-	s.migr.Promotions++
-	// PTE update, then a TLB shootdown interrupts every core.
-	s.Eng.After(pteUpdateCost, func() {
-		for _, c := range s.cores {
-			c.InjectStall(tlbShootdown)
-		}
-	})
-}
-
-// demoteColdest evicts the LRU promoted page back to the SSD through the
-// normal write path (a full-page copy; the system tracks no payload).
-func (s *System) demoteColdest() {
-	lpa, ok := s.pool.Coldest()
-	if !ok {
-		return
-	}
-	s.pool.Remove(lpa)
-	s.migr.Demotions++
-	s.sendToDevice(lpa, mem.LinesPerPage*cxl.DataBytes, func() {
-		s.ctrlFor(lpa).WritePage(lpa, nil, nil)
-	})
-}
-
-// --- TPP-style promotion (§VI-H) ---
-
-func (s *System) tppScan() {
-	if s.allDone() {
-		return
-	}
-	for _, lpa := range s.tpp.Scan() {
-		if s.pool.Contains(lpa) {
-			continue
-		}
-		if !s.plb.TryBegin(lpa) {
-			break
-		}
-		lpa := lpa
-		// TPP promotes regardless of SSD DRAM residency, so a promotion
-		// may first pull the page from flash.
-		ctrl := s.ctrlFor(lpa)
-		ctrl.FetchPage(lpa, func() {
-			if !ctrl.MarkMigrating(lpa) {
-				s.plb.Complete(lpa)
-				return
-			}
-			s.sendToHost(lpa, mem.LinesPerPage*cxl.DataBytes, func() {
-				s.completePromotion(lpa)
-			})
-		})
-	}
-	s.Eng.After(tppScanInterval, s.tppScan)
-}
-
-// --- AstriFlash-style host page cache (§VI-H) ---
-
-func (s *System) astriRead(req *cpu.ReadReq, a mem.Addr) {
-	page := a.Page()
-	if s.astri.Access(page, false) {
-		s.hostRead(req, a)
-		return
-	}
-	s.astriMiss(page, req.Tenant, req.Record)
-	if s.telInflight != nil {
-		// The request terminates here (it re-issues after the page
-		// lands, re-entering Read), so its in-flight count closes now.
-		s.telInflight[req.Tenant]--
-	}
-	// A host-cache miss triggers a user-level thread switch; the request
-	// re-issues after the page lands.
-	s.Eng.After(astriSwitchCost/4, req.OnHint)
-}
-
-func (s *System) astriWrite(a mem.Addr, tenant int, record bool, accepted func()) {
-	page := a.Page()
-	if s.astri.Access(page, true) {
-		s.hostWrite(a, tenant, record, accepted)
-		return
-	}
-	f := s.astriMiss(page, tenant, record)
-	f.writeAccepts = append(f.writeAccepts, func() {
-		s.astri.Access(page, true) // dirty the landed page
-		s.hostWrite(a, tenant, record, accepted)
-	})
-}
-
-// astriMiss starts (or joins) the 4 KB on-demand fetch of page from the SSD.
-func (s *System) astriMiss(page mem.Addr, tenant int, record bool) *astriFetch {
-	if f, ok := s.astriIn[page]; ok {
-		return f
-	}
-	f := &astriFetch{}
-	s.astriIn[page] = f
-	lpa := cxlPage(page)
-	s.sendToDevice(lpa, cxl.HeaderBytes, func() {
-		s.ctrlFor(lpa).FetchPage(lpa, func() {
-			if record {
-				s.recordClass(tenant, stats.SSDReadMiss)
-			}
-			s.sendToHost(lpa, mem.LinesPerPage*cxl.DataBytes, func() {
-				v := s.astri.Fill(page, false)
-				if v.Valid && v.Dirty {
-					// Dirty victim pages write back at page granularity —
-					// AstriFlash always accesses the SSD in pages.
-					vlpa := cxlPage(v.Addr)
-					s.sendToDevice(vlpa, mem.LinesPerPage*cxl.DataBytes, func() {
-						s.ctrlFor(vlpa).WritePage(vlpa, nil, nil)
-					})
-				}
-				delete(s.astriIn, page)
-				for _, acc := range f.writeAccepts {
-					acc()
-				}
-			})
-		})
-	})
-	return f
 }

@@ -380,6 +380,21 @@ func TestValidateRejectsCacheBelowOneSet(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsROBBeyondReplayRing: a context switch rewinds up to
+// a ROB's worth of records, so the ROB must fit the replay ring with the
+// two-record margin; the largest ROB that does is accepted.
+func TestValidateRejectsROBBeyondReplayRing(t *testing.T) {
+	c := ScaledConfig()
+	c.CPU.ROB = trace.ReplayCap - 2
+	if err := c.Validate(); err != nil {
+		t.Fatalf("ROB %d: %v", c.CPU.ROB, err)
+	}
+	c.CPU.ROB++
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "replay ring") {
+		t.Fatalf("ROB %d: Validate = %v, want the replay-ring bound", c.CPU.ROB, err)
+	}
+}
+
 func TestTPPMigrationPromotes(t *testing.T) {
 	cfg := ScaledConfig().WithVariant(SkyByteCT)
 	s := New(cfg)

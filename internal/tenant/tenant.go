@@ -228,6 +228,29 @@ func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
 	return nil
 }
 
+// Fit sizes each group's workload for the machine cfg describes
+// (workloads.Spec.ForDevice) and checks that the groups' combined
+// footprint fits a device's logical space. It needs only the Config, so
+// a caller can reject a layout before building the System; Layout
+// applies the same check. The sized workloads return in group order.
+func Fit(cfg system.Config, groups []Group) ([]workloads.Spec, error) {
+	sized := make([]workloads.Spec, len(groups))
+	flash := cfg.Geometry.Bytes()
+	var pages uint64
+	for i, g := range groups {
+		w, err := g.Workload.ForDevice(flash)
+		if err != nil {
+			return nil, err
+		}
+		sized[i] = w
+		pages += w.FootprintPages
+	}
+	if logical := cfg.FTL.LogicalPages(cfg.Geometry); pages > logical {
+		return nil, fmt.Errorf("combined footprint %d pages exceeds the device's %d logical pages", pages, logical)
+	}
+	return sized, nil
+}
+
 // Layout is the one multi-tenant wiring of a System, shared by mixes
 // and arrival specs: it declares groups as tenants in order and adds
 // each group's threads, returning them in the order added.
@@ -236,32 +259,24 @@ func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
 // cumulative footprint of the groups before it, so co-located groups
 // contend for the link, the SSD DRAM, the write log, the flash dies,
 // and the scheduler — the interference under study — but never alias
-// each other's data. Each group's workload is first sized for the
-// machine's devices (workloads.Spec.ForDevice). The combined footprint
-// must fit the device's logical space; otherwise, or when a workload
-// cannot run on the machine, Layout errors and leaves sys untouched.
+// each other's data. The groups must Fit the machine; otherwise Layout
+// errors and leaves sys untouched.
 func Layout(sys *system.System, groups []Group, seed uint64) ([]*osched.Thread, error) {
+	sized, err := Fit(sys.Config(), groups)
+	if err != nil {
+		return nil, err
+	}
 	infos := make([]system.TenantInfo, len(groups))
-	flash := sys.Config().Geometry.Bytes()
-	var pages uint64
 	total := 0
 	for i, g := range groups {
-		w, err := g.Workload.ForDevice(flash)
-		if err != nil {
-			return nil, err
-		}
-		infos[i] = system.TenantInfo{Name: g.Name, Workload: w.Name, Threads: g.Threads}
-		pages += w.FootprintPages
+		infos[i] = system.TenantInfo{Name: g.Name, Workload: sized[i].Name, Threads: g.Threads}
 		total += g.Threads
-	}
-	if logical := sys.FTL().LogicalPages(); pages > logical {
-		return nil, fmt.Errorf("combined footprint %d pages exceeds the device's %d logical pages", pages, logical)
 	}
 	sys.DeclareTenants(infos)
 	threads := make([]*osched.Thread, 0, total)
 	var base uint64 // cumulative arena offset, in pages
 	for i, g := range groups {
-		w, _ := g.Workload.ForDevice(flash) // vetted above
+		w := sized[i]
 		delta := mem.Addr(base) * mem.PageBytes
 		for k := 0; k < g.Threads; k++ {
 			threads = append(threads, sys.AddThreadFor(i, &trace.Offset{Src: w.Stream(k, seed), Delta: delta}, g.Per))

@@ -2,11 +2,13 @@ package trace
 
 import "fmt"
 
-// replayCap is the ring capacity of a Replayer in records. A context switch
-// rewinds at most ROB-size instructions (the faulting load is within the ROB
-// window of the newest fetched instruction), so with 256-entry ROBs a 4 Ki
-// ring has an order of magnitude of slack.
-const replayCap = 4096
+// ReplayCap is the ring capacity of a Replayer in records: 2× Table II's
+// 256-entry ROB. A context switch rewinds to the oldest outstanding miss,
+// and the CPU fetches no record that starts a ROB's worth of instructions
+// past it, so the target is at most ROB records behind the newest (every
+// record carries at least one instruction). system.Config.Validate
+// rejects a ROB the ring cannot cover.
+const ReplayCap = 512
 
 // Replayer wraps a Stream and remembers recently delivered records so the
 // CPU model can rewind to the exact faulting load after a SkyByte Long Delay
@@ -15,8 +17,8 @@ const replayCap = 4096
 // occupying a contiguous index range.
 type Replayer struct {
 	src     Stream
-	ring    [replayCap]posRecord
-	ringLen int    // valid records in ring (<= replayCap)
+	ring    [ReplayCap]posRecord
+	ringLen int    // valid records in ring (<= ReplayCap)
 	ringEnd int    // ring slot one past the newest record
 	cursor  int    // offset (in records) behind the newest record; 0 = pull from src
 	nextIdx uint64 // instruction index of the next record to deliver when cursor==0
@@ -35,7 +37,7 @@ func NewReplayer(src Stream) *Replayer { return &Replayer{src: src} }
 // instruction. After a RewindTo, previously delivered records are replayed.
 func (r *Replayer) Next() (rec Record, startIdx uint64, ok bool) {
 	if r.cursor > 0 {
-		slot := (r.ringEnd - r.cursor + replayCap) % replayCap
+		slot := (r.ringEnd - r.cursor + ReplayCap) % ReplayCap
 		pr := r.ring[slot]
 		r.cursor--
 		return pr.rec, pr.startIdx, true
@@ -50,8 +52,8 @@ func (r *Replayer) Next() (rec Record, startIdx uint64, ok bool) {
 	}
 	pr := posRecord{startIdx: r.nextIdx, rec: rec}
 	r.ring[r.ringEnd] = pr
-	r.ringEnd = (r.ringEnd + 1) % replayCap
-	if r.ringLen < replayCap {
+	r.ringEnd = (r.ringEnd + 1) % ReplayCap
+	if r.ringLen < ReplayCap {
 		r.ringLen++
 	}
 	r.nextIdx += rec.Instructions()
@@ -63,7 +65,7 @@ func (r *Replayer) Next() (rec Record, startIdx uint64, ok bool) {
 // the ring — that would mean the CPU rewound further than its ROB allows.
 func (r *Replayer) RewindTo(idx uint64) {
 	for off := r.cursor + 1; off <= r.ringLen; off++ {
-		slot := (r.ringEnd - off + replayCap) % replayCap
+		slot := (r.ringEnd - off + ReplayCap) % ReplayCap
 		if r.ring[slot].startIdx == idx {
 			r.cursor = off
 			return
@@ -90,7 +92,7 @@ func (r *Replayer) NextIdx() uint64 { return r.nextIdx }
 // re-execute fully before it can complete.
 func (r *Replayer) CursorIdx() uint64 {
 	if r.cursor > 0 {
-		slot := (r.ringEnd - r.cursor + replayCap) % replayCap
+		slot := (r.ringEnd - r.cursor + ReplayCap) % ReplayCap
 		return r.ring[slot].startIdx
 	}
 	return r.nextIdx

@@ -389,7 +389,7 @@ func TestReplayerReplayFidelity(t *testing.T) {
 func TestReplayerLongStreamAges(t *testing.T) {
 	// Deliver far more records than the ring capacity; rewinding to a very
 	// recent record must still work.
-	n := replayCap * 3
+	n := ReplayCap * 3
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{Kind: Load, Addr: mem.Addr(i * 64)}
